@@ -1,0 +1,54 @@
+"""Byte-for-byte CLI goldens: stdout and exit code of fixed commands.
+
+The files under tests/golden/ pin the output that refactors must keep.
+alt5.json and ksubsets7_3.json are inputs written by
+`subdeg construct alt 5 --out ...` and `subdeg construct ksubsets 7 3 --out ...`.
+Every other file is the stdout of one case below. To regenerate them after
+an intended output change, run each case from the repository root:
+
+    PYTHONPATH=src python -m subdeg.cli ARGS > tests/golden/NAME.out
+
+with NAME and ARGS taken from CASES, and update the exit code there too.
+"""
+from pathlib import Path
+
+import pytest
+
+from subdeg.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+J1 = "src/subdeg/fixtures/j1_266.json"
+A5 = "tests/golden/alt5.json"
+K73 = "tests/golden/ksubsets7_3.json"
+
+# (name, args, exit code); a name may serve several cases
+CASES = [
+    ("verify_builtin_json", ["verify-corpus", "--builtin", "--json", "-"], 0),
+    ("verify_builtin_json", ["verify-corpus", "--builtin", "--jobs", "2", "--json", "-"], 0),
+    ("verify_builtin", ["verify-corpus", "--builtin"], 0),
+    ("analyze_j1", ["analyze", J1], 0),
+    ("analyze_j1_json", ["analyze", "--json", J1], 0),
+    ("analyze_j1_csv", ["analyze", "--csv", J1], 0),
+    ("analyze_a5", ["analyze", A5], 0),
+    ("analyze_a5_json", ["analyze", "--json", A5], 0),
+    ("analyze_a5_csv", ["analyze", "--csv", A5], 0),
+    ("analyze_k73", ["analyze", K73], 0),
+    ("analyze_k73_json", ["analyze", "--json", K73], 0),
+    ("analyze_k73_csv", ["analyze", "--csv", K73], 0),
+    ("construct_alt5", ["construct", "alt", "5"], 0),
+    ("construct_k73_analyze", ["construct", "ksubsets", "7", "3", "--analyze"], 0),
+    ("mu_a5", ["mu", A5], 0),
+    ("factorizations_a5", ["factorizations", A5], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,args,code", CASES, ids=[" ".join(args) for _, args, _ in CASES]
+)
+def test_cli_matches_golden(name, args, code, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    rc = main(args)
+    out = capsys.readouterr().out
+    assert rc == code
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
