@@ -14,11 +14,12 @@ from .groups import (
     fixed_points,
     is_transitive,
     normalizer_small,
+    orbit,
     order,
     point_stabilizer,
     sylow_subgroup_small,
 )
-from .perm import Permutation, compose, inverse
+from .perm import compose, inverse
 
 __all__ = [
     "SuborbitProfile",
@@ -28,6 +29,7 @@ __all__ = [
     "StabilizerBoundVerdict",
     "subdegrees",
     "max_coprime_set",
+    "maximum_cliques",
     "count_maximum_cliques",
     "weiss_check",
     "neumann_check",
@@ -80,23 +82,13 @@ def subdegrees(G: PermGroup, point: int = 0) -> SuborbitProfile:
         raise ValueError("subdegrees need a transitive group")
     stab = point_stabilizer(G, point)
     n = G.degree
-    seen = [False] * n
+    seen: set[int] = set()
     suborbits = []
     for start in range(n):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        qi = 0
-        while qi < len(orb):
-            x = orb[qi]
-            qi += 1
-            for g in stab.generators:
-                y = g(x)
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-        suborbits.append((start, len(orb)))
+        if start not in seen:
+            orb = orbit(stab, start)[0]
+            seen.update(orb)
+            suborbits.append((start, len(orb)))
     suborbits.sort(key=lambda t: (t[1], t[0]))
     assert sum(length for _, length in suborbits) == n
     return SuborbitProfile(degree=n, base_point=point, suborbits=tuple(suborbits))
@@ -112,7 +104,7 @@ def _coprime_graph(values: tuple[int, ...]) -> dict[int, set[int]]:
     return adj
 
 
-def _maximum_cliques(values) -> list[tuple[int, ...]]:
+def maximum_cliques(values) -> list[tuple[int, ...]]:
     """All maximum cliques of the coprimality graph, each sorted ascending."""
     verts = tuple(sorted(set(values)))
     adj = _coprime_graph(verts)
@@ -141,13 +133,13 @@ def _maximum_cliques(values) -> list[tuple[int, ...]]:
 def max_coprime_set(profile: SuborbitProfile) -> CoprimeClique:
     """Largest set of pairwise coprime non-trivial subdegrees; ties broken
     by the lexicographically smallest sorted value tuple."""
-    cliques = _maximum_cliques(profile.distinct_nontrivial)
+    cliques = maximum_cliques(profile.distinct_nontrivial)
     return CoprimeClique(values=cliques[0] if cliques else ())
 
 
 def count_maximum_cliques(profile: SuborbitProfile) -> int:
     """Number of distinct maximum coprime sets (reported, never asserted)."""
-    return len(_maximum_cliques(profile.distinct_nontrivial))
+    return len(maximum_cliques(profile.distinct_nontrivial))
 
 
 def weiss_check(profile: SuborbitProfile) -> bool:
@@ -227,34 +219,21 @@ def sylow_divisibility_check(
     every conjugate of one computed Sylow normalizer."""
     profile = subdegrees(G, point)
     P = sylow_subgroup_small(G, p, cap)
-    if order(P) == 1:
-        return SylowDivisibilityVerdict(
-            prime=p,
-            hypothesis_holds=False,
-            conclusion_holds=None,
-            subdegrees=profile.subdegrees,
-        )
-    N = normalizer_small(G, P, cap)
-    stab = point_stabilizer(G, point)
     hypothesis = False
-    for g in elements(G, cap):
-        g_inv = inverse(g)
-        if all(
-            contains(stab, compose(compose(g_inv, x), g)) for x in N.generators
-        ):
-            hypothesis = True
-            break
-    if not hypothesis:
-        return SylowDivisibilityVerdict(
-            prime=p,
-            hypothesis_holds=False,
-            conclusion_holds=None,
-            subdegrees=profile.subdegrees,
-        )
-    conclusion = all(d % p == 0 for d in profile.subdegrees if d > 1)
+    if order(P) > 1:
+        N = normalizer_small(G, P, cap)
+        stab = point_stabilizer(G, point)
+        for g in elements(G, cap):
+            g_inv = inverse(g)
+            if all(
+                contains(stab, compose(compose(g_inv, x), g)) for x in N.generators
+            ):
+                hypothesis = True
+                break
+    conclusion = all(d % p == 0 for d in profile.subdegrees if d > 1) if hypothesis else None
     return SylowDivisibilityVerdict(
         prime=p,
-        hypothesis_holds=True,
+        hypothesis_holds=hypothesis,
         conclusion_holds=conclusion,
         subdegrees=profile.subdegrees,
     )

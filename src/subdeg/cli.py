@@ -13,61 +13,50 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .analysis import count_maximum_cliques, subdegrees
-from .groups import CapExceeded, order
+from .analysis import maximum_cliques
+from .groups import CapExceeded
 from .lattice import SUBGROUP_CAP, all_subgroups_small, coprime_factorizations, mu
-from .perm import format_cycles
-
-
-def _caps_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--elements-cap", type=int, default=200_000, metavar="N",
-        help="bound for element-enumeration operations (default 200000)",
-    )
-    p.add_argument(
-        "--subgroup-cap", type=int, default=SUBGROUP_CAP, metavar="N",
-        help="largest group order for subgroup enumeration (default 2000)",
-    )
-    p.add_argument(
-        "--coset-cap", type=int, default=100_000, metavar="N",
-        help="largest coset-action index (default 100000)",
-    )
-    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    caps = _caps_parent()
     parser = argparse.ArgumentParser(
         prog="subdeg",
         description="Subdegrees, coprime suborbit structure, mu, and factorizations of permutation groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[caps], help="analyze one group file")
+    p = sub.add_parser("analyze", help="analyze one group file")
     p.add_argument("file")
     p.add_argument("--point", type=int, default=1, metavar="K", help="1-based base point (default 1)")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit the report as JSON")
     fmt.add_argument("--csv", action="store_true", help="emit the report as CSV")
 
-    p = sub.add_parser("construct", parents=[caps], help="build a group from a named family")
+    p = sub.add_parser("construct", help="build a group from a named family")
     p.add_argument("family", choices=sorted(corpus.FAMILY_BUILDERS))
     p.add_argument("params", nargs="+", type=int, help="family parameters, e.g. 7 3")
     p.add_argument("--out", metavar="FILE", help="write the group file here")
     p.add_argument("--analyze", action="store_true", dest="do_analyze", help="also print the analysis report")
 
-    p = sub.add_parser("verify-corpus", parents=[caps], help="sweep group files and built-in constructions")
+    p = sub.add_parser("verify-corpus", help="sweep group files and built-in constructions")
     p.add_argument("--dir", metavar="DIR", help="directory of group .json files")
     p.add_argument("--builtin", action="store_true", help="include the built-in corpus (default when no --dir)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel workers (default 1)")
+    p.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes, at most one per core (default 1)",
+    )
     p.add_argument("--json", metavar="OUT", dest="json_out", help="write the JSON aggregate to this file ('-' for stdout)")
 
-    p = sub.add_parser("mu", parents=[caps], help="mu of a group file via subgroup enumeration")
-    p.add_argument("file")
-
-    p = sub.add_parser("factorizations", parents=[caps], help="coprime factorizations of a group file")
-    p.add_argument("file")
+    for command, text in [
+        ("mu", "mu of a group file via subgroup enumeration"),
+        ("factorizations", "coprime factorizations of a group file"),
+    ]:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("file")
+        p.add_argument(
+            "--subgroup-cap", type=int, default=SUBGROUP_CAP, metavar="N",
+            help="largest group order for subgroup enumeration (default 2000)",
+        )
 
     return parser
 
@@ -80,7 +69,7 @@ def _seq(values, empty: str) -> str:
     return " ".join(str(x) for x in values) if values else empty
 
 
-def _print_report(r: corpus.CoprimeReport, clique_count: int | None = None) -> None:
+def _print_report(r: corpus.CoprimeReport) -> None:
     print(f"name: {r.name}")
     print(f"degree: {r.degree}")
     print(f"order: {r.order}")
@@ -91,8 +80,7 @@ def _print_report(r: corpus.CoprimeReport, clique_count: int | None = None) -> N
         print(f"subdegrees: {_seq(r.subdegrees, 'none')}")
         print(f"distinct non-trivial subdegrees: {_seq(r.distinct_nontrivial_subdegrees, 'none')}")
         print(f"max coprime clique: {_seq(r.max_coprime_clique, 'empty')} (size {r.clique_size})")
-        if clique_count is not None:
-            print(f"maximum clique count: {clique_count}")
+        print(f"maximum clique count: {len(maximum_cliques(r.distinct_nontrivial_subdegrees))}")
         print(f"weiss: {r.weiss_ok}")
         print(f"neumann: {'pass' if r.neumann_ok else 'fail'}")
         if r.theorem_ok is None:
@@ -118,15 +106,13 @@ def _cmd_analyze(args) -> int:
     if not 1 <= args.point <= G.degree:
         print(f"error: --point must be in 1..{G.degree}", file=sys.stderr)
         return 2
-    point = args.point - 1
-    report = corpus.analyze(G, point)
+    report = corpus.analyze(G, args.point - 1)
     if args.json:
         print(json.dumps(corpus.report_to_dict(report), indent=2, ensure_ascii=False))
     elif args.csv:
         sys.stdout.write(corpus.report_to_csv([report]))
     else:
-        count = count_maximum_cliques(subdegrees(G, point)) if report.transitive else None
-        _print_report(report, count)
+        _print_report(report)
     return 1 if report.violates else 0
 
 
@@ -148,17 +134,10 @@ def _cmd_construct(args) -> int:
     rc = 0
     if args.do_analyze:
         report = corpus.analyze(G)
-        _print_report(report, count_maximum_cliques(subdegrees(G)) if report.transitive else None)
+        _print_report(report)
         rc = 1 if report.violates else 0
     elif not wrote:
-        gens = [format_cycles(g) for g in G.generators] or ["()"]
-        payload = {
-            "name": G.label or args.family,
-            "degree": G.degree,
-            "generators": gens,
-            "metadata": {"expected_order": str(order(G))},
-        }
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        print(corpus.group_to_json(G, G.label or args.family))
     return rc
 
 

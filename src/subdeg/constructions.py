@@ -8,11 +8,12 @@ against the closed-form formulas in the test suite.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 import numpy as np
 
 from .groups import PermGroup
+from .numtheory import is_prime, prime_factors
 from .perm import Permutation
 
 __all__ = [
@@ -36,40 +37,6 @@ PARTITION_DEGREE_CAP = 100_000
 AGL_DEGREE_CAP = 10_000
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"field size must be at least 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, f
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class FiniteField:
     """GF(p^f) for q = p^f <= 1024, elements encoded as integers 0..q-1.
 
@@ -84,7 +51,15 @@ class FiniteField:
     def __init__(self, q: int):
         if q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {q} exceeds the supported bound {MAX_FIELD_SIZE}")
-        p, f = _factor_prime_power(q)
+        if q < 2:
+            raise ValueError(f"field size must be at least 2, got {q}")
+        primes = prime_factors(q)
+        if len(primes) != 1:
+            raise ValueError(f"{q} is not a prime power")
+        p = primes[0]
+        f = 1
+        while p**f < q:
+            f += 1
         self.q = q
         self.p = p
         self.f = f
@@ -150,7 +125,7 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        radicals = _prime_factors(q - 1)
+        radicals = prime_factors(q - 1)
         for beta in range(1, q):
             if all(self._pow_poly(beta, (q - 1) // r) != 1 for r in radicals):
                 break
@@ -326,22 +301,11 @@ def partition_action(n: int, k: int, degree_cap: int = PARTITION_DEGREE_CAP) -> 
 
 
 def _primitive_root(p: int) -> int:
-    radicals = _prime_factors(p - 1)
+    radicals = prime_factors(p - 1)
     for b in range(2, p):
         if all(pow(b, (p - 1) // r, p) != 1 for r in radicals):
             return b
     raise AssertionError("no primitive root found")  # impossible for prime p
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def agl(d: int, p: int, degree_cap: int = AGL_DEGREE_CAP) -> PermGroup:
@@ -351,7 +315,7 @@ def agl(d: int, p: int, degree_cap: int = AGL_DEGREE_CAP) -> PermGroup:
     for beta the smallest primitive root mod p."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     degree = p**d
     if degree > degree_cap:

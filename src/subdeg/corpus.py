@@ -7,20 +7,14 @@ lists. metadata.expected_order (a decimal string) is verified at load time.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    count_maximum_cliques,
-    max_coprime_set,
-    neumann_check,
-    subdegrees,
-    weiss_check,
-)
+from .analysis import max_coprime_set, neumann_check, subdegrees, weiss_check
 from .constructions import (
     agl,
     alternating,
@@ -32,6 +26,7 @@ from .constructions import (
     symmetric,
 )
 from .groups import PermGroup, is_primitive, is_transitive, order
+from .numtheory import is_prime
 from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
 
 __all__ = [
@@ -39,6 +34,7 @@ __all__ = [
     "CoprimeReport",
     "CorpusResult",
     "load_group",
+    "group_to_json",
     "write_group",
     "analyze",
     "report_to_dict",
@@ -71,7 +67,7 @@ def _generator_from_entry(entry, degree: int, idx: int, path) -> Permutation:
                 path,
                 f"generator {idx + 1}: image list has length {len(entry)}, expected {degree}",
             )
-        if not all(isinstance(x, int) and 1 <= x <= degree for x in entry):
+        if not all(_is_int(x) and 1 <= x <= degree for x in entry):
             raise _fail(
                 path, f"generator {idx + 1}: image entries must be integers in 1..{degree}"
             )
@@ -82,6 +78,11 @@ def _generator_from_entry(entry, degree: int, idx: int, path) -> Permutation:
     raise _fail(path, f"generator {idx + 1}: expected a cycle string or an image list")
 
 
+def _is_int(x) -> bool:
+    """JSON integer; true and false are not, though bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_from_dict(data: dict, path="<data>") -> PermGroup:
     if not isinstance(data, dict):
         raise _fail(path, "top-level JSON value must be an object")
@@ -89,7 +90,7 @@ def group_from_dict(data: dict, path="<data>") -> PermGroup:
     if not isinstance(name, str) or not name:
         raise _fail(path, "missing or empty 'name'")
     degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise _fail(path, "'degree' must be a positive integer")
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list) or not gens_raw:
@@ -102,6 +103,8 @@ def group_from_dict(data: dict, path="<data>") -> PermGroup:
     expected = meta.get("expected_order")
     if expected is not None:
         try:
+            if not (isinstance(expected, str) or _is_int(expected)):
+                raise TypeError  # int() would also take true and 60.5
             want = int(expected)
         except (TypeError, ValueError):
             raise _fail(path, f"metadata.expected_order {expected!r} is not a decimal integer")
@@ -124,7 +127,8 @@ def load_group(path) -> PermGroup:
     return group_from_dict(data, path)
 
 
-def write_group(path, G: PermGroup, name: str | None = None, metadata: dict | None = None) -> None:
+def group_to_json(G: PermGroup, name: str | None = None, metadata: dict | None = None) -> str:
+    """Group-file JSON text, without a trailing newline."""
     gens = [format_cycles(g) for g in G.generators] or ["()"]
     payload = {
         "name": name or G.label or "group",
@@ -132,7 +136,11 @@ def write_group(path, G: PermGroup, name: str | None = None, metadata: dict | No
         "generators": gens,
         "metadata": metadata if metadata is not None else {"expected_order": str(order(G))},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def write_group(path, G: PermGroup, name: str | None = None, metadata: dict | None = None) -> None:
+    Path(path).write_text(group_to_json(G, name, metadata) + "\n", encoding="utf-8")
 
 
 def fixture_path(filename: str) -> Path:
@@ -192,17 +200,6 @@ class CoprimeReport:
         )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
     """Full verification record for one group at one base point. Never
     raises on mathematical grounds; intransitive groups get a report with
@@ -230,7 +227,7 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
         )
     profile = subdegrees(G, point)
     clique = max_coprime_set(profile)
-    prime_cyclic = _is_prime(G.degree) and n == G.degree
+    prime_cyclic = is_prime(G.degree) and n == G.degree
     if primitive and not prime_cyclic:
         weiss = "pass" if weiss_check(profile) else "fail"
     else:
@@ -352,21 +349,23 @@ class CorpusResult:
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _analyze_builtin(task) -> dict:
-    name, (family, params) = task
-    G = FAMILY_BUILDERS[family](*params)
-    return report_to_dict(analyze(G, name=name))
-
-
-def _analyze_file(path: Path) -> dict:
-    try:
-        G = load_group(path)
-    except GroupFileError as e:
-        empty = {f: None for f in REPORT_FIELDS}
-        empty["name"] = path.stem
-        empty["skipped_checks"] = [f"load failed: {e}"]
-        return empty
-    return report_to_dict(analyze(G))
+def _analyze_task(task) -> tuple[dict, bool]:
+    """One sweep task, a group-file path or a built-in (name, (family,
+    params)) entry: its report dict and whether it violates. A file that
+    fails to load gives a skip entry, which never violates."""
+    if isinstance(task, Path):
+        try:
+            G = load_group(task)
+        except GroupFileError as e:
+            skip = {f: None for f in REPORT_FIELDS}
+            skip["name"] = task.stem
+            skip["skipped_checks"] = [f"load failed: {e}"]
+            return skip, False
+        report = analyze(G)
+    else:
+        name, (family, params) = task
+        report = analyze(FAMILY_BUILDERS[family](*params), name=name)
+    return report_to_dict(report), report.violates
 
 
 def verify_corpus(
@@ -374,35 +373,29 @@ def verify_corpus(
 ) -> CorpusResult:
     """Analyze a directory of group files and/or the built-in constructed
     corpus. Unreadable files become entries with a load-failure note, never
-    a crash. The result is sorted by name and byte-stable across jobs."""
+    a crash. jobs > 1 runs up to that many worker processes, never more
+    than there are cores. The result is sorted by name and byte-stable
+    across jobs."""
     if include_builtin is None:
         include_builtin = directory is None
-    tasks = []
+    tasks: list = []
     if directory is not None:
-        for path in sorted(Path(directory).glob("*.json")):
-            tasks.append(("file", path))
+        tasks += sorted(Path(directory).glob("*.json"))
     if include_builtin:
-        for entry in builtin_entries():
-            tasks.append(("builtin", entry))
+        tasks += builtin_entries()
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here so that `import subdeg` does not load multiprocessing;
+        # spawned workers start clean even when the caller runs threads
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    def run(task):
-        kind, payload = task
-        return _analyze_file(payload) if kind == "file" else _analyze_builtin(payload)
-
-    if jobs <= 1:
-        results = [run(t) for t in tasks]
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(_analyze_task, tasks))
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks))
-    results.sort(key=lambda d: d["name"])
-    violations = tuple(
-        d["name"]
-        for d in results
-        if d["primitive"]
-        and (
-            d["theorem_ok"] is False
-            or d["weiss_ok"] == "fail"
-            or d["neumann_ok"] is False
-        )
+        results = [_analyze_task(t) for t in tasks]
+    results.sort(key=lambda r: r[0]["name"])
+    return CorpusResult(
+        entries=tuple(d for d, _ in results),
+        violations=tuple(d["name"] for d, bad in results if bad),
     )
-    return CorpusResult(entries=tuple(results), violations=violations)

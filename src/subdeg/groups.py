@@ -9,10 +9,10 @@ identical chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
+from .numtheory import is_prime, prime_factors
 from .perm import Permutation, compose, inverse
 
 __all__ = [
@@ -286,15 +286,10 @@ class Bsgs:
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     """Deterministic Schreier-Sims: same input, same chain, every run."""
     chain = _Chain(G.degree, base_prefix)
-    deepest = -1
     for g in G.generators:
-        deepest = max(deepest, chain._install(g))
+        chain._install(g)
     chain._close(len(chain.levels) - 1)
-    n = 1
-    for lv in chain.levels:
-        if lv.dirty:
-            lv.rebuild(chain.strong, chain.degree)
-        n *= len(lv.orbit_list)
+    n = chain.order()  # rebuilds any dirty level before the transversals are read
     return Bsgs(
         degree=G.degree,
         base=tuple(chain.base),
@@ -403,11 +398,8 @@ def coset_action(
     index = order(G) // order(H)
     if index > cap:
         raise CapExceeded("coset index", index, cap)
-    ident = np.arange(G.degree)
-    moved = np.zeros(G.degree, dtype=bool)
-    for h in H.generators:
-        moved |= h.images != ident
-    prefix = tuple(int(x) for x in np.flatnonzero(moved))
+    fixed = set(fixed_points(H))
+    prefix = tuple(x for x in range(G.degree) if x not in fixed)
     chain = schreier_sims(H, base_prefix=prefix)._chain
     r0 = _canonical_coset_rep(chain, Permutation.identity(G.degree))
     reps = [r0]
@@ -594,22 +586,11 @@ def normalizer_small(G: PermGroup, H: PermGroup, cap: int = ELEMENTS_CAP) -> Per
     return PermGroup(G.degree, gens or [Permutation.identity(G.degree)], label=label)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermGroup:
     """A Sylow p-subgroup, grown greedily: start from a p-element of maximal
     order, then repeatedly adjoin p-elements of the current normalizer until
     the full p-part of |G| is reached. Cap-gated by element enumeration."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = order(G)
     p_part = 1
@@ -625,7 +606,7 @@ def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermG
     best_order = 0
     for g in elems:
         o = g.order()
-        if o > best_order and o == p ** _p_valuation(o, p) and o % p == 0:
+        if o > best_order and prime_factors(o) == (p,):
             best, best_order = g, o
     assert best is not None, "Cauchy guarantees a p-element"
     current = PermGroup(G.degree, [best], label=label)
@@ -634,7 +615,7 @@ def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermG
         grown = False
         for g in elements(N, cap):
             o = g.order()
-            if o % p != 0 or o != p ** _p_valuation(o, p):
+            if prime_factors(o) != (p,):
                 continue
             if contains(current, g):
                 continue
@@ -645,11 +626,3 @@ def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermG
             break
         assert grown, "normalizer of a non-Sylow p-subgroup must grow it"
     return current
-
-
-def _p_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v

@@ -16,8 +16,9 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .analysis import _maximum_cliques
+from .analysis import maximum_cliques
 from .groups import CapExceeded, PermGroup, elements, order
+from .numtheory import prime_factors as distinct_prime_factors
 from .perm import Permutation
 
 __all__ = [
@@ -232,24 +233,8 @@ def mu(G: PermGroup, lattice: SubgroupLattice | None = None, cap: int = SUBGROUP
     if lattice is None:
         lattice = all_subgroups_small(G, cap)
     indices = sorted({s.index for s in lattice.maximal()})
-    cliques = _maximum_cliques(tuple(indices))
+    cliques = maximum_cliques(tuple(indices))
     return len(cliques[0])
-
-
-def distinct_prime_factors(n: int) -> tuple[int, ...]:
-    if n < 1:
-        raise ValueError("need a positive integer")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def mu_prime_bound(group_order: int) -> int:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from subdeg.analysis import (
     SuborbitProfile,
-    _maximum_cliques,
+    maximum_cliques,
     check_stabilizer_normal_bound,
     common_divisor_graph,
     count_maximum_cliques,
@@ -73,10 +73,10 @@ class TestSubdegrees:
 
 class TestCliques:
     def test_maximum_cliques_exhaustive(self):
-        assert _maximum_cliques((2, 3, 5, 6)) == [(2, 3, 5)]
+        assert maximum_cliques((2, 3, 5, 6)) == [(2, 3, 5)]
         # 3 and 6 share a factor: two singleton maximum cliques
-        assert _maximum_cliques((3, 6)) == [(3,), (6,)]
-        assert _maximum_cliques(()) == [()]
+        assert maximum_cliques((3, 6)) == [(3,), (6,)]
+        assert maximum_cliques(()) == [()]
 
     def test_tie_break_is_lexicographic(self):
         prof = subdegrees(petersen_action())
@@ -107,7 +107,7 @@ class TestCliques:
             if good:
                 best = min(good)
                 break
-        cliques = _maximum_cliques(verts)
+        cliques = maximum_cliques(verts)
         assert cliques[0] == best
         assert len(set(cliques)) == len(cliques)
 

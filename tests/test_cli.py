@@ -156,6 +156,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_cap_options_are_usage_errors(self, a5_file, capsys):
+        for args in (["--elements-cap", "5"], ["--coset-cap", "5"], ["--subgroup-cap", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", *args, str(a5_file)])
+            assert exc.value.code == 2
+
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["construct", "wreath", "3"])

@@ -100,6 +100,26 @@ class TestLoadGroup:
             with pytest.raises(GroupFileError):
                 group_from_dict(data)
 
+    def test_boolean_degree_rejected(self, tmp_path):
+        p = write_json(tmp_path / "b.json", {"name": "b", "degree": True, "generators": ["()"]})
+        with pytest.raises(GroupFileError, match=r"b\.json: 'degree' must be a positive integer"):
+            load_group(p)
+
+    def test_boolean_image_entries_rejected(self, tmp_path):
+        for i, images in enumerate([[2, 3, True], [False, 1, 2]]):
+            p = write_json(tmp_path / f"b{i}.json", {"name": "b", "degree": 3, "generators": [images]})
+            with pytest.raises(GroupFileError, match=r"generator 1: image entries must be integers"):
+                load_group(p)
+
+    def test_expected_order_must_be_an_integer(self):
+        for bad in (True, 60.5, [60]):
+            data = {"name": "x", "degree": 1, "generators": ["()"], "metadata": {"expected_order": bad}}
+            with pytest.raises(GroupFileError, match="is not a decimal integer"):
+                group_from_dict(data)
+        for good in ("1", 1):
+            data = {"name": "x", "degree": 1, "generators": ["()"], "metadata": {"expected_order": good}}
+            assert order(group_from_dict(data)) == 1
+
     def test_invalid_json_and_missing_file(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")
@@ -241,6 +261,7 @@ class TestVerifyCorpus:
     def test_jobs_do_not_change_bytes(self, tmp_path):
         write_group(tmp_path / "a5.json", alternating(5))
         write_group(tmp_path / "d6.json", dihedral(6))
+        (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
         one = verify_corpus(directory=tmp_path, include_builtin=False, jobs=1)
         four = verify_corpus(directory=tmp_path, include_builtin=False, jobs=4)
         assert one.to_json() == four.to_json()

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from subdeg.analysis import _maximum_cliques
+from subdeg.analysis import maximum_cliques
 from subdeg.groups import CapExceeded, PermGroup, order
 from subdeg.lattice import (
     all_subgroups_small,
@@ -143,7 +143,7 @@ class TestMu:
         for G in groups:
             lat = all_subgroups_small(G)
             proper_indices = tuple(sorted({s.index for s in lat.proper()}))
-            brute = len(_maximum_cliques(proper_indices)[0])
+            brute = len(maximum_cliques(proper_indices)[0])
             assert mu(G, lat) == brute
 
     def test_prime_bound(self):

@@ -1,0 +1,34 @@
+"""Fresh-interpreter smoke tests: every demo runs, and a bare import stays light."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # verify_corpus imports its process pool only when jobs > 1
+    code = "import sys, subdeg; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
