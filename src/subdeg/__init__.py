@@ -29,6 +29,7 @@ from .groups import (
     minimal_block_system,
     normalizer_small,
     orbit,
+    orbits,
     order,
     point_stabilizer,
     schreier_sims,

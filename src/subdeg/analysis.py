@@ -14,7 +14,7 @@ from .groups import (
     fixed_points,
     is_transitive,
     normalizer_small,
-    orbit,
+    orbits,
     order,
     point_stabilizer,
     sylow_subgroup_small,
@@ -80,16 +80,11 @@ def subdegrees(G: PermGroup, point: int = 0) -> SuborbitProfile:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     if not is_transitive(G):
         raise ValueError("subdegrees need a transitive group")
-    stab = point_stabilizer(G, point)
     n = G.degree
-    seen: set[int] = set()
-    suborbits = []
-    for start in range(n):
-        if start not in seen:
-            orb = orbit(stab, start)[0]
-            seen.update(orb)
-            suborbits.append((start, len(orb)))
-    suborbits.sort(key=lambda t: (t[1], t[0]))
+    suborbits = sorted(
+        ((orb[0], len(orb)) for orb in orbits(point_stabilizer(G, point))),
+        key=lambda t: (t[1], t[0]),
+    )
     assert sum(length for _, length in suborbits) == n
     return SuborbitProfile(degree=n, base_point=point, suborbits=tuple(suborbits))
 

@@ -18,6 +18,12 @@ from .groups import CapExceeded
 from .lattice import SUBGROUP_CAP, all_subgroups_small, coprime_factorizations, mu
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subdeg",
@@ -42,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", metavar="DIR", help="directory of group .json files")
     p.add_argument("--builtin", action="store_true", help="include the built-in corpus (default when no --dir)")
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes, at most one per core (default 1)",
     )
     p.add_argument("--json", metavar="OUT", dest="json_out", help="write the JSON aggregate to this file ('-' for stdout)")
@@ -54,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("file")
         p.add_argument(
-            "--subgroup-cap", type=int, default=SUBGROUP_CAP, metavar="N",
+            "--subgroup-cap", type=positive_int, default=SUBGROUP_CAP, metavar="N",
             help="largest group order for subgroup enumeration (default 2000)",
         )
 
@@ -147,7 +153,7 @@ def _cmd_verify_corpus(args) -> int:
         return 2
     include_builtin = args.builtin or args.dir is None
     result = corpus.verify_corpus(
-        directory=args.dir, include_builtin=include_builtin, jobs=max(1, args.jobs)
+        directory=args.dir, include_builtin=include_builtin, jobs=args.jobs
     )
     if args.json_out == "-":
         # keep stdout valid JSON when piping

@@ -23,6 +23,7 @@ __all__ = [
     "ELEMENTS_CAP",
     "COSET_CAP",
     "orbit",
+    "orbits",
     "schreier_sims",
     "order",
     "contains",
@@ -107,32 +108,15 @@ class _Level:
     def __init__(self, point: int):
         self.point = point
         self.gen_idxs: list[int] = []
-        self.orbit_list: list[int] = [point]
-        self.trans: dict[int, Permutation] = {}
-        self.trans_inv: dict[int, Permutation] = {}
-        self.schreier: dict[int, tuple[int, int]] = {}
-        self.dirty = True
+        self.dirty = True  # orbit_list, trans, trans_inv and schreier are set by rebuild
 
     def rebuild(self, strong: list[Permutation], degree: int) -> None:
-        ident = Permutation.identity(degree)
-        self.orbit_list = [self.point]
-        self.trans = {self.point: ident}
-        self.trans_inv = {self.point: ident}
-        self.schreier = {self.point: (-1, self.point)}
-        qi = 0
-        while qi < len(self.orbit_list):
-            a = self.orbit_list[qi]
-            qi += 1
-            ua = self.trans[a]
-            for gi in self.gen_idxs:
-                g = strong[gi]
-                b = g(a)
-                if b not in self.trans:
-                    ub = compose(ua, g)
-                    self.trans[b] = ub
-                    self.trans_inv[b] = inverse(ub)
-                    self.schreier[b] = (gi, a)
-                    self.orbit_list.append(b)
+        self.orbit_list, self.schreier = _schreier_vector(strong, self.gen_idxs, self.point)
+        self.trans = {self.point: Permutation.identity(degree)}
+        for b in self.orbit_list[1:]:
+            gi, a = self.schreier[b]
+            self.trans[b] = compose(self.trans[a], strong[gi])
+        self.trans_inv = {b: inverse(u) for b, u in self.trans.items()}
         self.dirty = False
 
 
@@ -278,10 +262,6 @@ class Bsgs:
     def fundamental_orbits(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(lv.orbit_list) for lv in self._chain.levels)
 
-    def transversal_element(self, level: int, point: int) -> Permutation:
-        """Reconstruct the transversal element carrying base[level] to point."""
-        return self._chain.levels[level].trans[point]
-
 
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     """Deterministic Schreier-Sims: same input, same chain, every run."""
@@ -300,23 +280,42 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     )
 
 
+def _schreier_vector(gens, idxs, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first orbit of a point under gens[i] for i in idxs, trying
+    the generators in idxs order, with the Schreier vector mapping each orbit
+    point to (generator index, predecessor); the point maps to (-1, point)."""
+    images = [(gi, gens[gi].images.tolist()) for gi in idxs]
+    orb = [point]
+    vec = {point: (-1, point)}
+    for a in orb:
+        for gi, img in images:
+            b = img[a]
+            if b not in vec:
+                vec[b] = (gi, a)
+                orb.append(b)
+    return orb, vec
+
+
 def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
     """Orbit of a point (breadth-first discovery order) and its Schreier
     vector mapping each orbit point to (generator index, predecessor)."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    orb = [point]
-    vec = {point: (-1, point)}
-    qi = 0
-    while qi < len(orb):
-        a = orb[qi]
-        qi += 1
-        for gi, g in enumerate(G.generators):
-            b = g(a)
-            if b not in vec:
-                vec[b] = (gi, a)
-                orb.append(b)
+    orb, vec = _schreier_vector(G.generators, range(len(G.generators)), point)
     return tuple(orb), vec
+
+
+def orbits(G: PermGroup) -> list[tuple[int, ...]]:
+    """Every orbit, each in breadth-first order from its smallest point,
+    listed by that point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(G.degree):
+        if start not in seen:
+            orb = orbit(G, start)[0]
+            seen.update(orb)
+            out.append(orb)
+    return out
 
 
 def order(G: PermGroup) -> int:
@@ -341,16 +340,20 @@ def is_transitive(G: PermGroup) -> bool:
 
 
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, via a chain recomputed with that point forced
-    to be the first base point."""
+    """Stabilizer of a point, read off G's cached chain: the level-1 strong
+    generators generate the stabilizer of the first base point b, and the
+    level-0 transversal element u carrying b to the point conjugates them
+    into the stabilizer of the point. A point outside b's orbit (intransitive
+    or trivial G) gets a chain rebuilt with that point as first base point."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    b = schreier_sims(G, base_prefix=(point,))
-    chain = b._chain
-    if len(chain.levels) <= 1:
-        gens: list[Permutation] = []
-    else:
-        gens = [chain.strong[gi] for gi in chain.levels[1].gen_idxs]
+    chain = G.bsgs._chain
+    if not chain.levels or point not in chain.levels[0].trans:
+        chain = schreier_sims(G, base_prefix=(point,))._chain
+    top = chain.levels[0]
+    u, u_inv = top.trans[point], top.trans_inv[point]
+    level1 = chain.levels[1].gen_idxs if len(chain.levels) > 1 else []
+    gens = [compose(compose(u_inv, chain.strong[gi]), u) for gi in level1]
     label = f"Stab({point})" if G.label is None else f"{G.label}.stab({point})"
     return PermGroup(G.degree, gens, label=label)
 
@@ -443,10 +446,6 @@ class BlockSystem:
     def block_size(self) -> int:
         return len(self.blocks[0])
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.num_blocks == 1 or self.num_blocks == self.degree
-
 
 def minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
     """Finest G-congruence whose blocks contain the given pair of points
@@ -496,15 +495,20 @@ def minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
 def is_primitive(G: PermGroup) -> bool:
     """Transitive with no proper non-trivial block system. Degree-1 and
     intransitive groups report False; the transitive degree-2 group is
-    primitive."""
-    if G.degree == 1:
-        return False
+    primitive.
+
+    The minimal block containing 0 and x depends only on the suborbit of x
+    (Atkinson, Math. Comp. 29, 1975), so one probe per non-trivial suborbit
+    of the stabilizer of 0 suffices. A regular group (trivial stabilizer) is
+    primitive iff its degree is prime."""
     if not is_transitive(G):
         return False
-    for x in range(1, G.degree):
-        if minimal_block_system(G, (0, x)).num_blocks != 1:
-            return False
-    return True
+    stab = point_stabilizer(G, 0)
+    if not stab.generators:
+        return is_prime(G.degree)
+    return all(
+        minimal_block_system(G, (0, orb[0])).num_blocks == 1 for orb in orbits(stab)[1:]
+    )
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:

@@ -50,10 +50,6 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         return cls(np.arange(degree, dtype=np.int64), _trusted=True)
 
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
-
     @property
     def degree(self) -> int:
         return int(self.images.size)
@@ -86,9 +82,6 @@ class Permutation:
 
     def order(self) -> int:
         return order_of(self)
-
-    def moved_points(self) -> list[int]:
-        return [int(x) for x in np.flatnonzero(self.images != np.arange(self.degree))]
 
     def min_moved(self) -> int | None:
         """Smallest moved point, or None for the identity."""

@@ -162,6 +162,18 @@ class TestParser:
                 main(["analyze", *args, str(a5_file)])
             assert exc.value.code == 2
 
+    def test_counts_below_one_are_usage_errors(self, a5_file, capsys):
+        for argv in (
+            ["verify-corpus", "--builtin", "--jobs", "-4"],
+            ["verify-corpus", "--jobs", "0"],
+            ["mu", "--subgroup-cap", "-1", str(a5_file)],
+            ["factorizations", "--subgroup-cap", "0", str(a5_file)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
+
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["construct", "wreath", "3"])

@@ -18,6 +18,10 @@ from conftest import (
     direct_sum,
     make_group,
 )
+import subdeg.groups
+from subdeg.analysis import subdegrees
+from subdeg.constructions import alternating, cyclic
+from subdeg.corpus import analyze, fixture_path, load_group
 from subdeg.perm import Permutation, compose, inverse, parse_cycles
 from subdeg.groups import (
     Bsgs,
@@ -394,3 +398,69 @@ def test_order_and_membership_match_oracle(data):
     member_set = set(elems)
     probe = Permutation(list(data.draw(st.permutations(range(n)))))
     assert contains(G, probe) == (probe in member_set)
+    # stabilizers at every point: conjugated from the cached chain inside
+    # the first base point's orbit, rebuilt outside it
+    stabs = [brute_stabilizer(elems, pt) for pt in range(n)]
+    for pt in range(n):
+        assert set(elements(point_stabilizer(G, pt))) == set(stabs[pt])
+    if not is_transitive(G):
+        assert not is_primitive(G)
+        return
+    for pt in range(n):
+        orbs = brute_orbits(stabs[pt], n)
+        want = sorted(((o[0], len(o)) for o in orbs), key=lambda t: (t[1], t[0]))
+        profile = subdegrees(G, pt)
+        assert profile.suborbits == tuple(want)
+        assert sum(profile.subdegrees) == n
+        assert all(len(stabs[pt]) % d == 0 for d in profile.subdegrees)
+        assert len(elems) == n * len(stabs[pt])
+    blockless = all(len(brute_blocks(G.generators, n, (0, x))) == 1 for x in range(1, n))
+    assert is_primitive(G) == blockless
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the calls made to subdeg.groups.<name> while the test runs."""
+    calls = []
+    real = getattr(subdeg.groups, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subdeg.groups, name, spy)
+    return calls
+
+
+def _fresh_j1() -> PermGroup:
+    # loading verifies the order, which caches a chain; start without one
+    G = load_group(fixture_path("j1_266.json"))
+    return PermGroup(G.degree, G.generators, label=G.label)
+
+
+def test_is_primitive_probes_once_per_suborbit(monkeypatch):
+    G = _fresh_j1()
+    probes = _spy(monkeypatch, "minimal_block_system")
+    assert is_primitive(G)
+    stab = point_stabilizer(G, 0)
+    probed = sorted(len(orbit(stab, pair[1])[0]) for _, pair in probes)
+    assert probed == [11, 12, 110, 132]  # one probe per non-trivial suborbit
+
+
+def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
+    probes = _spy(monkeypatch, "minimal_block_system")
+    assert is_primitive(cyclic(997))
+    assert not is_primitive(cyclic(998))
+    assert probes == []
+
+
+@pytest.mark.parametrize(
+    "make, point",
+    [(_fresh_j1, 0), (lambda: alternating(7), 3)],
+    ids=["j1", "alt7-point3"],
+)
+def test_analyze_builds_one_chain(monkeypatch, make, point):
+    G = make()
+    chains = _spy(monkeypatch, "schreier_sims")
+    report = analyze(G, point)
+    assert report.primitive
+    assert len(chains) == 1

@@ -1,4 +1,5 @@
-"""Fresh-interpreter smoke tests: every demo runs, and a bare import stays light."""
+"""Fresh-interpreter smoke tests: every demo runs, the J1 fixture regenerates
+byte for byte, and a bare import stays light."""
 import os
 import subprocess
 import sys
@@ -22,6 +23,16 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_make_j1_fixture_reproduces_bundled_file(tmp_path):
+    out = tmp_path / "j1_266.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_j1_fixture.py"), str(out)],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert out.read_bytes() == (ROOT / "src" / "subdeg" / "fixtures" / "j1_266.json").read_bytes()
 
 
 def test_import_leaves_multiprocessing_unloaded():
