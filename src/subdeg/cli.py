@@ -179,35 +179,23 @@ def _cmd_verify_corpus(args) -> int:
     return result.exit_code
 
 
-def _cmd_mu(args) -> int:
+def _cmd_lattice(args) -> int:
     G = _load_or_fail(args.file)
     if G is None:
         return 2
     try:
         lat = all_subgroups_small(G, cap=args.subgroup_cap)
     except CapExceeded as e:
-        print(f"skipped: {e.what} {e.value} exceeds cap {e.cap}")
+        print(f"skipped: {e}")
         return 0
-    value = mu(G, lat)
     print(f"group: {G.label or args.file}")
-    print(f"order: {lat.group_order}")
-    print(f"subgroups: {len(lat)}")
-    print(f"maximal subgroup indices: {_seq(sorted({s.index for s in lat.maximal()}), 'none')}")
-    print(f"mu = {value}")
-    return 0
-
-
-def _cmd_factorizations(args) -> int:
-    G = _load_or_fail(args.file)
-    if G is None:
-        return 2
-    try:
-        lat = all_subgroups_small(G, cap=args.subgroup_cap)
-    except CapExceeded as e:
-        print(f"skipped: {e.what} {e.value} exceeds cap {e.cap}")
+    if args.command == "mu":
+        print(f"order: {lat.group_order}")
+        print(f"subgroups: {len(lat)}")
+        print(f"maximal subgroup indices: {_seq(sorted({s.index for s in lat.maximal()}), 'none')}")
+        print(f"mu = {mu(G, lat)}")
         return 0
     facs = coprime_factorizations(G, lat)
-    print(f"group: {G.label or args.file}")
     print(f"coprime factorizations: {len(facs)}")
     for f in facs:
         tag = "  [maximal pair]" if f.both_maximal else ""
@@ -223,8 +211,8 @@ def main(argv=None) -> int:
         "analyze": _cmd_analyze,
         "construct": _cmd_construct,
         "verify-corpus": _cmd_verify_corpus,
-        "mu": _cmd_mu,
-        "factorizations": _cmd_factorizations,
+        "mu": _cmd_lattice,
+        "factorizations": _cmd_lattice,
     }
     return handlers[args.command](args)
 

@@ -374,8 +374,10 @@ def verify_corpus(
     """Analyze a directory of group files and/or the built-in constructed
     corpus. Unreadable files become entries with a load-failure note, never
     a crash. jobs > 1 runs up to that many worker processes, never more
-    than there are cores. The result is sorted by name and byte-stable
-    across jobs."""
+    than there are cores; jobs below 1 is a ValueError. The result is
+    sorted by name and byte-stable across jobs."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if include_builtin is None:
         include_builtin = directory is None
     tasks: list = []

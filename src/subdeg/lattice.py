@@ -68,77 +68,62 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-def _multiplication_table(elems: list[Permutation]) -> np.ndarray:
-    """table[i, j] = index of elems[i] composed with elems[j]."""
-    n = len(elems)
-    images = np.stack([p.images for p in elems])
-    keys = images.astype(np.int32)
-    index_of = {keys[i].tobytes(): i for i in range(n)}
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        composed = keys[:, images[i]]
-        row = table[i]
-        for j in range(n):
-            row[j] = index_of[composed[j].tobytes()]
-    return table
-
-
-def _join_closure(table, base_mask, base, extra: int, bail: int):
-    """Close a subgroup (mask + index array) with one extra element under
-    products. Returns None as soon as the count exceeds bail, meaning the
-    join is the full group."""
-    mask = base_mask.copy()
-    mask[extra] = True
-    cur = base
-    count = base.size + 1
-    if count > bail:
-        return None
-    frontier = np.array([extra], dtype=np.int32)
-    while frontier.size:
-        prods = np.concatenate(
-            (
-                table[np.ix_(frontier, cur)].ravel(),
-                table[np.ix_(cur, frontier)].ravel(),
-                table[np.ix_(frontier, frontier)].ravel(),
-            )
-        )
-        fresh_all = np.unique(prods)
-        fresh = fresh_all[~mask[fresh_all]]
-        cur = np.concatenate((cur, frontier))
-        mask[fresh] = True
-        count += fresh.size
-        if count > bail:
-            return None
-        frontier = fresh
-    return cur
+def _join_closure(rows, base, gens, r: int, bail: int):
+    """<H, r> for H = <gens> with element indices base, as a union of left
+    cosets x*H found breadth-first from H. Returns None as soon as the count
+    exceeds bail, meaning the join is the full group."""
+    joined = set(base)
+    cosets = [base[0]]
+    for c in cosets:
+        for s in gens + (r,):
+            x = rows[s][c]
+            if x not in joined:
+                joined.update(map(rows[x].__getitem__, base))
+                if len(joined) > bail:
+                    return None
+                cosets.append(x)
+    return frozenset(joined)
 
 
 def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattice:
     """Every subgroup, by closing the cyclic subgroups under single-element
-    joins: repeatedly form <H, g> for known H and elements g outside H until
+    joins: repeatedly form <H, r> for known H and elements r outside H until
     nothing new appears. Cap-gated on |G| (the error carries the order).
 
-    The fixpoint runs on element indices over a precomputed multiplication
-    table. Three reductions keep it exact but affordable: join operands are
-    one generator per prime-power cyclic subgroup (every cyclic group is the
-    join of its prime-power parts), operands in the same H-double-coset are
-    skipped (<H, hrh'> = <H, r>), and a closure aborts once its size rules
-    out every proper multiple of lcm(|H|, ord(r)) dividing |G| - the join
-    then can only be G itself."""
+    An element is its index in elements(G) and a subgroup the frozenset of
+    its element indices; products are read off a multiplication table. A
+    join <H, r> is enumerated coset by coset: left-multiplying the coset
+    representatives by the generators of H and r finds every coset x*H.
+    Three reductions keep the fixpoint exact but affordable: join operands
+    are one generator per prime-power cyclic subgroup (every cyclic group
+    is the join of its prime-power parts), operands in the same
+    H-double-coset are skipped (<H, hrh'> = <H, r>), and a closure aborts
+    once its size rules out every proper multiple of lcm(|H|, ord(r))
+    dividing |G| - the join then can only be G itself.
+
+    Maximality falls out of the same fixpoint: a proper H is maximal iff
+    every join it tries aborts or has no proper size to reach. If H < M < G,
+    some g in M lies outside H, so one of g's prime-power parts r does too,
+    and <H, r> <= M is proper; the double-coset skip leaves that join
+    unchanged, so H tries it and it does not abort."""
     n = order(G)
     if n > cap:
         raise CapExceeded("group order", n, cap)
     degree = G.degree
     elems = elements(G)
     ident = Permutation.identity(degree)
-    table = _multiplication_table(elems)
-    ident_idx = next(i for i, p in enumerate(elems) if p.is_identity())
+    images = np.stack([p.images for p in elems])
+    index_of = {images[i].tobytes(): i for i in range(n)}
+    # table[i, j] = index of elems[i] composed with elems[j]
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        table[i] = [index_of[c.tobytes()] for c in images[:, images[i]]]
+    rows = [memoryview(row) for row in table]
+    ident_idx = index_of[ident.images.tobytes()]
 
     # one representative per cyclic subgroup, in first-seen order; only
     # prime-power-order reps serve as join operands
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    trivial = frozenset([ident_idx])
-    found[trivial] = (ident_idx,)
+    found: dict[frozenset[int], tuple[int, ...]] = {frozenset([ident_idx]): (ident_idx,)}
     reps: list[int] = []
     rep_order: dict[int, int] = {}
     for g in range(n):
@@ -148,7 +133,7 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
         x = g
         while x != ident_idx:
             members.append(x)
-            x = int(table[x, g])
+            x = rows[x][g]
         cyc = frozenset(members)
         if cyc not in found:
             found[cyc] = (g,)
@@ -158,22 +143,23 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
 
     full = frozenset(range(n))
     if full not in found:
-        keys = {p.images.tobytes(): i for i, p in enumerate(elems)}
-        found[full] = tuple(keys[p.images.tobytes()] for p in G.generators)
+        found[full] = tuple(index_of[p.images.tobytes()] for p in G.generators)
 
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     bail_for: dict[int, int | None] = {}
+    maximal: set[frozenset[int]] = set()
 
-    pending = deque(s for s in found if s != trivial)
+    pending = deque(found)
     while pending:
         current = pending.popleft()
         if len(current) == n:
             continue
         gens = found[current]
-        cur = np.fromiter(current, dtype=np.int32, count=len(current))
-        base_mask = np.zeros(n, dtype=bool)
-        base_mask[cur] = True
-        covered = base_mask.copy()
+        base = list(current)
+        cur = np.array(base, dtype=np.int32)
+        covered = np.zeros(n, dtype=bool)
+        covered[cur] = True
+        is_maximal = True
         for r in reps:
             if covered[r]:
                 continue
@@ -182,48 +168,33 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
                 bail_for[m] = max((d for d in divisors if d % m == 0 and d < n), default=None)
             bail = bail_for[m]
             if bail is not None:
-                joined = _join_closure(table, base_mask, cur, r, bail)
+                joined = _join_closure(rows, base, gens, r, bail)
                 if joined is not None:
-                    key = frozenset(joined.tolist())
-                    if key not in found:
+                    is_maximal = False
+                    if joined not in found:
                         if len(found) >= SUBGROUP_COUNT_GUARD:
                             raise CapExceeded("subgroup count", len(found) + 1, SUBGROUP_COUNT_GUARD)
-                        found[key] = gens + (r,)
-                        pending.append(key)
+                        found[joined] = gens + (r,)
+                        pending.append(joined)
             # every element of H r H joins to the same subgroup
-            h_r = table[cur, r]
-            covered[table[np.ix_(h_r, cur)].ravel()] = True
+            covered[table[table[cur, r]][:, cur]] = True
+        if is_maximal:
+            maximal.add(current)
 
-    element_key = [p.images.tobytes() for p in elems]
-    records = []
-    for idx_set, gens in found.items():
-        o = len(idx_set)
-        key = tuple(sorted(element_key[i] for i in idx_set))
-        bits = 0
-        for i in idx_set:
-            bits |= 1 << i
-        records.append((o, key, idx_set, gens, bits))
-    records.sort(key=lambda t: (t[0], t[1]))
-
-    subgroups = []
-    for o, _, idx_set, gens, bits in records:
-        if o < n:
-            maximal = not any(
-                o < other_o < n and bits & other_bits == bits
-                for other_o, _, _, _, other_bits in records
-            )
-        else:
-            maximal = False
-        subgroups.append(
-            Subgroup(
-                generators=tuple(elems[i] for i in gens if i != ident_idx) or (ident,),
-                element_set=frozenset(elems[i] for i in idx_set),
-                order=o,
-                index=n // o,
-                is_maximal=maximal,
-            )
+    # subgroups sort by order, then by their elements' image bytes
+    key_of = list(index_of)
+    ordered = sorted(found, key=lambda s: (len(s), sorted(key_of[i] for i in s)))
+    subgroups = tuple(
+        Subgroup(
+            generators=tuple(elems[i] for i in found[s] if i != ident_idx) or (ident,),
+            element_set=frozenset(elems[i] for i in s),
+            order=len(s),
+            index=n // len(s),
+            is_maximal=s in maximal,
         )
-    return SubgroupLattice(degree=degree, group_order=n, subgroups=tuple(subgroups))
+        for s in ordered
+    )
+    return SubgroupLattice(degree=degree, group_order=n, subgroups=subgroups)
 
 
 def mu(G: PermGroup, lattice: SubgroupLattice | None = None, cap: int = SUBGROUP_CAP) -> int:

@@ -129,10 +129,11 @@ class TestMu:
         assert "mu = 2" in out
 
     def test_cap_skip(self, a5_file, capsys):
-        rc = main(["mu", "--subgroup-cap", "10", str(a5_file)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert out.startswith("skipped: group order 60 exceeds cap 10")
+        for command in ["mu", "factorizations"]:
+            rc = main([command, "--subgroup-cap", "10", str(a5_file)])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert out.startswith("skipped: group order 60 exceeds cap 10")
 
 
 class TestFactorizations:

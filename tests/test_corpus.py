@@ -266,6 +266,11 @@ class TestVerifyCorpus:
         four = verify_corpus(directory=tmp_path, include_builtin=False, jobs=4)
         assert one.to_json() == four.to_json()
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            verify_corpus(directory=tmp_path, include_builtin=True, jobs=jobs)
+
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1
         assert CorpusResult(entries=(), violations=()).exit_code == 0

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI goldens: stdout and exit code of fixed commands.
 
 The files under tests/golden/ pin the output that refactors must keep.
-alt5.json and ksubsets7_3.json are inputs written by
-`subdeg construct alt 5 --out ...` and `subdeg construct ksubsets 7 3 --out ...`.
+alt5.json, ksubsets7_3.json and psl2_7.json are inputs written by
+`subdeg construct alt 5 --out ...`, `subdeg construct ksubsets 7 3 --out ...`
+and `subdeg construct psl2 7 --out ...`.
 Every other file is the stdout of one case below. To regenerate them after
 an intended output change, run each case from the repository root:
 
@@ -21,6 +22,7 @@ GOLDEN = ROOT / "tests" / "golden"
 J1 = "src/subdeg/fixtures/j1_266.json"
 A5 = "tests/golden/alt5.json"
 K73 = "tests/golden/ksubsets7_3.json"
+PSL27 = "tests/golden/psl2_7.json"
 
 # (name, args, exit code); a name may serve several cases
 CASES = [
@@ -40,6 +42,8 @@ CASES = [
     ("construct_k73_analyze", ["construct", "ksubsets", "7", "3", "--analyze"], 0),
     ("mu_a5", ["mu", A5], 0),
     ("factorizations_a5", ["factorizations", A5], 0),
+    ("mu_psl27", ["mu", PSL27], 0),
+    ("factorizations_psl27", ["factorizations", PSL27], 0),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subdeg.analysis import maximum_cliques
+from subdeg.constructions import psl2, symmetric
 from subdeg.groups import CapExceeded, PermGroup, order
 from subdeg.lattice import (
     all_subgroups_small,
@@ -40,6 +41,32 @@ def sl25_on_vectors():
 
 A5_ORDER_PROFILE = {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
 
+ORACLE_GROUPS = {
+    "S4": make_group(4, "(1,2,3,4)", "(1,2)"),
+    "A5": make_group(5, "(1,2,3)", "(3,4,5)"),
+    "D6": make_group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"),
+    "SL(2,5)": sl25_on_vectors(),
+    "PSL(2,7)": psl2(7),
+    "C5": make_group(5, "(1,2,3,4,5)"),  # the trivial subgroup is maximal
+    "C8": make_group(8, "(1,2,3,4,5,6,7,8)"),  # joins with no proper size to reach
+    "C2": make_group(2, "(1,2)"),
+    "trivial": PermGroup(3, []),
+}
+
+
+def maximal_by_containment(lat):
+    """The containment scan: s is maximal iff it is proper and no proper
+    subgroup of larger order contains it."""
+    n = lat.group_order
+    return [
+        s.order < n
+        and not any(
+            s.order < t.order < n and s.element_set <= t.element_set
+            for t in lat.subgroups
+        )
+        for s in lat.subgroups
+    ]
+
 
 class TestAllSubgroups:
     def test_a5_has_59_subgroups(self):
@@ -62,6 +89,17 @@ class TestAllSubgroups:
             for a in s.element_set:
                 for b in s.generators:
                     assert compose(a, b) in s.element_set
+
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_nodes_and_maximality_match_oracles(self, name):
+        lat = all_subgroups_small(ORACLE_GROUPS[name])
+        for s in lat.subgroups:
+            assert frozenset(closure_elements(lat.degree, s.generators)) == s.element_set
+        assert [s.is_maximal for s in lat.subgroups] == maximal_by_containment(lat)
+
+    @pytest.mark.parametrize("G,count", [(symmetric(5), 156), (psl2(7), 179)], ids=["S5", "PSL(2,7)"])
+    def test_literature_subgroup_counts(self, G, count):
+        assert len(all_subgroups_small(G)) == count
 
     def test_lagrange_and_ordering(self):
         lat = all_subgroups_small(make_group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"))
