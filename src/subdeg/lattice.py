@@ -10,9 +10,8 @@ builds.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -68,10 +67,9 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-def _join_closure(rows, base, gens, r: int, bail: int):
+def _join_closure(rows, base, gens, r: int) -> frozenset[int]:
     """<H, r> for H = <gens> with element indices base, as a union of left
-    cosets x*H found breadth-first from H. Returns None as soon as the count
-    exceeds bail, meaning the join is the full group."""
+    cosets x*H found breadth-first from H."""
     joined = set(base)
     cosets = [base[0]]
     for c in cosets:
@@ -79,33 +77,47 @@ def _join_closure(rows, base, gens, r: int, bail: int):
             x = rows[s][c]
             if x not in joined:
                 joined.update(map(rows[x].__getitem__, base))
-                if len(joined) > bail:
-                    return None
                 cosets.append(x)
     return frozenset(joined)
 
 
+def _enter_class(found, conjugations, H: frozenset[int], gens: tuple[int, ...]) -> None:
+    """Insert H and every conjugate of H into found, which maps a subgroup
+    to (its generators, its class representative H). A conjugate keeps the
+    conjugated generators. Every insertion checks SUBGROUP_COUNT_GUARD."""
+    pending = [(H, gens)]
+    for K, k_gens in pending:
+        if K in found:
+            continue
+        if len(found) >= SUBGROUP_COUNT_GUARD:
+            raise CapExceeded("subgroup count", len(found) + 1, SUBGROUP_COUNT_GUARD)
+        found[K] = (k_gens, H)
+        for c in conjugations:
+            pending.append((frozenset(map(c.__getitem__, K)), tuple(map(c.__getitem__, k_gens))))
+
+
 def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattice:
-    """Every subgroup, by closing the cyclic subgroups under single-element
-    joins: repeatedly form <H, r> for known H and elements r outside H until
-    nothing new appears. Cap-gated on |G| (the error carries the order).
+    """Every subgroup, by closing the trivial subgroup under single-element
+    joins on conjugacy-class representatives: <H, r> is formed for each
+    representative H and each element r outside H until nothing new
+    appears. Cap-gated on |G| (the error carries the order).
 
     An element is its index in elements(G) and a subgroup the frozenset of
-    its element indices; products are read off a multiplication table. A
-    join <H, r> is enumerated coset by coset: left-multiplying the coset
-    representatives by the generators of H and r finds every coset x*H.
-    Three reductions keep the fixpoint exact but affordable: join operands
-    are one generator per prime-power cyclic subgroup (every cyclic group
-    is the join of its prime-power parts), operands in the same
-    H-double-coset are skipped (<H, hrh'> = <H, r>), and a closure aborts
-    once its size rules out every proper multiple of lcm(|H|, ord(r))
-    dividing |G| - the join then can only be G itself.
+    its element indices. The multiplication table looks up the rows of the
+    identity and the generators of G and fills the rest breadth-first by
+    row(x*s) = row(x)[row(s)]. A join <H, r> is enumerated coset by coset
+    (left-multiplying coset representatives by the generators of H and r)
+    and is proper iff it has fewer than |G| elements. Since
+    <H^g, r^g> = <H, r>^g, a new subgroup enters with its whole class (its
+    orbit under conjugation by the generators of G), and only the
+    representative makes joins; operands in one H-double-coset are tried
+    once (<H, hrh'> = <H, r>). Each insertion counts against
+    SUBGROUP_COUNT_GUARD, so many singleton classes (C2^k) cannot run on.
 
-    Maximality falls out of the same fixpoint: a proper H is maximal iff
-    every join it tries aborts or has no proper size to reach. If H < M < G,
-    some g in M lies outside H, so one of g's prime-power parts r does too,
-    and <H, r> <= M is proper; the double-coset skip leaves that join
-    unchanged, so H tries it and it does not abort."""
+    Maximality is decided on the representative and holds for its class: a
+    proper H is maximal iff every join it tries is G. If H < M < G, any g in
+    M outside H gives a proper <H, g> <= M, which H tries or covers by a
+    double coset with the same join."""
     n = order(G)
     if n > cap:
         raise CapExceeded("group order", n, cap)
@@ -114,83 +126,64 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
     ident = Permutation.identity(degree)
     images = np.stack([p.images for p in elems])
     index_of = {images[i].tobytes(): i for i in range(n)}
-    # table[i, j] = index of elems[i] composed with elems[j]
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        table[i] = [index_of[c.tobytes()] for c in images[:, images[i]]]
-    rows = [memoryview(row) for row in table]
     ident_idx = index_of[ident.images.tobytes()]
+    gen_idx = [index_of[p.images.tobytes()] for p in G.generators]
+    # table[i, j] = index of elems[i] composed with elems[j]
+    table = np.full((n, n), -1, dtype=np.int32)
+    table[ident_idx] = np.arange(n)
+    for g, p in zip(gen_idx, G.generators):
+        table[g] = [index_of[c.tobytes()] for c in images[:, p.images]]
+    reached = [ident_idx, *gen_idx]
+    for x in reached:
+        for g in gen_idx:
+            y = table[x, g]
+            if table[y, 0] < 0:
+                table[y] = table[x][table[g]]
+                reached.append(y)
+    rows = [memoryview(row) for row in table]
+    # conjugation h -> g^-1 h g by each generator g, as a map of indices
+    conjugations = [
+        table[index_of[p.inverse().images.tobytes()]][table[:, g]].tolist()
+        for g, p in zip(gen_idx, G.generators)
+    ]
 
-    # one representative per cyclic subgroup, in first-seen order; only
-    # prime-power-order reps serve as join operands
-    found: dict[frozenset[int], tuple[int, ...]] = {frozenset([ident_idx]): (ident_idx,)}
-    reps: list[int] = []
-    rep_order: dict[int, int] = {}
-    for g in range(n):
-        if g == ident_idx:
-            continue
-        members = [ident_idx]
-        x = g
-        while x != ident_idx:
-            members.append(x)
-            x = rows[x][g]
-        cyc = frozenset(members)
-        if cyc not in found:
-            found[cyc] = (g,)
-            if len(distinct_prime_factors(len(members))) == 1:
-                reps.append(g)
-                rep_order[g] = len(members)
-
-    full = frozenset(range(n))
-    if full not in found:
-        found[full] = tuple(index_of[p.images.tobytes()] for p in G.generators)
-
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    bail_for: dict[int, int | None] = {}
+    found: dict[frozenset[int], tuple[tuple[int, ...], frozenset[int]]] = {}
+    trivial = frozenset([ident_idx])
+    _enter_class(found, conjugations, trivial, (ident_idx,))
+    _enter_class(found, conjugations, frozenset(range(n)), tuple(gen_idx))
     maximal: set[frozenset[int]] = set()
-
-    pending = deque(found)
-    while pending:
-        current = pending.popleft()
-        if len(current) == n:
-            continue
-        gens = found[current]
+    pending = [trivial] if n > 1 else []
+    for current in pending:
+        gens = found[current][0]
         base = list(current)
-        cur = np.array(base, dtype=np.int32)
-        covered = np.zeros(n, dtype=bool)
-        covered[cur] = True
-        is_maximal = True
-        for r in reps:
-            if covered[r]:
+        covered = set(current)
+        maximal.add(current)  # until a join shows a proper overgroup
+        for r in range(n):
+            if r in covered:
                 continue
-            m = lcm(len(current), rep_order[r])
-            if m not in bail_for:
-                bail_for[m] = max((d for d in divisors if d % m == 0 and d < n), default=None)
-            bail = bail_for[m]
-            if bail is not None:
-                joined = _join_closure(rows, base, gens, r, bail)
-                if joined is not None:
-                    is_maximal = False
-                    if joined not in found:
-                        if len(found) >= SUBGROUP_COUNT_GUARD:
-                            raise CapExceeded("subgroup count", len(found) + 1, SUBGROUP_COUNT_GUARD)
-                        found[joined] = gens + (r,)
-                        pending.append(joined)
-            # every element of H r H joins to the same subgroup
-            covered[table[table[cur, r]][:, cur]] = True
-        if is_maximal:
-            maximal.add(current)
+            joined = _join_closure(rows, base, gens, r)
+            if len(joined) < n:
+                maximal.discard(current)
+                if joined not in found:
+                    _enter_class(found, conjugations, joined, gens + (r,))
+                    pending.append(joined)
+            # every element of H r H joins to the same subgroup; covered is
+            # a union of left cosets x*H, so a covered h*r needs no update
+            for h in base:
+                x = rows[h][r]
+                if x not in covered:
+                    covered.update(map(rows[x].__getitem__, base))
 
     # subgroups sort by order, then by their elements' image bytes
     key_of = list(index_of)
     ordered = sorted(found, key=lambda s: (len(s), sorted(key_of[i] for i in s)))
     subgroups = tuple(
         Subgroup(
-            generators=tuple(elems[i] for i in found[s] if i != ident_idx) or (ident,),
+            generators=tuple(elems[i] for i in found[s][0] if i != ident_idx) or (ident,),
             element_set=frozenset(elems[i] for i in s),
             order=len(s),
             index=n // len(s),
-            is_maximal=s in maximal,
+            is_maximal=found[s][1] in maximal,
         )
         for s in ordered
     )

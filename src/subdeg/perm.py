@@ -6,6 +6,7 @@ so compose(a, b)(x) == b(a(x)).
 """
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -78,7 +79,7 @@ class Permutation:
         return inverse(self)
 
     def is_identity(self) -> bool:
-        return bool((self.images == np.arange(self.degree)).all())
+        return self.images.tobytes() == _identity_bytes(self.images.size)
 
     def order(self) -> int:
         return order_of(self)
@@ -121,6 +122,12 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
+
+
+@cache
+def _identity_bytes(degree: int) -> bytes:
+    """Image bytes of the identity; every image array is int64."""
+    return np.arange(degree, dtype=np.int64).tobytes()
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

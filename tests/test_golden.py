@@ -1,9 +1,9 @@
 """Byte-for-byte CLI goldens: stdout and exit code of fixed commands.
 
 The files under tests/golden/ pin the output that refactors must keep.
-alt5.json, ksubsets7_3.json and psl2_7.json are inputs written by
-`subdeg construct alt 5 --out ...`, `subdeg construct ksubsets 7 3 --out ...`
-and `subdeg construct psl2 7 --out ...`.
+alt5.json, ksubsets7_3.json, psl2_7.json and agl2_3.json are inputs written
+by `subdeg construct alt 5 --out ...`, `subdeg construct ksubsets 7 3 --out ...`,
+`subdeg construct psl2 7 --out ...` and `subdeg construct agl 2 3 --out ...`.
 Every other file is the stdout of one case below. To regenerate them after
 an intended output change, run each case from the repository root:
 
@@ -23,6 +23,7 @@ J1 = "src/subdeg/fixtures/j1_266.json"
 A5 = "tests/golden/alt5.json"
 K73 = "tests/golden/ksubsets7_3.json"
 PSL27 = "tests/golden/psl2_7.json"
+AGL23 = "tests/golden/agl2_3.json"
 
 # (name, args, exit code); a name may serve several cases
 CASES = [
@@ -44,6 +45,8 @@ CASES = [
     ("factorizations_a5", ["factorizations", A5], 0),
     ("mu_psl27", ["mu", PSL27], 0),
     ("factorizations_psl27", ["factorizations", PSL27], 0),
+    ("mu_agl23", ["mu", AGL23], 0),
+    ("factorizations_agl23", ["factorizations", AGL23], 0),
 ]
 
 

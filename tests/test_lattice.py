@@ -16,7 +16,7 @@ from subdeg.lattice import (
     mu,
     mu_prime_bound,
 )
-from subdeg.perm import Permutation, compose
+from subdeg.perm import Permutation, compose, inverse
 
 from conftest import closure_elements, direct_sum, make_group
 
@@ -51,7 +51,11 @@ ORACLE_GROUPS = {
     "C8": make_group(8, "(1,2,3,4,5,6,7,8)"),  # joins with no proper size to reach
     "C2": make_group(2, "(1,2)"),
     "trivial": PermGroup(3, []),
+    "C2^3": make_group(6, "(1,2)", "(3,4)", "(5,6)"),  # every class a singleton
 }
+
+# conjugacy classes of A5's subgroups: 1, C2, C3, V4, C5, S3, D10, A4, A5
+A5_CLASS_SIZES = [1, 15, 10, 5, 6, 10, 5, 6, 1]
 
 
 def maximal_by_containment(lat):
@@ -66,6 +70,24 @@ def maximal_by_containment(lat):
         )
         for s in lat.subgroups
     ]
+
+
+def conjugation_classes(G, element_sets):
+    """Partition element sets into orbits under conjugation by G's generators,
+    asserting that every conjugate is among them."""
+    pending = set(element_sets)
+    classes = []
+    while pending:
+        orbit = [pending.pop()]
+        for S in orbit:
+            for g in G.generators:
+                T = frozenset(compose(compose(inverse(g), s), g) for s in S)
+                assert T in element_sets, "subgroups not closed under conjugation"
+                if T in pending:
+                    pending.remove(T)
+                    orbit.append(T)
+        classes.append(orbit)
+    return classes
 
 
 class TestAllSubgroups:
@@ -96,6 +118,28 @@ class TestAllSubgroups:
         for s in lat.subgroups:
             assert frozenset(closure_elements(lat.degree, s.generators)) == s.element_set
         assert [s.is_maximal for s in lat.subgroups] == maximal_by_containment(lat)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_classes_match_conjugation_oracle(self, name):
+        lat = all_subgroups_small(ORACLE_GROUPS[name])
+        maximal_of = {s.element_set: s.is_maximal for s in lat.subgroups}
+        classes = conjugation_classes(ORACLE_GROUPS[name], set(maximal_of))
+        assert sum(map(len, classes)) == len(lat)
+        for orbit in classes:
+            assert len({maximal_of[S] for S in orbit}) == 1
+        if name == "A5":
+            assert sorted(map(len, classes)) == sorted(A5_CLASS_SIZES)
+
+    @pytest.mark.parametrize("name,joins", [("A5", 93), ("PSL(2,7)", 291)])
+    def test_joins_run_on_class_representatives(self, name, joins, monkeypatch):
+        # joining from every subgroup instead of one per class takes 428 and 2392
+        from subdeg import lattice as lattice_mod
+
+        calls = []
+        join = lattice_mod._join_closure
+        monkeypatch.setattr(lattice_mod, "_join_closure", lambda *a: calls.append(1) or join(*a))
+        all_subgroups_small(ORACLE_GROUPS[name])
+        assert len(calls) == joins
 
     @pytest.mark.parametrize("G,count", [(symmetric(5), 156), (psl2(7), 179)], ids=["S5", "PSL(2,7)"])
     def test_literature_subgroup_counts(self, G, count):
@@ -146,10 +190,12 @@ class TestAllSubgroups:
         from subdeg import lattice as lattice_mod
 
         monkeypatch.setattr(lattice_mod, "SUBGROUP_COUNT_GUARD", 5)
-        with pytest.raises(CapExceeded) as e:
-            all_subgroups_small(make_group(4, "(1,2,3,4)", "(1,2)"))
-        assert e.value.what == "subgroup count"
-        assert e.value.cap == 5
+        # C2^3 has 16 subgroups, each its own class: representatives must count
+        for G in (make_group(4, "(1,2,3,4)", "(1,2)"), ORACLE_GROUPS["C2^3"]):
+            with pytest.raises(CapExceeded) as e:
+                all_subgroups_small(G)
+            assert e.value.what == "subgroup count"
+            assert e.value.cap == 5
 
 
 class TestMu:

@@ -47,6 +47,16 @@ def test_order_of():
     assert order_of(parse_cycles("(1,2,3,4,5,6,7)", 7)) == 7
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_is_identity_on_identity_and_transpositions(n):
+    assert Permutation.identity(n).is_identity()
+    for i in range(n):
+        for j in range(i + 1, n):
+            images = list(range(n))
+            images[i], images[j] = j, i
+            assert not Permutation(images).is_identity()
+
+
 def test_powers():
     p = parse_cycles("(1,2,3,4)", 4)
     assert (p**0).is_identity()
