@@ -19,13 +19,11 @@ from .groups import (
     PermGroup,
     contains,
     coset_action,
-    derived_subgroup,
     elements,
     fixed_points,
     is_primitive,
     is_subgroup,
     is_transitive,
-    last_derived_term,
     minimal_block_system,
     normalizer_small,
     orbit,

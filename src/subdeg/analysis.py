@@ -80,13 +80,14 @@ def subdegrees(G: PermGroup, point: int = 0) -> SuborbitProfile:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     if not is_transitive(G):
         raise ValueError("subdegrees need a transitive group")
-    n = G.degree
-    suborbits = sorted(
-        ((orb[0], len(orb)) for orb in orbits(point_stabilizer(G, point))),
-        key=lambda t: (t[1], t[0]),
-    )
-    assert sum(length for _, length in suborbits) == n
-    return SuborbitProfile(degree=n, base_point=point, suborbits=tuple(suborbits))
+    return _suborbit_profile(G.degree, point, orbits(point_stabilizer(G, point)))
+
+
+def _suborbit_profile(degree: int, point: int, suborbits) -> SuborbitProfile:
+    """subdegrees from the orbits of the stabilizer of point."""
+    pairs = sorted(((orb[0], len(orb)) for orb in suborbits), key=lambda t: (t[1], t[0]))
+    assert sum(length for _, length in pairs) == degree
+    return SuborbitProfile(degree=degree, base_point=point, suborbits=tuple(pairs))
 
 
 def _coprime_graph(values: tuple[int, ...]) -> dict[int, set[int]]:

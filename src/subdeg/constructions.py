@@ -173,19 +173,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 to a non-positive power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.q - 1
-        return n // gcd(n, self._log[a])
-
 
 class ProjectiveLine:
     """The q+1 points [x:1] (x in field order) followed by [1:0] at index q."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import max_coprime_set, neumann_check, subdegrees, weiss_check
+from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
 from .constructions import (
     agl,
     alternating,
@@ -25,7 +25,7 @@ from .constructions import (
     psl2,
     symmetric,
 )
-from .groups import PermGroup, is_primitive, is_transitive, order
+from .groups import PermGroup, _is_primitive_at, is_transitive, orbits, order, point_stabilizer
 from .numtheory import is_prime
 from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
 
@@ -203,12 +203,12 @@ class CoprimeReport:
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
     """Full verification record for one group at one base point. Never
     raises on mathematical grounds; intransitive groups get a report with
-    the analysis fields null and a note in skipped_checks."""
+    the analysis fields null and a note in skipped_checks. The stabilizer
+    of point and its orbits are computed once and give both the subdegrees
+    and the primitivity verdict."""
     label = name or G.label or "group"
     n = order(G)
-    transitive = is_transitive(G)
-    primitive = is_primitive(G)
-    if not transitive:
+    if not is_transitive(G):
         return CoprimeReport(
             name=label,
             degree=G.degree,
@@ -225,7 +225,9 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
             theorem_ok=None,
             skipped_checks=("subdegree analysis: group is not transitive",),
         )
-    profile = subdegrees(G, point)
+    suborbits = orbits(point_stabilizer(G, point))
+    primitive = _is_primitive_at(G, point, suborbits)
+    profile = _suborbit_profile(G.degree, point, suborbits)
     clique = max_coprime_set(profile)
     prime_cyclic = is_prime(G.degree) and n == G.degree
     if primitive and not prime_cyclic:

@@ -1,5 +1,5 @@
 """Permutation groups: deterministic Schreier-Sims, orbits, stabilizers,
-coset actions, block systems, derived series, and small-group searches.
+coset actions, block systems, primitivity, and small-group searches.
 
 The stabilizer chain is built deterministically: no randomization, base
 points chosen as the smallest moved point, orbits explored breadth-first
@@ -31,13 +31,10 @@ __all__ = [
     "coset_action",
     "minimal_block_system",
     "is_primitive",
-    "derived_subgroup",
-    "last_derived_term",
     "elements",
     "normalizer_small",
     "sylow_subgroup_small",
     "fixed_points",
-    "commutator",
     "is_subgroup",
 ]
 
@@ -241,26 +238,17 @@ class _Chain:
 
 @dataclass(frozen=True, eq=False)
 class Bsgs:
-    """Base and strong generating set with per-level Schreier vectors.
-
-    transversals[i] maps each point of the i-th fundamental orbit to
-    (index into strong_generators, predecessor point); the base point
-    itself maps to (-1, base point).
-    """
+    """Base and strong generating set of a complete stabilizer chain."""
 
     degree: int
     base: tuple[int, ...]
     strong_generators: tuple[Permutation, ...]
-    transversals: tuple[dict[int, tuple[int, int]], ...]
     order: int
     _chain: _Chain
 
     def sift(self, p: Permutation) -> Permutation | None:
         """Residue of p against the chain; None when p is a member."""
         return self._chain._sift(p)
-
-    def fundamental_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(lv.orbit_list) for lv in self._chain.levels)
 
 
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
@@ -269,13 +257,11 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     for g in G.generators:
         chain._install(g)
     chain._close(len(chain.levels) - 1)
-    n = chain.order()  # rebuilds any dirty level before the transversals are read
     return Bsgs(
         degree=G.degree,
         base=tuple(chain.base),
         strong_generators=tuple(chain.strong),
-        transversals=tuple(lv.schreier for lv in chain.levels),
-        order=n,
+        order=chain.order(),  # also rebuilds the levels point_stabilizer reads
         _chain=chain,
     )
 
@@ -458,6 +444,14 @@ def minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         raise ValueError("seed pair must be two distinct points")
     if not is_transitive(G):
         raise ValueError("minimal_block_system needs a transitive group")
+    return _minimal_block_system(G, pair)
+
+
+def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
+    """minimal_block_system without its checks: G transitive and the pair two
+    distinct points."""
+    a, b = pair
+    n = G.degree
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -497,69 +491,25 @@ def is_primitive(G: PermGroup) -> bool:
     intransitive groups report False; the transitive degree-2 group is
     primitive.
 
-    The minimal block containing 0 and x depends only on the suborbit of x
-    (Atkinson, Math. Comp. 29, 1975), so one probe per non-trivial suborbit
-    of the stabilizer of 0 suffices. A regular group (trivial stabilizer) is
-    primitive iff its degree is prime."""
+    The minimal block containing a point and x depends only on the suborbit
+    of x (Atkinson, Math. Comp. 29, 1975), so one probe per non-trivial
+    suborbit suffices. The suborbits at any point serve; these are at 0. A
+    regular group (trivial stabilizer) is primitive iff its degree is prime."""
     if not is_transitive(G):
         return False
-    stab = point_stabilizer(G, 0)
-    if not stab.generators:
+    return _is_primitive_at(G, 0, orbits(point_stabilizer(G, 0)))
+
+
+def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
+    """is_primitive for a transitive G, given the orbits of the stabilizer of
+    point: one unchecked probe per suborbit other than (point,)."""
+    if all(len(orb) == 1 for orb in suborbits):
         return is_prime(G.degree)
     return all(
-        minimal_block_system(G, (0, orb[0])).num_blocks == 1 for orb in orbits(stab)[1:]
+        _minimal_block_system(G, (point, orb[0])).num_blocks == 1
+        for orb in suborbits
+        if orb[0] != point
     )
-
-
-def commutator(a: Permutation, b: Permutation) -> Permutation:
-    """[a, b] = a^-1 b^-1 a b under left-to-right composition."""
-    return compose(compose(compose(inverse(a), inverse(b)), a), b)
-
-
-def _normal_closure(G: PermGroup, seeds: list[Permutation], label: str) -> PermGroup:
-    """Smallest normal subgroup of G containing the seeds."""
-    chain = _Chain(G.degree)
-    added: list[Permutation] = []
-    queue: list[Permutation] = []
-    for s in seeds:
-        if chain.add_generator(s):
-            added.append(s)
-            queue.append(s)
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for g in G.generators:
-            c = compose(compose(inverse(g), x), g)
-            if chain.add_generator(c):
-                added.append(c)
-                queue.append(c)
-    return PermGroup(G.degree, added, label=label)
-
-
-def derived_subgroup(G: PermGroup) -> PermGroup:
-    """Commutator subgroup: normal closure of the generator commutators."""
-    seeds = []
-    for i, a in enumerate(G.generators):
-        for b in G.generators[i + 1 :]:
-            c = commutator(a, b)
-            if not c.is_identity():
-                seeds.append(c)
-    label = f"[{G.label},{G.label}]" if G.label else "derived"
-    return _normal_closure(G, seeds, label)
-
-
-def last_derived_term(G: PermGroup) -> PermGroup:
-    """Stable term of the derived series (trivial iff G is soluble)."""
-    current = G
-    current_order = order(current)
-    while True:
-        nxt = derived_subgroup(current)
-        nxt_order = order(nxt)
-        if nxt_order == current_order:
-            return nxt
-        current = nxt
-        current_order = nxt_order
 
 
 def elements(G: PermGroup, cap: int = ELEMENTS_CAP) -> list[Permutation]:

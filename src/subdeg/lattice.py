@@ -11,6 +11,7 @@ builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import maximum_cliques
 from .groups import CapExceeded, PermGroup, elements, order
 from .numtheory import prime_factors as distinct_prime_factors
-from .perm import Permutation
+from .perm import Permutation, inverse
 
 __all__ = [
     "SUBGROUP_CAP",
@@ -143,7 +144,7 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
     rows = [memoryview(row) for row in table]
     # conjugation h -> g^-1 h g by each generator g, as a map of indices
     conjugations = [
-        table[index_of[p.inverse().images.tobytes()]][table[:, g]].tolist()
+        table[index_of[inverse(p).images.tobytes()]][table[:, g]].tolist()
         for g, p in zip(gen_idx, G.generators)
     ]
 
@@ -220,29 +221,39 @@ class Factorization:
 def coprime_factorizations(
     G: PermGroup, lattice: SubgroupLattice | None = None, cap: int = SUBGROUP_CAP
 ) -> tuple[Factorization, ...]:
-    """All unordered pairs of proper subgroups with coprime indices. Coprime
-    indices force G = AB; the product identity is verified on every pair."""
+    """All unordered pairs of proper subgroups with coprime indices, in
+    lattice order of the pair's positions. Subgroups are bucketed by index
+    and only buckets with coprime index values are paired. Coprime indices
+    force G = AB; the product identity is verified on every pair."""
     if lattice is None:
         lattice = all_subgroups_small(G, cap)
     n = lattice.group_order
     proper = lattice.proper()
+    by_index: dict[int, list[int]] = {}
+    for i, s in enumerate(proper):
+        by_index.setdefault(s.index, []).append(i)
+    pairs = sorted(
+        (min(i, j), max(i, j))
+        for u, v in combinations(by_index, 2)
+        if gcd(u, v) == 1
+        for i in by_index[u]
+        for j in by_index[v]
+    )
     out = []
-    for i, A in enumerate(proper):
-        for B in proper[i + 1 :]:
-            if gcd(A.index, B.index) != 1:
-                continue
-            meet = len(A.element_set & B.element_set)
-            assert A.order * B.order == n * meet, "coprime indices must factor the group"
-            first, second = (A, B) if A.index <= B.index else (B, A)
-            out.append(
-                Factorization(
-                    a=first,
-                    b=second,
-                    index_a=first.index,
-                    index_b=second.index,
-                    both_maximal=A.is_maximal and B.is_maximal,
-                )
+    for i, j in pairs:
+        A, B = proper[i], proper[j]
+        meet = len(A.element_set & B.element_set)
+        assert A.order * B.order == n * meet, "coprime indices must factor the group"
+        first, second = (A, B) if A.index <= B.index else (B, A)
+        out.append(
+            Factorization(
+                a=first,
+                b=second,
+                index_a=first.index,
+                index_b=second.index,
+                both_maximal=A.is_maximal and B.is_maximal,
             )
+        )
     return tuple(out)
 
 

@@ -58,26 +58,6 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return int(self.images[point])
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k == 0:
-            return Permutation.identity(self.degree)
-        base = self if k > 0 else inverse(self)
-        k = abs(k)
-        result = None
-        sq = base
-        while k:
-            if k & 1:
-                result = sq if result is None else compose(result, sq)
-            sq = compose(sq, sq)
-            k >>= 1
-        return result
-
-    def inverse(self) -> "Permutation":
-        return inverse(self)
-
     def is_identity(self) -> bool:
         return self.images.tobytes() == _identity_bytes(self.images.size)
 

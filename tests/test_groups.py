@@ -15,9 +15,10 @@ from conftest import (
     brute_orbits,
     brute_stabilizer,
     closure_elements,
-    direct_sum,
     make_group,
 )
+import subdeg.analysis
+import subdeg.corpus
 import subdeg.groups
 from subdeg.analysis import subdegrees
 from subdeg.constructions import alternating, cyclic
@@ -29,13 +30,11 @@ from subdeg.groups import (
     PermGroup,
     coset_action,
     contains,
-    derived_subgroup,
     elements,
     fixed_points,
     is_primitive,
     is_subgroup,
     is_transitive,
-    last_derived_term,
     minimal_block_system,
     normalizer_small,
     orbit,
@@ -111,17 +110,18 @@ def test_orbit_and_schreier_vector():
 def test_bsgs_invariants():
     for G in [a5(), s4(), d4(), c6()]:
         b = G.bsgs
+        levels = b._chain.levels
         # order is the product of fundamental orbit sizes
         prod = 1
-        for o in b.fundamental_orbits():
-            prod *= len(o)
+        for lv in levels:
+            prod *= len(lv.orbit_list)
         assert prod == b.order
         # every strong generator sifts to the identity
         for g in b.strong_generators:
             assert b.sift(g) is None
         # deeper strong generators fix the earlier base points
-        for dict_i, transversal in enumerate(b.transversals):
-            assert b.base[dict_i] in transversal
+        for i, lv in enumerate(levels):
+            assert b.base[i] in lv.schreier
 
 
 def test_bsgs_deterministic():
@@ -129,7 +129,8 @@ def test_bsgs_deterministic():
     b2 = schreier_sims(a5())
     assert b1.base == b2.base
     assert b1.strong_generators == b2.strong_generators
-    assert b1.transversals == b2.transversals
+    assert [lv.orbit_list for lv in b1._chain.levels] == [lv.orbit_list for lv in b2._chain.levels]
+    assert [lv.schreier for lv in b1._chain.levels] == [lv.schreier for lv in b2._chain.levels]
 
 
 def test_contains_agrees_with_enumeration():
@@ -281,52 +282,25 @@ def test_is_primitive():
     assert is_primitive(make_group(5, "(1,2,3,4,5)", "(2,5)(3,4)"))
 
 
-def test_derived_subgroup():
-    ds4 = derived_subgroup(s4())
-    assert order(ds4) == 12
-    a4 = make_group(4, "(1,2,3)", "(2,3,4)")
-    assert set(elements(ds4)) == set(elements(a4))
-    dd4 = derived_subgroup(d4())
-    assert order(dd4) == 2
-    assert parse_cycles("(1,3)(2,4)", 4) in dd4
-    da5 = derived_subgroup(a5())
-    assert order(da5) == 60
-    dc6 = derived_subgroup(c6())
-    assert order(dc6) == 1
-
-
-def test_derived_subgroup_is_normal():
-    for G in [s4(), d4(), a5(), make_group(6, "(1,2,3,4,5,6)", "(1,2)")]:
-        D = derived_subgroup(G)
-        for g in G.generators:
-            for x in D.generators:
-                conj = compose(compose(inverse(g), x), g)
-                assert contains(D, conj)
-
-
-def test_derived_matches_element_commutators():
-    # oracle: closure of all element-by-element commutators
-    for G in [s4(), d4(), c6(), a5()]:
-        elems = closure_elements(G.degree, G.generators)
-        comms = []
-        for x in elems:
-            for y in elems:
-                c = compose(compose(compose(inverse(x), inverse(y)), x), y)
-                if not c.is_identity():
-                    comms.append(c)
-        oracle = closure_elements(G.degree, comms) if comms else [Permutation.identity(G.degree)]
-        assert set(elements(derived_subgroup(G))) == set(oracle)
-
-
-def test_last_derived_term():
-    assert order(last_derived_term(s4())) == 1
-    assert order(last_derived_term(c6())) == 1
-    assert order(last_derived_term(a5())) == 60
-    s3 = make_group(3, "(1,2,3)", "(1,2)")
-    G = direct_sum(s3, a5())
-    term = last_derived_term(G)
-    assert order(term) == 60
-    assert fixed_points(term) == (0, 1, 2)
+@pytest.mark.parametrize(
+    "G",
+    [
+        a5(),
+        s4(),
+        d4(),
+        c6(),
+        make_group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"),  # D6
+        make_group(6, "(1,2,3)", "(1,4)(2,5)(3,6)"),  # S3 wr C2
+        make_group(6, "(1,2)", "(1,3,5)(2,4,6)"),  # C2 wr C3
+        make_group(5, "(1,2,3,4,5)", "(2,5)(3,4)"),
+    ],
+    ids=["a5", "s4", "d4", "c6", "d6", "s3wrc2", "c2wrc3", "d5"],
+)
+def test_analyze_primitivity_at_every_point(G):
+    # analyze probes the suborbits of its own base point
+    n = G.degree
+    blockless = all(len(brute_blocks(G.generators, n, (0, x))) == 1 for x in range(1, n))
+    assert [analyze(G, pt).primitive for pt in range(n)] == [blockless] * n
 
 
 def test_normalizer_small():
@@ -416,10 +390,14 @@ def test_order_and_membership_match_oracle(data):
         assert len(elems) == n * len(stabs[pt])
     blockless = all(len(brute_blocks(G.generators, n, (0, x))) == 1 for x in range(1, n))
     assert is_primitive(G) == blockless
+    # analyze probes the suborbits at its own point
+    for pt in range(n):
+        assert analyze(G, pt).primitive == blockless
 
 
 def _spy(monkeypatch, name: str) -> list:
-    """Record the calls made to subdeg.groups.<name> while the test runs."""
+    """Record the calls made to subdeg.groups.<name> while the test runs,
+    also where subdeg.analysis and subdeg.corpus import it."""
     calls = []
     real = getattr(subdeg.groups, name)
 
@@ -427,7 +405,9 @@ def _spy(monkeypatch, name: str) -> list:
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(subdeg.groups, name, spy)
+    for module in (subdeg.groups, subdeg.analysis, subdeg.corpus):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -439,7 +419,7 @@ def _fresh_j1() -> PermGroup:
 
 def test_is_primitive_probes_once_per_suborbit(monkeypatch):
     G = _fresh_j1()
-    probes = _spy(monkeypatch, "minimal_block_system")
+    probes = _spy(monkeypatch, "_minimal_block_system")
     assert is_primitive(G)
     stab = point_stabilizer(G, 0)
     probed = sorted(len(orbit(stab, pair[1])[0]) for _, pair in probes)
@@ -447,7 +427,7 @@ def test_is_primitive_probes_once_per_suborbit(monkeypatch):
 
 
 def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
-    probes = _spy(monkeypatch, "minimal_block_system")
+    probes = _spy(monkeypatch, "_minimal_block_system")
     assert is_primitive(cyclic(997))
     assert not is_primitive(cyclic(998))
     assert probes == []
@@ -464,3 +444,17 @@ def test_analyze_builds_one_chain(monkeypatch, make, point):
     report = analyze(G, point)
     assert report.primitive
     assert len(chains) == 1
+
+
+def test_analyze_makes_one_suborbit_pass(monkeypatch):
+    G = _fresh_j1()
+    names = ("is_transitive", "point_stabilizer", "orbits", "_minimal_block_system")
+    calls = {name: _spy(monkeypatch, name) for name in names}
+    assert analyze(G).primitive
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {
+        "is_transitive": 1,
+        "point_stabilizer": 1,
+        "orbits": 1,
+        "_minimal_block_system": 4,  # one probe per non-trivial suborbit
+    }

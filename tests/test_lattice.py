@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subdeg.analysis import maximum_cliques
-from subdeg.constructions import psl2, symmetric
+from subdeg.constructions import agl, psl2, symmetric
 from subdeg.groups import CapExceeded, PermGroup, order
 from subdeg.lattice import (
     all_subgroups_small,
@@ -69,6 +69,18 @@ def maximal_by_containment(lat):
             for t in lat.subgroups
         )
         for s in lat.subgroups
+    ]
+
+
+def coprime_pairs_by_scan(lat):
+    """The pair scan: every unordered pair of proper subgroups, in lattice
+    order, whose indices are coprime."""
+    proper = lat.proper()
+    return [
+        (A, B)
+        for i, A in enumerate(proper)
+        for B in proper[i + 1 :]
+        if gcd(A.index, B.index) == 1
     ]
 
 
@@ -256,6 +268,16 @@ class TestMu:
 
 
 class TestFactorizations:
+    # AGL(2,3) has an index coprime to two smaller ones, so its pairs must
+    # be sorted across index buckets
+    @pytest.mark.parametrize("name", [*ORACLE_GROUPS, "AGL(2,3)"])
+    def test_pairs_match_scan_oracle(self, name):
+        G = agl(2, 3) if name == "AGL(2,3)" else ORACLE_GROUPS[name]
+        lat = all_subgroups_small(G)
+        facs = coprime_factorizations(G, lat)
+        want = [(A, B) if A.index < B.index else (B, A) for A, B in coprime_pairs_by_scan(lat)]
+        assert [(f.a, f.b) for f in facs] == want  # Subgroup compares by identity
+
     def test_a5_pairs(self):
         G = make_group(5, "(1,2,3)", "(3,4,5)")
         facs = coprime_factorizations(G)

@@ -57,14 +57,6 @@ def test_is_identity_on_identity_and_transpositions(n):
             assert not Permutation(images).is_identity()
 
 
-def test_powers():
-    p = parse_cycles("(1,2,3,4)", 4)
-    assert (p**0).is_identity()
-    assert p**2 == compose(p, p)
-    assert p**-1 == inverse(p)
-    assert (p**4).is_identity()
-
-
 def test_validation_rejects_bad_images():
     with pytest.raises(ValueError):
         perm([0, 0, 1])
@@ -159,7 +151,10 @@ def test_compose_associative(data):
 
 @given(permutations())
 def test_order_annihilates(p):
-    assert (p ** order_of(p)).is_identity()
+    acc = Permutation.identity(p.degree)
+    for _ in range(order_of(p)):
+        acc = compose(acc, p)
+    assert acc.is_identity()
 
 
 def test_images_are_read_only():
