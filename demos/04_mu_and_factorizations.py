@@ -44,4 +44,4 @@ print(
     f"stabilizer bound on A5: clique {verdict.clique_size} <= mu(N) {verdict.mu_value}"
     f" -> holds {verdict.holds}"
 )
-print(f"check_mu_bound(A4, 2): {check_mu_bound(alternating(4)).holds}")
+print(f"check_mu_bound(A4), mu <= 2: {check_mu_bound(alternating(4)).holds}")

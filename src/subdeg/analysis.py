@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groups import (
-    ELEMENTS_CAP,
     PermGroup,
     contains,
-    elements,
     fixed_points,
     is_transitive,
     normalizer_small,
@@ -205,27 +203,17 @@ class SylowDivisibilityVerdict:
         return self.hypothesis_holds
 
 
-def sylow_divisibility_check(
-    G: PermGroup, point: int, p: int, cap: int = ELEMENTS_CAP
-) -> SylowDivisibilityVerdict:
+def sylow_divisibility_check(G: PermGroup, point: int, p: int) -> SylowDivisibilityVerdict:
     """When the stabilizer of the point contains the normalizer of a Sylow
     p-subgroup, every non-trivial subdegree must be divisible by p.
 
-    All Sylow p-subgroups being conjugate, the hypothesis is tested for
-    every conjugate of one computed Sylow normalizer."""
+    All Sylow p-subgroups being conjugate, the hypothesis asks whether some
+    conjugate N^g of one Sylow normalizer N lies in the stabilizer of the
+    point. N <= G_b iff N^h <= G_(b^h), and G is transitive, so that holds
+    iff N fixes some point."""
     profile = subdegrees(G, point)
-    P = sylow_subgroup_small(G, p, cap)
-    hypothesis = False
-    if order(P) > 1:
-        N = normalizer_small(G, P, cap)
-        stab = point_stabilizer(G, point)
-        for g in elements(G, cap):
-            g_inv = inverse(g)
-            if all(
-                contains(stab, compose(compose(g_inv, x), g)) for x in N.generators
-            ):
-                hypothesis = True
-                break
+    P = sylow_subgroup_small(G, p)
+    hypothesis = order(P) > 1 and bool(fixed_points(normalizer_small(G, P)))
     conclusion = all(d % p == 0 for d in profile.subdegrees if d > 1) if hypothesis else None
     return SylowDivisibilityVerdict(
         prime=p,
@@ -254,9 +242,7 @@ class StabilizerBoundVerdict:
         return self.clique_size <= self.mu_value
 
 
-def check_stabilizer_normal_bound(
-    G: PermGroup, point: int, N: PermGroup, subgroup_cap: int | None = None
-) -> StabilizerBoundVerdict:
+def check_stabilizer_normal_bound(G: PermGroup, point: int, N: PermGroup) -> StabilizerBoundVerdict:
     """For N normal in the stabilizer of the point and fixing only that
     point, the number of pairwise coprime non-trivial subdegrees is at most
     mu(N), the largest family of proper subgroups of N with pairwise
@@ -275,8 +261,6 @@ def check_stabilizer_normal_bound(
     if fixed_points(N) != (point,):
         return StabilizerBoundVerdict(applicable=False, clique_size=None, mu_value=None)
     clique = max_coprime_set(subdegrees(G, point))
-    kwargs = {} if subgroup_cap is None else {"cap": subgroup_cap}
-    mu_value = lattice.mu(N, **kwargs)
     return StabilizerBoundVerdict(
-        applicable=True, clique_size=clique.size, mu_value=mu_value
+        applicable=True, clique_size=clique.size, mu_value=lattice.mu(N)
     )

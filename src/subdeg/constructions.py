@@ -12,7 +12,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .groups import PermGroup
+from .groups import CapExceeded, PermGroup
 from .numtheory import is_prime, prime_factors
 from .perm import Permutation
 
@@ -227,7 +227,7 @@ def symmetric(n: int) -> PermGroup:
     return PermGroup(n, gens, label=f"sym({n})")
 
 
-def _induced_action(n: int, gens, labels, apply_label, name: str) -> PermGroup:
+def _induced_action(gens, labels, apply_label, name: str) -> PermGroup:
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for g in gens:
@@ -245,7 +245,6 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
     labels = list(combinations(range(n), k))
     return _induced_action(
-        n,
         alternating(n).generators,
         labels,
         lambda g, s: tuple(sorted(g(x) for x in s)),
@@ -268,23 +267,21 @@ def _partitions_into_blocks(points: tuple[int, ...], k: int):
             yield (block,) + sub
 
 
-def partition_action(n: int, k: int, degree_cap: int = PARTITION_DEGREE_CAP) -> PermGroup:
+def partition_action(n: int, k: int) -> PermGroup:
     """Alt(n) on the partitions of {0..n-1} into n/k blocks of size k.
     Partition labels are sorted block tuples, ordered lexicographically."""
     if n % k != 0 or not 1 < k < n:
         raise ValueError(f"need k | n and 1 < k < n, got k={k}, n={n}")
     degree = factorial(n) // (factorial(k) ** (n // k) * factorial(n // k))
-    if degree > degree_cap:
-        raise ValueError(f"partition degree {degree} exceeds cap {degree_cap}")
+    if degree > PARTITION_DEGREE_CAP:
+        raise CapExceeded("partition degree", degree, PARTITION_DEGREE_CAP)
     labels = sorted(_partitions_into_blocks(tuple(range(n)), k))
     assert len(labels) == degree
 
     def act(g, part):
         return tuple(sorted(tuple(sorted(g(x) for x in block)) for block in part))
 
-    return _induced_action(
-        n, alternating(n).generators, labels, act, f"partitions({n},{k})"
-    )
+    return _induced_action(alternating(n).generators, labels, act, f"partitions({n},{k})")
 
 
 def _primitive_root(p: int) -> int:
@@ -295,7 +292,7 @@ def _primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found")  # impossible for prime p
 
 
-def agl(d: int, p: int, degree_cap: int = AGL_DEGREE_CAP) -> PermGroup:
+def agl(d: int, p: int) -> PermGroup:
     """AGL(d,p) on the p^d vectors over GF(p), a vector encoded as the
     little-endian base-p value of its coordinates. Generators: translations
     by the unit vectors, the elementary transvections, and diag(beta,1,..,1)
@@ -305,8 +302,8 @@ def agl(d: int, p: int, degree_cap: int = AGL_DEGREE_CAP) -> PermGroup:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     degree = p**d
-    if degree > degree_cap:
-        raise ValueError(f"degree {degree} exceeds cap {degree_cap}")
+    if degree > AGL_DEGREE_CAP:
+        raise CapExceeded("degree", degree, AGL_DEGREE_CAP)
 
     vectors = list(product(range(p), repeat=d))  # tuple (v0,..,v_{d-1}), v0 least significant
     encode = {v: sum(c * p**i for i, c in enumerate(v)) for v in vectors}

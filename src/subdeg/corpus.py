@@ -127,20 +127,20 @@ def load_group(path) -> PermGroup:
     return group_from_dict(data, path)
 
 
-def group_to_json(G: PermGroup, name: str | None = None, metadata: dict | None = None) -> str:
+def group_to_json(G: PermGroup, name: str | None = None) -> str:
     """Group-file JSON text, without a trailing newline."""
     gens = [format_cycles(g) for g in G.generators] or ["()"]
     payload = {
         "name": name or G.label or "group",
         "degree": G.degree,
         "generators": gens,
-        "metadata": metadata if metadata is not None else {"expected_order": str(order(G))},
+        "metadata": {"expected_order": str(order(G))},
     }
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-def write_group(path, G: PermGroup, name: str | None = None, metadata: dict | None = None) -> None:
-    Path(path).write_text(group_to_json(G, name, metadata) + "\n", encoding="utf-8")
+def write_group(path, G: PermGroup, name: str | None = None) -> None:
+    Path(path).write_text(group_to_json(G, name) + "\n", encoding="utf-8")
 
 
 def fixture_path(filename: str) -> Path:
@@ -272,16 +272,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def report_to_csv(reports, header: bool = True) -> str:
-    """CSV text: one row per report, columns in report-field order, list
-    values space-separated within their cell."""
+def report_to_csv(reports) -> str:
+    """CSV text: a header row, then one row per report, columns in
+    report-field order, list values space-separated within their cell."""
     import csv
     import io
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    if header:
-        w.writerow(REPORT_FIELDS)
+    w.writerow(REPORT_FIELDS)
     for r in reports:
         w.writerow([_csv_cell(getattr(r, f)) for f in REPORT_FIELDS])
     return buf.getvalue()

@@ -372,21 +372,19 @@ def _canonical_coset_rep(chain: _Chain, g: Permutation) -> Permutation:
     return cur
 
 
-def coset_action(
-    G: PermGroup, H: PermGroup, cap: int = COSET_CAP
-) -> tuple[PermGroup, tuple[Permutation, ...]]:
+def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutation, ...]]:
     """Action of G on the right cosets of H, with the coset transversal.
 
     Coset i corresponds to H*transversal[i]; coset 0 is H itself. Errors
-    when H is not a subgroup of G or the index exceeds the cap.
+    when H is not a subgroup of G or the index exceeds COSET_CAP.
     """
     if H.degree != G.degree:
         raise ValueError("degree mismatch between group and subgroup")
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
     index = order(G) // order(H)
-    if index > cap:
-        raise CapExceeded("coset index", index, cap)
+    if index > COSET_CAP:
+        raise CapExceeded("coset index", index, COSET_CAP)
     fixed = set(fixed_points(H))
     prefix = tuple(x for x in range(G.degree) if x not in fixed)
     chain = schreier_sims(H, base_prefix=prefix)._chain
@@ -512,16 +510,16 @@ def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
     )
 
 
-def elements(G: PermGroup, cap: int = ELEMENTS_CAP) -> list[Permutation]:
+def elements(G: PermGroup) -> list[Permutation]:
     """All elements, deterministically enumerated from the stabilizer chain.
-    Errors when |G| exceeds the cap (the error carries the actual order)."""
+    Errors when |G| exceeds ELEMENTS_CAP (the error carries the actual order)."""
     n = order(G)
-    if n > cap:
-        raise CapExceeded("group order", n, cap)
+    if n > ELEMENTS_CAP:
+        raise CapExceeded("group order", n, ELEMENTS_CAP)
     return G.bsgs._chain.elements_iter()
 
 
-def normalizer_small(G: PermGroup, H: PermGroup, cap: int = ELEMENTS_CAP) -> PermGroup:
+def normalizer_small(G: PermGroup, H: PermGroup) -> PermGroup:
     """Normalizer of H in G by scanning all elements of G (cap-gated)."""
     if H.degree != G.degree:
         raise ValueError("degree mismatch")
@@ -530,7 +528,7 @@ def normalizer_small(G: PermGroup, H: PermGroup, cap: int = ELEMENTS_CAP) -> Per
     hb = H.bsgs
     gens: list[Permutation] = []
     chain = _Chain(G.degree)
-    for g in elements(G, cap):
+    for g in elements(G):
         conj_ok = all(
             hb.sift(compose(compose(inverse(g), x), g)) is None for x in H.generators
         )
@@ -540,7 +538,7 @@ def normalizer_small(G: PermGroup, H: PermGroup, cap: int = ELEMENTS_CAP) -> Per
     return PermGroup(G.degree, gens or [Permutation.identity(G.degree)], label=label)
 
 
-def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermGroup:
+def sylow_subgroup_small(G: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown greedily: start from a p-element of maximal
     order, then repeatedly adjoin p-elements of the current normalizer until
     the full p-part of |G| is reached. Cap-gated by element enumeration."""
@@ -555,7 +553,7 @@ def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermG
     label = f"Sylow_{p}({G.label})" if G.label else f"Sylow_{p}"
     if p_part == 1:
         return PermGroup(G.degree, [Permutation.identity(G.degree)], label=label)
-    elems = elements(G, cap)
+    elems = elements(G)
     best = None
     best_order = 0
     for g in elems:
@@ -565,9 +563,9 @@ def sylow_subgroup_small(G: PermGroup, p: int, cap: int = ELEMENTS_CAP) -> PermG
     assert best is not None, "Cauchy guarantees a p-element"
     current = PermGroup(G.degree, [best], label=label)
     while order(current) < p_part:
-        N = normalizer_small(G, current, cap)
+        N = normalizer_small(G, current)
         grown = False
-        for g in elements(N, cap):
+        for g in elements(N):
             o = g.order()
             if prime_factors(o) != (p,):
                 continue

@@ -191,12 +191,12 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
     return SubgroupLattice(degree=degree, group_order=n, subgroups=subgroups)
 
 
-def mu(G: PermGroup, lattice: SubgroupLattice | None = None, cap: int = SUBGROUP_CAP) -> int:
+def mu(G: PermGroup, lattice: SubgroupLattice | None = None) -> int:
     """Largest number of proper subgroups with pairwise coprime indices,
     computed over maximal subgroups (equal indices can never be coprime,
     so the clique runs over distinct index values)."""
     if lattice is None:
-        lattice = all_subgroups_small(G, cap)
+        lattice = all_subgroups_small(G)
     indices = sorted({s.index for s in lattice.maximal()})
     cliques = maximum_cliques(tuple(indices))
     return len(cliques[0])
@@ -219,14 +219,14 @@ class Factorization:
 
 
 def coprime_factorizations(
-    G: PermGroup, lattice: SubgroupLattice | None = None, cap: int = SUBGROUP_CAP
+    G: PermGroup, lattice: SubgroupLattice | None = None
 ) -> tuple[Factorization, ...]:
     """All unordered pairs of proper subgroups with coprime indices, in
     lattice order of the pair's positions. Subgroups are bucketed by index
     and only buckets with coprime index values are paired. Coprime indices
     force G = AB; the product identity is verified on every pair."""
     if lattice is None:
-        lattice = all_subgroups_small(G, cap)
+        lattice = all_subgroups_small(G)
     n = lattice.group_order
     proper = lattice.proper()
     by_index: dict[int, list[int]] = {}
@@ -267,7 +267,7 @@ class MuBoundVerdict:
         return self.mu_value <= self.bound
 
 
-def check_mu_bound(K: PermGroup, bound: int = 2, cap: int = SUBGROUP_CAP) -> MuBoundVerdict:
-    """Compute mu(K) and compare it to a claimed bound (default 2, the bound
-    satisfied by quasisimple groups)."""
-    return MuBoundVerdict(mu_value=mu(K, cap=cap), bound=bound)
+def check_mu_bound(K: PermGroup) -> MuBoundVerdict:
+    """Compute mu(K) and compare it to 2, the bound satisfied by
+    quasisimple groups."""
+    return MuBoundVerdict(mu_value=mu(K), bound=2)

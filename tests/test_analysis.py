@@ -14,7 +14,18 @@ from subdeg.analysis import (
     sylow_divisibility_check,
     weiss_check,
 )
-from subdeg.groups import PermGroup, coset_action, point_stabilizer
+from subdeg.constructions import agl, alternating, cyclic, dihedral, ksubsets_action, psl2, symmetric
+from subdeg.groups import (
+    PermGroup,
+    contains,
+    coset_action,
+    elements,
+    normalizer_small,
+    order,
+    point_stabilizer,
+    sylow_subgroup_small,
+)
+from subdeg.perm import compose, inverse
 
 from conftest import brute_stabilizer, brute_orbits, closure_elements, make_group
 
@@ -173,6 +184,50 @@ class TestSylowDivisibility:
         v = sylow_divisibility_check(G, 0, 7)
         assert v.hypothesis_holds is False
         assert v.conclusion_holds is None
+
+
+def conjugate_scan_hypothesis(G, point, p):
+    """Oracle: some conjugate of the Sylow normalizer lies in the stabilizer
+    of the point, found by scanning every element of G."""
+    P = sylow_subgroup_small(G, p)
+    if order(P) == 1:
+        return False
+    N = normalizer_small(G, P)
+    stab = point_stabilizer(G, point)
+    for g in elements(G):
+        g_inv = inverse(g)
+        if all(contains(stab, compose(compose(g_inv, x), g)) for x in N.generators):
+            return True
+    return False
+
+
+SYLOW_ORACLE_GROUPS = {
+    "psl2(7)": lambda: psl2(7),
+    "psl2(8)": lambda: psl2(8),
+    "psl2(11)": lambda: psl2(11),
+    "psl2(13)": lambda: psl2(13),
+    "alt(5)": lambda: alternating(5),
+    "alt(6)": lambda: alternating(6),
+    "alt(7)": lambda: alternating(7),
+    "alt(8)": lambda: alternating(8),
+    "sym(5)": lambda: symmetric(5),
+    "agl(1,7)": lambda: agl(1, 7),
+    "agl(2,3)": lambda: agl(2, 3),
+    "agl(3,2)": lambda: agl(3, 2),
+    "ksubsets(6,2)": lambda: ksubsets_action(6, 2),
+    "ksubsets(7,2)": lambda: ksubsets_action(7, 2),
+    "dihedral(6)": lambda: dihedral(6),
+    "dihedral(9)": lambda: dihedral(9),
+    "cyclic(6)": lambda: cyclic(6),
+}
+
+
+@pytest.mark.parametrize("name", SYLOW_ORACLE_GROUPS)
+def test_sylow_hypothesis_matches_conjugate_scan(name):
+    G = SYLOW_ORACLE_GROUPS[name]()
+    for p in (2, 3, 5, 7, 11, 13):
+        v = sylow_divisibility_check(G, 0, p)
+        assert v.hypothesis_holds == conjugate_scan_hypothesis(G, 0, p), (name, p)
 
 
 class TestStabilizerNormalBound:

@@ -76,10 +76,15 @@ class TestConstruct:
         assert "alt(6)" in out
         assert "subdegrees: 1 5" in out
 
-    def test_wrong_parameter_count(self, capsys):
-        rc = main(["construct", "psl2", "7", "7"])
-        assert rc == 2
-        assert "wrong number of parameters" in capsys.readouterr().err
+    def test_wrong_parameter_count(self, tmp_path, capsys):
+        # a stray number must not reach a builder as a cap override
+        dest = tmp_path / "agl.json"
+        for params in (["psl2", "7", "7"], ["agl", "2", "3", "5"], ["partitions", "6", "2", "10"],
+                       ["agl", "2", "101", "20000", "--out", str(dest)]):
+            rc = main(["construct", *params])
+            assert rc == 2
+            assert "wrong number of parameters" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_invalid_parameter(self, capsys):
         rc = main(["construct", "psl2", "6"])

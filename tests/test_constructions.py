@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+import subdeg.constructions
 from subdeg.analysis import subdegrees
 from subdeg.constructions import (
     AGL_DEGREE_CAP,
@@ -190,9 +191,10 @@ class TestPartitions:
         with pytest.raises(ValueError):
             partition_action(6, 1)
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
+        monkeypatch.setattr(subdeg.constructions, "PARTITION_DEGREE_CAP", 1000)
         with pytest.raises(ValueError, match="cap"):
-            partition_action(12, 2, degree_cap=1000)
+            partition_action(12, 2)
 
     def test_pairs_partition_of_8_is_imprimitive(self):
         # the stabilizer of a pairs partition lies in an affine subgroup of
@@ -236,8 +238,9 @@ class TestAffine:
         with pytest.raises(ValueError, match="cap"):
             agl(5, 7)  # 16807 points
 
-    def test_cap_is_configurable(self):
-        assert agl(2, 101, degree_cap=10201).degree == 10201
+    def test_cap_is_configurable(self, monkeypatch):
+        monkeypatch.setattr(subdeg.constructions, "AGL_DEGREE_CAP", 10201)
+        assert agl(2, 101).degree == 10201
         assert AGL_DEGREE_CAP == 10_000
 
 

@@ -207,8 +207,8 @@ class TestReportSerialization:
         assert cells[12] == "true"
 
     def test_csv_null_cells(self):
-        text = report_to_csv([analyze(make_group(4, "(1,2)"))], header=False)
-        cells = text.strip().split(",")
+        text = report_to_csv([analyze(make_group(4, "(1,2)"))])
+        cells = text.strip().split("\n")[1].split(",")
         assert cells[3] == "false"  # transitive
         assert cells[5] == ""  # rank is null
 

@@ -150,14 +150,15 @@ def test_contains_agrees_with_enumeration():
         contains(G, Permutation.identity(5))
 
 
-def test_elements_matches_closure_and_cap():
+def test_elements_matches_closure_and_cap(monkeypatch):
     G = a5()
     got = elements(G)
     assert len(got) == 60
     assert len(set(got)) == 60
     assert set(got) == set(closure_elements(5, G.generators))
+    monkeypatch.setattr(subdeg.groups, "ELEMENTS_CAP", 30)
     with pytest.raises(CapExceeded) as exc:
-        elements(G, cap=30)
+        elements(G)
     assert exc.value.value == 60
     assert exc.value.cap == 30
 
@@ -215,11 +216,12 @@ def test_coset_action_regular():
     assert order(K) == 3
 
 
-def test_coset_action_cap_and_subgroup_errors():
+def test_coset_action_cap_and_subgroup_errors(monkeypatch):
     G = a5()
     H = make_group(5, "(1,2,3)", "(1,2)(4,5)")
+    monkeypatch.setattr(subdeg.groups, "COSET_CAP", 5)
     with pytest.raises(CapExceeded) as exc:
-        coset_action(G, H, cap=5)
+        coset_action(G, H)
     assert exc.value.value == 10
     not_sub = make_group(5, "(1,2)")
     with pytest.raises(ValueError, match="not a subgroup"):

@@ -1,11 +1,17 @@
 """Fresh-interpreter smoke tests: every demo runs, the J1 fixture regenerates
-byte for byte, and a bare import stays light."""
+byte for byte, and a bare import stays light. Also a guard on the public
+signatures: caps are module constants, not parameters."""
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import subdeg
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,3 +49,17 @@ def test_import_leaves_multiprocessing_unloaded():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_only_the_subgroup_cap_is_a_parameter():
+    # every other cap is a module constant read at call time; an exception
+    # class is skipped because CapExceeded reports the cap it hit
+    found = []
+    for info in pkgutil.iter_modules(subdeg.__path__):
+        module = importlib.import_module(f"subdeg.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+                continue
+            found += [f"{name}.{param}" for param in inspect.signature(obj).parameters if "cap" in param]
+    assert found == ["all_subgroups_small.cap"]
