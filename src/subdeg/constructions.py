@@ -3,7 +3,8 @@ enough finite-field arithmetic to build PSL(2,q) and AGL(d,p).
 
 Every constructor is pure: identical parameters give identical generator
 lists, down to the field modulus and primitive element. Orders are checked
-against the closed-form formulas in the test suite.
+against the closed-form formulas in the test suite; each constructor also
+hands its formula to Schreier-Sims as an upper bound on the order.
 """
 from __future__ import annotations
 
@@ -199,6 +200,12 @@ class ProjectiveLine:
         return Permutation(images)
 
 
+def _bounded(G: PermGroup, bound: int) -> PermGroup:
+    """G with a bound >= |G| that ends its chain early (groups.schreier_sims)."""
+    G._order_bound = bound
+    return G
+
+
 def alternating(n: int) -> PermGroup:
     """Alt(n) natural: (0 1 2) plus an n-cycle (n odd) or (n-1)-cycle."""
     if n < 3:
@@ -214,7 +221,7 @@ def alternating(n: int) -> PermGroup:
             cyc[1:-1] = np.arange(2, n)  # (n-1)-cycle on 1..n-1, fixing 0
             cyc[-1] = 1
         gens.append(Permutation(cyc))
-    return PermGroup(n, gens, label=f"alt({n})")
+    return _bounded(PermGroup(n, gens, label=f"alt({n})"), alternating_order(n))
 
 
 def symmetric(n: int) -> PermGroup:
@@ -224,10 +231,10 @@ def symmetric(n: int) -> PermGroup:
     swap[[0, 1]] = [1, 0]
     gens = [] if n == 2 else list(alternating(n).generators)
     gens.append(Permutation(swap))
-    return PermGroup(n, gens, label=f"sym({n})")
+    return _bounded(PermGroup(n, gens, label=f"sym({n})"), factorial(n))
 
 
-def _induced_action(gens, labels, apply_label, name: str) -> PermGroup:
+def _induced_action(gens, labels, apply_label, name: str, bound: int) -> PermGroup:
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for g in gens:
@@ -235,7 +242,7 @@ def _induced_action(gens, labels, apply_label, name: str) -> PermGroup:
         for i, lab in enumerate(labels):
             images[i] = index[apply_label(g, lab)]
         out.append(Permutation(images))
-    return PermGroup(len(labels), out, label=name)
+    return _bounded(PermGroup(len(labels), out, label=name), bound)
 
 
 def ksubsets_action(n: int, k: int) -> PermGroup:
@@ -249,6 +256,7 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
         labels,
         lambda g, s: tuple(sorted(g(x) for x in s)),
         f"ksubsets({n},{k})",
+        alternating_order(n),
     )
 
 
@@ -281,7 +289,8 @@ def partition_action(n: int, k: int) -> PermGroup:
     def act(g, part):
         return tuple(sorted(tuple(sorted(g(x) for x in block)) for block in part))
 
-    return _induced_action(alternating(n).generators, labels, act, f"partitions({n},{k})")
+    name = f"partitions({n},{k})"
+    return _induced_action(alternating(n).generators, labels, act, name, alternating_order(n))
 
 
 def _primitive_root(p: int) -> int:
@@ -339,7 +348,7 @@ def agl(d: int, p: int) -> PermGroup:
         gens.append(
             perm_from(lambda v: ((v[0] * beta) % p,) + v[1:])
         )
-    return PermGroup(degree, gens, label=f"agl({d},{p})")
+    return _bounded(PermGroup(degree, gens, label=f"agl({d},{p})"), agl_order(d, p))
 
 
 def psl2(q: int) -> PermGroup:
@@ -358,7 +367,7 @@ def psl2(q: int) -> PermGroup:
         gens.append(line.mobius_perm(((1, t), (0, 1))))
         gens.append(line.mobius_perm(((1, 0), (t, 1))))
         t = field.mul(t, beta)
-    return PermGroup(line.size, gens, label=f"psl2({q})")
+    return _bounded(PermGroup(line.size, gens, label=f"psl2({q})"), psl2_order(q))
 
 
 def dihedral(n: int) -> PermGroup:
@@ -368,14 +377,14 @@ def dihedral(n: int) -> PermGroup:
         raise ValueError(f"dihedral needs n >= 3, got {n}")
     rot = Permutation(np.roll(np.arange(n, dtype=np.int64), -1))
     refl = Permutation((-np.arange(n, dtype=np.int64)) % n)
-    return PermGroup(n, [rot, refl], label=f"dihedral({n})")
+    return _bounded(PermGroup(n, [rot, refl], label=f"dihedral({n})"), 2 * n)
 
 
 def cyclic(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"cyclic needs n >= 2, got {n}")
     rot = Permutation(np.roll(np.arange(n, dtype=np.int64), -1))
-    return PermGroup(n, [rot], label=f"cyclic({n})")
+    return _bounded(PermGroup(n, [rot], label=f"cyclic({n})"), n)
 
 
 def alternating_order(n: int) -> int:

@@ -59,6 +59,8 @@ class PermGroup:
     generator of the wrong degree is an error.
     """
 
+    _order_bound: int | None = None  # closed-form bound on |G|, set only by constructions
+
     def __init__(self, degree: int, generators, label: str | None = None):
         if degree < 1:
             raise ValueError("degree must be at least 1")
@@ -177,10 +179,22 @@ class _Chain:
     def contains(self, p: Permutation) -> bool:
         return self._sift(p) is None
 
-    def _close(self, from_level: int) -> None:
-        """Re-establish the chain invariant from `from_level` upwards."""
+    def _orbit_product(self) -> int:
+        """Product of the basic orbit lengths, without rebuilding transversals."""
+        n = 1
+        for lv in self.levels:
+            orb = _schreier_vector(self.strong, lv.gen_idxs, lv.point)[0] if lv.dirty else lv.orbit_list
+            n *= len(orb)
+        return n
+
+    def _close(self, from_level: int, bound: int | None = None) -> None:
+        """Re-establish the chain invariant from `from_level` upwards, or stop
+        once the basic orbit lengths multiply to `bound` (see schreier_sims)."""
         i = min(from_level, len(self.levels) - 1)
+        restart = True  # the orbits grew by the generators just installed
         while i >= 0:
+            if restart and bound is not None and self._orbit_product() == bound:
+                return
             lv = self.levels[i]
             if lv.dirty:
                 lv.rebuild(self.strong, self.degree)
@@ -196,8 +210,7 @@ class _Chain:
                         continue
                     residue = self._sift(sg, i + 1)
                     if residue is not None:
-                        k = self._install(residue)
-                        i = k
+                        i = self._install(residue)
                         restart = True
                         break
                 if restart:
@@ -252,11 +265,18 @@ class Bsgs:
 
 
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
-    """Deterministic Schreier-Sims: same input, same chain, every run."""
+    """Deterministic Schreier-Sims: same input, same chain, every run.
+
+    A group built in `constructions` carries a closed-form `_order_bound`,
+    and the chain stops sifting Schreier generators once its basic orbit
+    lengths multiply to it. This is sound only for a bound >= |G|: the
+    product never exceeds |G| and equals it only on a complete chain, so the
+    chain is the one the full run builds, or the bound is never reached and
+    the full run happens."""
     chain = _Chain(G.degree, base_prefix)
     for g in G.generators:
         chain._install(g)
-    chain._close(len(chain.levels) - 1)
+    chain._close(len(chain.levels) - 1, G._order_bound)
     return Bsgs(
         degree=G.degree,
         base=tuple(chain.base),

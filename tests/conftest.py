@@ -10,12 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from subdeg.perm import Permutation, compose, parse_cycles
-from subdeg.groups import PermGroup
+from subdeg.groups import PermGroup, order
 
 
 def make_group(degree, *cycle_strings, label=None):
     gens = [parse_cycles(s, degree) for s in cycle_strings]
     return PermGroup(degree, gens, label=label)
+
+
+def full_order(G: PermGroup) -> int:
+    """Order from a chain built without the constructor's closed-form bound
+    on |G|, so that an order oracle does not compare a formula with itself."""
+    return order(PermGroup(G.degree, G.generators))
 
 
 def closure_elements(degree: int, gens) -> list[Permutation]:

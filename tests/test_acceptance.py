@@ -32,7 +32,7 @@ from subdeg.corpus import BUILTIN_CORPUS, analyze, fixture_path, load_group
 from subdeg.groups import coset_action, order, point_stabilizer
 from subdeg.lattice import all_subgroups_small, coprime_factorizations, mu
 
-from conftest import make_group
+from conftest import full_order, make_group
 
 
 class criterion:
@@ -163,16 +163,16 @@ def test_criterion_05_ksubsets_7_3():
 def test_criterion_06_order_oracles():
     with criterion(6, "BSGS orders match closed-form formulas"):
         for n in range(5, 10):
-            assert order(alternating(n)) == math.factorial(n) // 2
+            assert full_order(alternating(n)) == math.factorial(n) // 2
         agl_params = [p for fam, p in BUILTIN_CORPUS if fam == "agl"]
         assert agl_params
         for d, p in agl_params:
             affine = p**d * math.prod(p**d - p**i for i in range(d))
-            assert order(agl(d, p)) == affine, f"agl({d},{p})"
+            assert full_order(agl(d, p)) == affine, f"agl({d},{p})"
         psl_params = [p for fam, p in BUILTIN_CORPUS if fam == "psl2"]
         assert psl_params
         for (q,) in psl_params:
-            assert order(psl2(q)) == q * (q * q - 1) // math.gcd(2, q - 1), f"psl2({q})"
+            assert full_order(psl2(q)) == q * (q * q - 1) // math.gcd(2, q - 1), f"psl2({q})"
 
 
 def test_criterion_07_mu_oracles():

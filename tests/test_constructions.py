@@ -22,14 +22,19 @@ from subdeg.constructions import (
     psl2_order,
     symmetric,
 )
+from subdeg.corpus import FAMILY_BUILDERS, builtin_entries
 from subdeg.groups import (
+    PermGroup,
     contains,
     is_primitive,
     is_transitive,
     minimal_block_system,
     order,
+    point_stabilizer,
 )
 from subdeg.perm import parse_cycles
+
+from conftest import full_order
 
 AGL_PARAMS = [(1, 5), (1, 7), (1, 13), (2, 2), (2, 3), (3, 2), (2, 5), (4, 2), (2, 7), (3, 3)]
 PSL_PARAMS = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61]
@@ -123,7 +128,7 @@ class TestProjectiveLine:
 class TestAlternatingSymmetric:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_alternating_order(self, n):
-        assert order(alternating(n)) == alternating_order(n) == factorial(n) // 2
+        assert full_order(alternating(n)) == alternating_order(n) == factorial(n) // 2
 
     def test_alternating_is_even_only(self):
         A5 = alternating(5)
@@ -136,7 +141,7 @@ class TestAlternatingSymmetric:
 
     @pytest.mark.parametrize("n,want", [(2, 2), (3, 6), (4, 24), (5, 120)])
     def test_symmetric_order(self, n, want):
-        assert order(symmetric(n)) == want
+        assert full_order(symmetric(n)) == want
 
     def test_primitive_natural_actions(self):
         assert is_primitive(alternating(9))
@@ -218,11 +223,11 @@ class TestPartitions:
 class TestAffine:
     @pytest.mark.parametrize("d,p", AGL_PARAMS)
     def test_order_formula(self, d, p):
-        assert order(agl(d, p)) == agl_order(d, p)
+        assert full_order(agl(d, p)) == agl_order(d, p)
 
     def test_agl_1_5_profile(self):
         G = agl(1, 5)
-        assert order(G) == 20
+        assert full_order(G) == 20
         assert subdegrees(G).subdegrees == (1, 4)
 
     def test_two_transitive(self):
@@ -249,16 +254,16 @@ class TestPSL2:
     def test_order_formula(self, q):
         G = psl2(q)
         assert G.degree == q + 1
-        assert order(G) == psl2_order(q)
+        assert full_order(G) == psl2_order(q)
 
     def test_two_transitive(self):
         for q in [5, 8, 9, 13]:
             assert subdegrees(psl2(q)).subdegrees == (1, q)
 
     def test_small_isomorphs(self):
-        assert order(psl2(4)) == 60
-        assert order(psl2(5)) == 60
-        assert order(psl2(9)) == 360
+        assert full_order(psl2(4)) == 60
+        assert full_order(psl2(5)) == 60
+        assert full_order(psl2(9)) == 360
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -271,15 +276,15 @@ class TestPSL2:
 
 class TestControls:
     def test_cyclic(self):
-        assert order(cyclic(12)) == 12
+        assert full_order(cyclic(12)) == 12
         assert is_primitive(cyclic(5))
         assert not is_primitive(cyclic(6))
         with pytest.raises(ValueError):
             cyclic(1)
 
     def test_dihedral(self):
-        assert order(dihedral(4)) == 8
-        assert order(dihedral(12)) == 24
+        assert full_order(dihedral(4)) == 8
+        assert full_order(dihedral(12)) == 24
         with pytest.raises(ValueError):
             dihedral(2)
 
@@ -308,3 +313,54 @@ class TestDeterminism:
         assert len(a.generators) == len(b.generators)
         for x, y in zip(a.generators, b.generators):
             assert x == y
+
+
+EDGE_BUILDS = [
+    (alternating, (3,)),
+    (alternating, (4,)),
+    (symmetric, (2,)),
+    (symmetric, (3,)),
+    (cyclic, (2,)),
+    (dihedral, (3,)),
+    (agl, (1, 2)),
+    (partition_action, (4, 2)),
+]
+
+
+def chain_state(G):
+    """Everything a stabilizer chain holds, level by level."""
+    b = G.bsgs
+    levels = [
+        (lv.point, lv.gen_idxs, lv.orbit_list, lv.schreier, lv.trans, lv.trans_inv)
+        for lv in b._chain.levels
+    ]
+    return b.base, b.strong_generators, b.order, levels
+
+
+class TestOrderBound:
+    """Each constructor hands Schreier-Sims its closed-form order as an upper
+    bound, and the chain stops once complete; it must be the same chain."""
+
+    @pytest.mark.parametrize(
+        "build, params",
+        [(FAMILY_BUILDERS[fam], params) for _, (fam, params) in builtin_entries()] + EDGE_BUILDS,
+        ids=[name for name, _ in builtin_entries()]
+        + [f"{b.__name__}{p}" for b, p in EDGE_BUILDS],
+    )
+    def test_bounded_chain_is_the_full_chain(self, build, params):
+        G = build(*params)
+        assert G._order_bound is not None
+        full = PermGroup(G.degree, G.generators)
+        assert full._order_bound is None
+        assert chain_state(G) == chain_state(full)
+
+    def test_bound_is_only_an_upper_bound(self):
+        # Alt(4) acts on the 3 pair partitions through its quotient by the
+        # Klein four-group: the bound 4!/2 = 12 is never reached
+        G = partition_action(4, 2)
+        assert G._order_bound == 12
+        assert order(G) == 3
+
+    def test_point_stabilizer_carries_no_bound(self):
+        G = alternating(6)
+        assert point_stabilizer(G, 0)._order_bound is None

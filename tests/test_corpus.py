@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from subdeg.constructions import alternating, cyclic, dihedral
+from subdeg.constructions import alternating, cyclic, dihedral, psl2
 from subdeg.corpus import (
     BUILTIN_CORPUS,
     REPORT_FIELDS,
@@ -13,13 +13,14 @@ from subdeg.corpus import (
     builtin_entries,
     fixture_path,
     group_from_dict,
+    group_to_json,
     load_group,
     report_to_csv,
     report_to_dict,
     verify_corpus,
     write_group,
 )
-from subdeg.groups import coset_action, order
+from subdeg.groups import PermGroup, coset_action, order
 
 from conftest import make_group
 
@@ -68,6 +69,20 @@ class TestLoadGroup:
             },
         )
         with pytest.raises(GroupFileError, match="60.*61|61.*60"):
+            load_group(p)
+
+    @pytest.mark.parametrize("build, param, claim", [(alternating, 5, 15), (psl2, 7, 56)])
+    def test_claimed_order_never_stops_the_chain(self, tmp_path, build, param, claim):
+        # the claim is a product of basic orbit lengths on the way to |G|:
+        # used as the chain's bound, it would stop the chain and be accepted
+        G = build(param)
+        stopped = PermGroup(G.degree, G.generators)
+        stopped._order_bound = claim
+        assert order(stopped) == claim
+        data = json.loads(group_to_json(G))
+        data["metadata"]["expected_order"] = str(claim)
+        p = write_json(tmp_path / "claim.json", data)
+        with pytest.raises(GroupFileError, match="order mismatch"):
             load_group(p)
 
     def test_parse_error_carries_generator_context(self, tmp_path):

@@ -21,7 +21,7 @@ import subdeg.analysis
 import subdeg.corpus
 import subdeg.groups
 from subdeg.analysis import subdegrees
-from subdeg.constructions import alternating, cyclic
+from subdeg.constructions import alternating, cyclic, partition_action
 from subdeg.corpus import analyze, fixture_path, load_group
 from subdeg.perm import Permutation, compose, inverse, parse_cycles
 from subdeg.groups import (
@@ -460,3 +460,30 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
         "orbits": 1,
         "_minimal_block_system": 4,  # one probe per non-trivial suborbit
     }
+
+
+def _count_sifts(monkeypatch) -> list:
+    calls = []
+    real = subdeg.groups._Chain._sift
+
+    def spy(self, p, start=0):
+        calls.append(start)
+        return real(self, p, start)
+
+    monkeypatch.setattr(subdeg.groups._Chain, "_sift", spy)
+    return calls
+
+
+def test_known_order_chain_stops_early(monkeypatch):
+    # the parent of the known-order stop sifted 3,930 Schreier generators
+    G = partition_action(9, 3)
+    sifts = _count_sifts(monkeypatch)
+    assert order(G) == 181440
+    assert len(sifts) <= 500
+
+
+def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
+    G = _fresh_j1()
+    sifts = _count_sifts(monkeypatch)
+    assert order(G) == 175560
+    assert len(sifts) == 1865
