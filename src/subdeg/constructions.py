@@ -11,8 +11,6 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import factorial, gcd
 
-import numpy as np
-
 from .groups import CapExceeded, PermGroup
 from .numtheory import is_prime, prime_factors
 from .perm import Permutation
@@ -191,7 +189,7 @@ class ProjectiveLine:
         det = F.sub(F.mul(a, d), F.mul(b, c))
         if det == 0:
             raise ValueError("matrix is singular")
-        images = np.empty(self.size, dtype=np.int64)
+        images = [0] * self.size
         for x in range(F.q):
             num = F.add(F.mul(x, a), c)
             den = F.add(F.mul(x, b), d)
@@ -210,16 +208,12 @@ def alternating(n: int) -> PermGroup:
     """Alt(n) natural: (0 1 2) plus an n-cycle (n odd) or (n-1)-cycle."""
     if n < 3:
         raise ValueError(f"alternating needs n >= 3, got {n}")
-    three = np.arange(n, dtype=np.int64)
-    three[[0, 1, 2]] = [1, 2, 0]
-    gens = [Permutation(three)]
+    gens = [Permutation([1, 2, 0, *range(3, n)])]
     if n >= 4:
-        cyc = np.arange(n, dtype=np.int64)
         if n % 2 == 1:
-            cyc[:] = (cyc + 1) % n  # full n-cycle, even for odd n
+            cyc = [*range(1, n), 0]  # full n-cycle, even for odd n
         else:
-            cyc[1:-1] = np.arange(2, n)  # (n-1)-cycle on 1..n-1, fixing 0
-            cyc[-1] = 1
+            cyc = [0, *range(2, n), 1]  # (n-1)-cycle on 1..n-1, fixing 0
         gens.append(Permutation(cyc))
     return _bounded(PermGroup(n, gens, label=f"alt({n})"), alternating_order(n))
 
@@ -227,10 +221,8 @@ def alternating(n: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"symmetric needs n >= 2, got {n}")
-    swap = np.arange(n, dtype=np.int64)
-    swap[[0, 1]] = [1, 0]
     gens = [] if n == 2 else list(alternating(n).generators)
-    gens.append(Permutation(swap))
+    gens.append(Permutation([1, 0, *range(2, n)]))
     return _bounded(PermGroup(n, gens, label=f"sym({n})"), factorial(n))
 
 
@@ -238,10 +230,7 @@ def _induced_action(gens, labels, apply_label, name: str, bound: int) -> PermGro
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for g in gens:
-        images = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            images[i] = index[apply_label(g, lab)]
-        out.append(Permutation(images))
+        out.append(Permutation([index[apply_label(g, lab)] for lab in labels]))
     return _bounded(PermGroup(len(labels), out, label=name), bound)
 
 
@@ -318,7 +307,7 @@ def agl(d: int, p: int) -> PermGroup:
     encode = {v: sum(c * p**i for i, c in enumerate(v)) for v in vectors}
 
     def perm_from(fn) -> Permutation:
-        images = np.empty(degree, dtype=np.int64)
+        images = [0] * degree
         for v, i in encode.items():
             images[i] = encode[fn(v)]
         return Permutation(images)
@@ -375,15 +364,15 @@ def dihedral(n: int) -> PermGroup:
     reflection fixing point 0."""
     if n < 3:
         raise ValueError(f"dihedral needs n >= 3, got {n}")
-    rot = Permutation(np.roll(np.arange(n, dtype=np.int64), -1))
-    refl = Permutation((-np.arange(n, dtype=np.int64)) % n)
+    rot = Permutation([*range(1, n), 0])
+    refl = Permutation([-x % n for x in range(n)])
     return _bounded(PermGroup(n, [rot, refl], label=f"dihedral({n})"), 2 * n)
 
 
 def cyclic(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"cyclic needs n >= 2, got {n}")
-    rot = Permutation(np.roll(np.arange(n, dtype=np.int64), -1))
+    rot = Permutation([*range(1, n), 0])
     return _bounded(PermGroup(n, [rot], label=f"cyclic({n})"), n)
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
 from .constructions import (
     agl,
@@ -72,7 +70,7 @@ def _generator_from_entry(entry, degree: int, idx: int, path) -> Permutation:
                 path, f"generator {idx + 1}: image entries must be integers in 1..{degree}"
             )
         try:
-            return Permutation(np.asarray(entry, dtype=np.int64) - 1)
+            return Permutation([x - 1 for x in entry])
         except ValueError as e:
             raise _fail(path, f"generator {idx + 1}: {e}") from e
     raise _fail(path, f"generator {idx + 1}: expected a cycle string or an image list")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numtheory import is_prime, prime_factors
 from .perm import Permutation, compose, inverse
 
@@ -201,8 +199,9 @@ class _Chain:
             restart = False
             for gi in list(lv.gen_idxs):
                 g = self.strong[gi]
+                img = g.image_seq()
                 for a in lv.orbit_list:
-                    b = g(a)
+                    b = img[a]
                     if lv.schreier.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
                     sg = compose(compose(lv.trans[a], g), lv.trans_inv[b])
@@ -290,7 +289,7 @@ def _schreier_vector(gens, idxs, point: int) -> tuple[list[int], dict[int, tuple
     """Breadth-first orbit of a point under gens[i] for i in idxs, trying
     the generators in idxs order, with the Schreier vector mapping each orbit
     point to (generator index, predecessor); the point maps to (-1, point)."""
-    images = [(gi, gens[gi].images.tolist()) for gi in idxs]
+    images = [(gi, gens[gi].image_seq()) for gi in idxs]
     orb = [point]
     vec = {point: (-1, point)}
     for a in orb:
@@ -366,11 +365,8 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
 
 def fixed_points(H: PermGroup) -> tuple[int, ...]:
     """Points fixed by every generator."""
-    fixed = np.ones(H.degree, dtype=bool)
-    ident = np.arange(H.degree)
-    for g in H.generators:
-        fixed &= g.images == ident
-    return tuple(int(x) for x in np.flatnonzero(fixed))
+    imgs = [g.image_seq() for g in H.generators]
+    return tuple(x for x in range(H.degree) if all(img[x] == x for img in imgs))
 
 
 def _canonical_coset_rep(chain: _Chain, g: Permutation) -> Permutation:
@@ -385,8 +381,7 @@ def _canonical_coset_rep(chain: _Chain, g: Permutation) -> Permutation:
         if lv.dirty:
             lv.rebuild(chain.strong, chain.degree)
         if len(lv.orbit_list) > 1:
-            img = cur.images
-            best = min(lv.orbit_list, key=lambda d: img[d])
+            best = min(lv.orbit_list, key=cur.image_seq().__getitem__)
             if best != lv.point:
                 cur = compose(lv.trans[best], cur)
     return cur
@@ -425,9 +420,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutati
                 reps.append(rep)
             images[gi].append(j)
     assert len(reps) == index, "coset enumeration disagrees with the index"
-    induced = [
-        Permutation(np.array(img, dtype=np.int64)) for img in images
-    ]
+    induced = [Permutation(img) for img in images]
     label = f"{G.label or 'G'} on {index} cosets"
     K = PermGroup(index, induced, label=label)
     return K, tuple(reps)
@@ -480,6 +473,7 @@ def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
             parent[x], x = root, parent[x]
         return root
 
+    imgs = [g.image_seq() for g in G.generators]
     queue = [(a, b)]
     while queue:
         x, y = queue.pop()
@@ -487,8 +481,8 @@ def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         if rx == ry:
             continue
         parent[ry] = rx
-        for g in G.generators:
-            queue.append((g(x), g(y)))
+        for img in imgs:
+            queue.append((img[x], img[y]))
     classes: dict[int, list[int]] = {}
     for x in range(n):
         classes.setdefault(find(x), []).append(x)

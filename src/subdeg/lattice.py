@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-import numpy as np
-
 from .analysis import maximum_cliques
 from .groups import CapExceeded, PermGroup, elements, order
 from .numtheory import prime_factors as distinct_prime_factors
-from .perm import Permutation, inverse
+from .perm import Permutation, inverse, stack_images
 
 __all__ = [
     "SUBGROUP_CAP",
@@ -119,13 +117,15 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
     proper H is maximal iff every join it tries is G. If H < M < G, any g in
     M outside H gives a proper <H, g> <= M, which H tries or covers by a
     double coset with the same join."""
+    import numpy as np
+
     n = order(G)
     if n > cap:
         raise CapExceeded("group order", n, cap)
     degree = G.degree
     elems = elements(G)
     ident = Permutation.identity(degree)
-    images = np.stack([p.images for p in elems])
+    images = stack_images(elems)
     index_of = {images[i].tobytes(): i for i in range(n)}
     ident_idx = index_of[ident.images.tobytes()]
     gen_idx = [index_of[p.images.tobytes()] for p in G.generators]

@@ -1,15 +1,16 @@
-"""Permutations as image arrays, with cycle-notation parsing and formatting.
+"""Permutations as image sequences, with cycle-notation parsing and formatting.
 
-Points are 0-based internally. Cycle notation, the external format, is
-1-based. Composition reads left to right: compose(a, b) applies a first,
-so compose(a, b)(x) == b(a(x)).
+Images are bytes up to degree 255 and a read-only int64 numpy array above,
+so numpy is imported only for the larger degrees. Points are 0-based
+internally. Cycle notation, the external format, is 1-based. Composition
+reads left to right: compose(a, b) applies a first, so
+compose(a, b)(x) == b(a(x)).
 """
 from __future__ import annotations
 
 from functools import cache
 from math import lcm
-
-import numpy as np
+from operator import index
 
 __all__ = [
     "Permutation",
@@ -23,67 +24,75 @@ __all__ = [
 
 
 class Permutation:
-    """Element of Sym(n) stored as the array of images img, img[x] = x^p."""
+    """Element of Sym(n) stored as its images img, img[x] = x^p: bytes for
+    n <= 255, a read-only int64 numpy array above. The form follows from n
+    alone, so equal permutations share it."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("_img",)
 
-    def __init__(self, images, *, _trusted: bool = False):
-        if _trusted:
-            arr = images
-        else:
-            arr = np.array(images, dtype=np.int64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("permutation needs a non-empty 1-d image sequence")
-            n = int(arr.size)
-            if arr.min() < 0 or arr.max() >= n:
-                raise ValueError(f"image out of range for degree {n}")
-            seen = np.zeros(n, dtype=bool)
-            seen[arr] = True
-            if not bool(seen.all()):
-                raise ValueError("images do not form a bijection")
-        arr.setflags(write=False)
-        self.images = arr
-        self._hash = None
+    def __init__(self, images):
+        try:
+            img = [index(x) for x in images]
+        except TypeError:
+            raise ValueError("permutation images must be a 1-d sequence of integers") from None
+        n = len(img)
+        if n == 0:
+            raise ValueError("permutation needs a non-empty 1-d image sequence")
+        if min(img) < 0 or max(img) >= n:
+            raise ValueError(f"image out of range for degree {n}")
+        if len(set(img)) != n:
+            raise ValueError("images do not form a bijection")
+        self._img = _store(img)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        return cls(np.arange(degree, dtype=np.int64), _trusted=True)
+        return _wrap(_identity(degree))
 
     @property
     def degree(self) -> int:
-        return int(self.images.size)
+        return len(self._img)
+
+    @property
+    def images(self):
+        """The images as a read-only int64 numpy array, at every degree."""
+        return _frozen(stack_images([self])[0])
+
+    def image_seq(self):
+        """The images as an indexable sequence of ints, cheap to read point by
+        point: the bytes themselves, or a list above degree 255."""
+        img = self._img
+        return img if isinstance(img, bytes) else img.tolist()
 
     def __call__(self, point: int) -> int:
-        return int(self.images[point])
+        return int(self._img[point])
 
     def is_identity(self) -> bool:
-        return self.images.tobytes() == _identity_bytes(self.images.size)
+        return _raw(self._img) == _identity_raw(len(self._img))
 
     def order(self) -> int:
         return order_of(self)
 
     def min_moved(self) -> int | None:
         """Smallest moved point, or None for the identity."""
-        diff = np.flatnonzero(self.images != np.arange(self.degree))
-        return int(diff[0]) if diff.size else None
+        return next((x for x, y in enumerate(self.image_seq()) if x != y), None)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycles of length >= 2, each rotated to start at its smallest point,
         sorted by that smallest point."""
-        img = self.images
-        seen = np.zeros(self.degree, dtype=bool)
+        img = self.image_seq()
+        seen = bytearray(len(img))
         out = []
-        for start in range(self.degree):
+        for start in range(len(img)):
             if seen[start]:
                 continue
             cyc = []
             x = start
             while not seen[x]:
-                seen[x] = True
+                seen[x] = 1
                 cyc.append(x)
-                x = int(img[x])
+                x = img[x]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -91,38 +100,85 @@ class Permutation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.images.size == other.images.size and bool(
-            (self.images == other.images).all()
-        )
+        return len(self._img) == len(other._img) and _raw(self._img) == _raw(other._img)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.images.tobytes())
-        return self._hash
+        img = self._img
+        return hash(img if isinstance(img, bytes) else img.tobytes())
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
 
+def _store(img: list[int]):
+    """Stored form of a validated image list: bytes up to degree 255, else a
+    read-only int64 array."""
+    if len(img) < 256:
+        return bytes(img)
+    import numpy as np
+
+    return _frozen(np.array(img, dtype=np.int64))
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _wrap(img) -> Permutation:
+    """Permutation around an image already in its stored form, unchecked."""
+    p = object.__new__(Permutation)
+    p._img = img
+    return p
+
+
+def _raw(img) -> bytes:
+    """A stored image as bytes, for equality and hashing."""
+    return img if isinstance(img, bytes) else img.tobytes()
+
+
 @cache
-def _identity_bytes(degree: int) -> bytes:
-    """Image bytes of the identity; every image array is int64."""
-    return np.arange(degree, dtype=np.int64).tobytes()
+def _identity(degree: int):
+    return _store(list(range(degree)))
+
+
+@cache
+def _identity_raw(degree: int) -> bytes:
+    return _raw(_identity(degree))
+
+
+# _PAD[n] holds the fixed points n..255 that make an image a translate table
+_PAD = tuple(bytes(range(n, 256)) for n in range(256))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Product ab under the left-to-right convention: x^(ab) = (x^a)^b."""
-    if a.images.size != b.images.size:
-        raise ValueError(
-            f"degree mismatch: {a.images.size} vs {b.images.size}"
-        )
-    return Permutation(b.images[a.images], _trusted=True)
+    x, y = a._img, b._img
+    if len(x) != len(y):
+        raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
+    if isinstance(x, bytes):
+        return _wrap(x.translate(y + _PAD[len(y)]))
+    return _wrap(_frozen(y[x]))
 
 
 def inverse(p: Permutation) -> Permutation:
-    inv = np.empty(p.images.size, dtype=np.int64)
-    inv[p.images] = np.arange(p.images.size, dtype=np.int64)
-    return Permutation(inv, _trusted=True)
+    img = p._img
+    n = len(img)
+    if isinstance(img, bytes):
+        return _wrap(bytes.maketrans(img, _identity(n))[:n])
+    inv = img.copy()
+    inv[img] = _identity(n)
+    return _wrap(_frozen(inv))
+
+
+def stack_images(perms):
+    """Images of permutations of one degree as the rows of an int64 array."""
+    import numpy as np
+
+    if isinstance(perms[0]._img, bytes):
+        flat = np.frombuffer(b"".join(p._img for p in perms), dtype=np.uint8)
+        return flat.reshape(len(perms), -1).astype(np.int64)
+    return np.stack([p._img for p in perms])
 
 
 def order_of(p: Permutation) -> int:
@@ -201,11 +257,11 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     sc = _CycleScanner(text)
-    images = np.arange(degree, dtype=np.int64)
+    images = list(range(degree))
     used: set[int] = set()
     sc.skip_ws()
     if sc.peek() is None:
-        return Permutation(images, _trusted=True)
+        return _wrap(_store(images))
     first_cycle = True
     while sc.peek() is not None:
         sc.expect("(")
@@ -216,7 +272,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             sc.skip_ws()
             if sc.peek() is not None:
                 raise sc.error("unexpected input after '()'")
-            return Permutation(images, _trusted=True)
+            return _wrap(_store(images))
         first_cycle = False
         cyc: list[int] = []
         while True:
@@ -238,4 +294,4 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for i, pt in enumerate(cyc):
             images[pt] = cyc[(i + 1) % len(cyc)]
         sc.skip_ws()
-    return Permutation(images, _trusted=True)
+    return _wrap(_store(images))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from subdeg.analysis import maximum_cliques
-from subdeg.constructions import agl, psl2, symmetric
+from subdeg.constructions import agl, dihedral, psl2, symmetric
 from subdeg.groups import CapExceeded, PermGroup, order
 from subdeg.lattice import (
+    SUBGROUP_CAP,
     all_subgroups_small,
     check_mu_bound,
     coprime_factorizations,
@@ -163,6 +164,19 @@ class TestAllSubgroups:
         assert orders == sorted(orders)
         for s in lat.subgroups:
             assert lat.group_order % s.order == 0
+
+    @pytest.mark.parametrize("G,count", [(psl2(7), 179), (dihedral(257), 260)], ids=["PSL(2,7)", "D257"])
+    def test_order_is_order_then_int64_image_bytes(self, G, count):
+        # one key on both sides of degree 255, where permutations change form
+        assert order(G) <= SUBGROUP_CAP
+
+        def key(s):
+            rows = (np.array([p(x) for x in range(p.degree)], dtype="<i8").tobytes() for p in s.element_set)
+            return s.order, sorted(rows)
+
+        keys = [key(s) for s in all_subgroups_small(G).subgroups]
+        assert len(keys) == count
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_deterministic(self):
         G = make_group(4, "(1,2,3,4)", "(1,2)")

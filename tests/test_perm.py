@@ -1,9 +1,11 @@
 """Permutation arithmetic and the cycle-notation grammar."""
 from __future__ import annotations
 
+from math import lcm
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from subdeg.perm import (
     Permutation,
@@ -58,12 +60,29 @@ def test_is_identity_on_identity_and_transpositions(n):
 
 
 def test_validation_rejects_bad_images():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bijection"):
         perm([0, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         perm([0, 3, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         perm([])
+
+
+@pytest.mark.parametrize("n", [2, 300])
+@pytest.mark.parametrize(
+    "head", [[1.5, 0], ["1", "0"], [1, 0.0], [np.float64(1), 0]], ids=["float", "str", "float-zero", "np-float"]
+)
+def test_validation_rejects_non_integer_images(n, head):
+    # a float or string entry is an error even where it names a valid point
+    with pytest.raises(ValueError):
+        Permutation(head + list(range(2, n)))
+
+
+@pytest.mark.parametrize("n", [2, 300])
+def test_validation_accepts_python_and_numpy_ints(n):
+    want = [1, 0, *range(2, n)]
+    assert Permutation([np.int64(1), np.int32(0), *range(2, n)]) == Permutation(want)
+    assert Permutation(np.array(want, dtype=np.int16)).images.tolist() == want
 
 
 def test_parse_identity_forms():
@@ -161,3 +180,70 @@ def test_images_are_read_only():
     p = parse_cycles("(1,2)", 3)
     with pytest.raises(ValueError):
         p.images[0] = 2
+
+
+BOUNDARY_DEGREES = [1, 2, 254, 255, 256, 257, 300]
+
+
+def oracle_cycles(img: list[int]) -> list[tuple[int, ...]]:
+    """Cycles of a plain image list, each from its smallest point, sorted."""
+    out, seen = [], set()
+    for start in range(len(img)):
+        if start in seen or img[start] == start:
+            continue
+        cyc = [start]
+        while img[cyc[-1]] != start:
+            cyc.append(img[cyc[-1]])
+        seen.update(cyc)
+        out.append(tuple(cyc))
+    return out
+
+
+@st.composite
+def boundary_pairs(draw):
+    n = draw(st.sampled_from(BOUNDARY_DEGREES))
+    a = list(draw(st.permutations(range(n))))
+    b = draw(st.one_of(st.just(a), st.just(list(range(n))), st.permutations(range(n)).map(list)))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_pairs())
+def test_both_forms_match_a_list_oracle(pair):
+    # degrees on both sides of 255, where the stored form changes
+    a, b = pair
+    n = len(a)
+    p, q = Permutation(a), Permutation(b)
+    assert compose(p, q).images.tolist() == [b[a[x]] for x in range(n)]
+    inv = [0] * n
+    for x, y in enumerate(a):
+        inv[y] = x
+    assert inverse(p).images.tolist() == inv
+    assert (p == q) == (a == b)
+    if a == b:
+        assert hash(p) == hash(q)
+    assert p.is_identity() == (a == list(range(n)))
+    cycs = oracle_cycles(a)
+    assert p.cycles() == cycs
+    assert format_cycles(p) == ("".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cycs) or "()")
+    assert p.min_moved() == next((x for x in range(n) if a[x] != x), None)
+    assert order_of(p) == lcm(1, *map(len, cycs))
+    img = p.images
+    assert img.dtype == np.int64 and img.tolist() == a
+    with pytest.raises(ValueError):
+        img[0] = 0
+    assert [p(x) for x in range(n)] == a
+
+
+@pytest.mark.parametrize("n", BOUNDARY_DEGREES)
+def test_every_input_form_gives_one_value(n):
+    img = [*range(1, n), 0]
+    made = [
+        Permutation(img),
+        Permutation(tuple(img)),
+        Permutation(np.array(img, dtype=np.int64)),
+        parse_cycles("(" + ",".join(str(x + 1) for x in range(n)) + ")" if n > 1 else "", n),
+    ]
+    assert all(m == made[0] for m in made)
+    assert len({hash(m) for m in made}) == 1
+    assert len(set(made)) == 1
