@@ -100,15 +100,24 @@ class PermGroup:
 class _Level:
     """One level of the stabilizer chain."""
 
-    __slots__ = ("point", "gen_idxs", "orbit_list", "trans", "trans_inv", "schreier", "dirty")
+    __slots__ = ("point", "gen_idxs", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv", "dirty")
 
     def __init__(self, point: int):
         self.point = point
         self.gen_idxs: list[int] = []
-        self.dirty = True  # orbit_list, trans, trans_inv and schreier are set by rebuild
+        self.orbit_gens = -1  # len(gen_idxs) when orbit_list and schreier were built
+        self.dirty = True  # trans and trans_inv are set by rebuild
+
+    def orbit(self, strong: list[Permutation]) -> list[int]:
+        """The basic orbit, with its Schreier vector rebuilt only when
+        generators were added since the last build."""
+        if self.orbit_gens != len(self.gen_idxs):
+            self.orbit_list, self.schreier = _schreier_vector(strong, self.gen_idxs, self.point)
+            self.orbit_gens = len(self.gen_idxs)
+        return self.orbit_list
 
     def rebuild(self, strong: list[Permutation], degree: int) -> None:
-        self.orbit_list, self.schreier = _schreier_vector(strong, self.gen_idxs, self.point)
+        self.orbit(strong)
         self.trans = {self.point: Permutation.identity(degree)}
         for b in self.orbit_list[1:]:
             gi, a = self.schreier[b]
@@ -181,8 +190,7 @@ class _Chain:
         """Product of the basic orbit lengths, without rebuilding transversals."""
         n = 1
         for lv in self.levels:
-            orb = _schreier_vector(self.strong, lv.gen_idxs, lv.point)[0] if lv.dirty else lv.orbit_list
-            n *= len(orb)
+            n *= len(lv.orbit(self.strong))
         return n
 
     def _close(self, from_level: int, bound: int | None = None) -> None:

@@ -6,18 +6,22 @@ are pairwise coprime. Maximal subgroups suffice: replacing a member by a
 maximal overgroup keeps indices coprime (each index divides the original),
 so the search runs over maximal subgroups only. The test suite verifies
 this against the all-proper-subgroups brute force for every lattice it
-builds.
+builds. The lattice runs on a multiplication table of tuple rows, without
+numpy; its joins stop at half the group order and try each cyclic
+subgroup once per double coset (see all_subgroups_small).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 
 from .analysis import maximum_cliques
 from .groups import CapExceeded, PermGroup, elements, order
 from .numtheory import prime_factors as distinct_prime_factors
-from .perm import Permutation, inverse, stack_images
+from .perm import Permutation, compose, inverse
 
 __all__ = [
     "SUBGROUP_CAP",
@@ -66,9 +70,11 @@ class SubgroupLattice:
         return len(self.subgroups)
 
 
-def _join_closure(rows, base, gens, r: int) -> frozenset[int]:
+def _join_closure(rows, base, gens, r: int) -> frozenset[int] | None:
     """<H, r> for H = <gens> with element indices base, as a union of left
-    cosets x*H found breadth-first from H."""
+    cosets x*H found breadth-first from H; None once it passes half of G,
+    where by Lagrange it can only be G."""
+    half = len(rows) // 2
     joined = set(base)
     cosets = [base[0]]
     for c in cosets:
@@ -76,6 +82,8 @@ def _join_closure(rows, base, gens, r: int) -> frozenset[int]:
             x = rows[s][c]
             if x not in joined:
                 joined.update(map(rows[x].__getitem__, base))
+                if len(joined) > half:
+                    return None
                 cosets.append(x)
     return frozenset(joined)
 
@@ -102,51 +110,51 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
     appears. Cap-gated on |G| (the error carries the order).
 
     An element is its index in elements(G) and a subgroup the frozenset of
-    its element indices. The multiplication table looks up the rows of the
-    identity and the generators of G and fills the rest breadth-first by
-    row(x*s) = row(x)[row(s)]. A join <H, r> is enumerated coset by coset
-    (left-multiplying coset representatives by the generators of H and r)
-    and is proper iff it has fewer than |G| elements. Since
-    <H^g, r^g> = <H, r>^g, a new subgroup enters with its whole class (its
-    orbit under conjugation by the generators of G), and only the
-    representative makes joins; operands in one H-double-coset are tried
-    once (<H, hrh'> = <H, r>). Each insertion counts against
+    its element indices. The multiplication table is a tuple per element:
+    the rows of the identity and the generators of G come from compose, and
+    the rest are filled breadth-first by row(x*s) = row(x)[row(s)]. A join
+    <H, r> is enumerated coset by coset (left-multiplying coset
+    representatives by the generators of H and r) and is proper iff it has
+    fewer than |G| elements; by Lagrange it is G as soon as it passes |G|/2,
+    and the enumeration stops there. Since <H^g, r^g> = <H, r>^g, a new
+    subgroup enters with its whole class (its orbit under conjugation by the
+    generators of G), and only the representative makes joins. An operand
+    is tried once per cyclic subgroup and H-double-coset: after r, every
+    element of H r^k H with k coprime to the order of r is covered, since
+    <H, h r^k h'> = <H, r^k> = <H, r>. Each insertion counts against
     SUBGROUP_COUNT_GUARD, so many singleton classes (C2^k) cannot run on.
 
     Maximality is decided on the representative and holds for its class: a
     proper H is maximal iff every join it tries is G. If H < M < G, any g in
-    M outside H gives a proper <H, g> <= M, which H tries or covers by a
-    double coset with the same join."""
-    import numpy as np
-
+    M outside H gives a proper <H, g> <= M. Either H tries g, or g is
+    covered by a tried r with <H, g> = <H, r>, so that join is proper too."""
     n = order(G)
     if n > cap:
         raise CapExceeded("group order", n, cap)
     degree = G.degree
     elems = elements(G)
     ident = Permutation.identity(degree)
-    images = stack_images(elems)
-    index_of = {images[i].tobytes(): i for i in range(n)}
-    ident_idx = index_of[ident.images.tobytes()]
-    gen_idx = [index_of[p.images.tobytes()] for p in G.generators]
-    # table[i, j] = index of elems[i] composed with elems[j]
-    table = np.full((n, n), -1, dtype=np.int32)
-    table[ident_idx] = np.arange(n)
+    index_of = {p: i for i, p in enumerate(elems)}
+    ident_idx = index_of[ident]
+    gen_idx = [index_of[p] for p in G.generators]
+    # rows[i][j] = index of elems[i] composed with elems[j]; n == 1 never
+    # reaches itemgetter, which would return a bare int for one index
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[ident_idx] = tuple(range(n))
     for g, p in zip(gen_idx, G.generators):
-        table[g] = [index_of[c.tobytes()] for c in images[:, p.images]]
+        rows[g] = tuple(index_of[compose(p, e)] for e in elems)
     reached = [ident_idx, *gen_idx]
     for x in reached:
         for g in gen_idx:
-            y = table[x, g]
-            if table[y, 0] < 0:
-                table[y] = table[x][table[g]]
+            y = rows[x][g]
+            if rows[y] is None:
+                rows[y] = itemgetter(*rows[g])(rows[x])
                 reached.append(y)
-    rows = [memoryview(row) for row in table]
     # conjugation h -> g^-1 h g by each generator g, as a map of indices
-    conjugations = [
-        table[index_of[inverse(p).images.tobytes()]][table[:, g]].tolist()
-        for g, p in zip(gen_idx, G.generators)
-    ]
+    conjugations = []
+    for g, p in zip(gen_idx, G.generators):
+        row_inv = rows[index_of[inverse(p)]]
+        conjugations.append([row_inv[row[g]] for row in rows])
 
     found: dict[frozenset[int], tuple[tuple[int, ...], frozenset[int]]] = {}
     trivial = frozenset([ident_idx])
@@ -163,21 +171,29 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
             if r in covered:
                 continue
             joined = _join_closure(rows, base, gens, r)
-            if len(joined) < n:
+            if joined is not None:
                 maximal.discard(current)
                 if joined not in found:
                     _enter_class(found, conjugations, joined, gens + (r,))
                     pending.append(joined)
-            # every element of H r H joins to the same subgroup; covered is
-            # a union of left cosets x*H, so a covered h*r needs no update
-            for h in base:
-                x = rows[h][r]
-                if x not in covered:
-                    covered.update(map(rows[x].__getitem__, base))
+            # cover H y H for each generator y = r^k of <r>; covered is a
+            # union of double cosets, so a covered y or h*y needs no update
+            powers = [r]
+            while powers[-1] != ident_idx:
+                powers.append(rows[powers[-1]][r])
+            for k, y in enumerate(powers, 1):
+                if y in covered or gcd(k, len(powers)) != 1:
+                    continue
+                for h in base:
+                    x = rows[h][y]
+                    if x not in covered:
+                        covered.update(map(rows[x].__getitem__, base))
 
-    # subgroups sort by order, then by their elements' image bytes
-    key_of = list(index_of)
-    ordered = sorted(found, key=lambda s: (len(s), sorted(key_of[i] for i in s)))
+    # subgroups sort by order, then by their elements' int64 image bytes,
+    # compared through each element's rank under that key
+    keys = [array("q", [*p.image_seq()]).tobytes() for p in elems]
+    rank = {i: k for k, i in enumerate(sorted(range(n), key=keys.__getitem__))}
+    ordered = sorted(found, key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
     subgroups = tuple(
         Subgroup(
             generators=tuple(elems[i] for i in found[s][0] if i != ident_idx) or (ident,),

@@ -482,6 +482,17 @@ def test_known_order_chain_stops_early(monkeypatch):
     assert len(sifts) <= 500
 
 
+def test_each_basic_orbit_is_built_once_per_generator_count(monkeypatch):
+    # the known-order stop and the transversal rebuild share a level's
+    # Schreier vector; building it in both took 40 calls
+    calls = []
+    real = subdeg.groups._schreier_vector
+    monkeypatch.setattr(subdeg.groups, "_schreier_vector", lambda *a: calls.append(1) or real(*a))
+    G = partition_action(9, 3)
+    assert order(G) == 181440
+    assert len(calls) == 21
+
+
 def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
     G = _fresh_j1()
     sifts = _count_sifts(monkeypatch)

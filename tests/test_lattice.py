@@ -53,6 +53,9 @@ ORACLE_GROUPS = {
     "C2": make_group(2, "(1,2)"),
     "trivial": PermGroup(3, []),
     "C2^3": make_group(6, "(1,2)", "(3,4)", "(5,6)"),  # every class a singleton
+    "F21": make_group(7, "(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"),  # odd order: joins stop past |G|/2
+    "C12": make_group(12, "(1,2,3,4,5,6,7,8,9,10,11,12)"),  # four generators of C12 cover one another
+    "AGL(1,7)": agl(1, 7),  # elements of orders 6 and 7, each with several coprime powers
 }
 
 # conjugacy classes of A5's subgroups: 1, C2, C3, V4, C5, S3, D10, A4, A5
@@ -132,6 +135,20 @@ class TestAllSubgroups:
             assert frozenset(closure_elements(lat.degree, s.generators)) == s.element_set
         assert [s.is_maximal for s in lat.subgroups] == maximal_by_containment(lat)
 
+    @pytest.mark.parametrize("name", [k for k, G in ORACLE_GROUPS.items() if order(G) <= 60])
+    def test_nodes_closed_under_element_joins(self, name):
+        # every subgroup is reached from the trivial one by adding one element
+        # at a time, so a node set closed under <S, g> holds every subgroup
+        G = ORACLE_GROUPS[name]
+        lat = all_subgroups_small(G)
+        nodes = {s.element_set for s in lat.subgroups}
+        assert frozenset([Permutation.identity(G.degree)]) in nodes
+        elements_of_g = closure_elements(G.degree, G.generators)
+        for s in lat.subgroups:
+            for g in elements_of_g:
+                if g not in s.element_set:
+                    assert frozenset(closure_elements(G.degree, [*s.generators, g])) in nodes
+
     @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
     def test_classes_match_conjugation_oracle(self, name):
         lat = all_subgroups_small(ORACLE_GROUPS[name])
@@ -143,9 +160,10 @@ class TestAllSubgroups:
         if name == "A5":
             assert sorted(map(len, classes)) == sorted(A5_CLASS_SIZES)
 
-    @pytest.mark.parametrize("name,joins", [("A5", 93), ("PSL(2,7)", 291)])
+    @pytest.mark.parametrize("name,joins", [("A5", 57), ("PSL(2,7)", 150)])
     def test_joins_run_on_class_representatives(self, name, joins, monkeypatch):
-        # joining from every subgroup instead of one per class takes 428 and 2392
+        # joining from every subgroup instead of one per class takes 428 and 2392;
+        # trying each H-double-coset instead of each cyclic subgroup once, 93 and 291
         from subdeg import lattice as lattice_mod
 
         calls = []
@@ -157,6 +175,20 @@ class TestAllSubgroups:
     @pytest.mark.parametrize("G,count", [(symmetric(5), 156), (psl2(7), 179)], ids=["S5", "PSL(2,7)"])
     def test_literature_subgroup_counts(self, G, count):
         assert len(all_subgroups_small(G)) == count
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 43])
+    def test_agl1_closed_form_counts(self, p):
+        # AGL(1,p) = C_p : C_(p-1) has tau(p-1)(p+1) - p + 1 subgroups: the
+        # trivial one, p conjugates of C_d for each d | p-1 above 1, and one
+        # C_p : C_d for each d | p-1. The maximal ones are the p conjugates of
+        # C_(p-1) and C_p : C_((p-1)/q) for each prime q | p-1. AGL(1,43), of
+        # order 1806, sits near SUBGROUP_CAP.
+        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+        primes = [q for q in divisors if q > 1 and all(q % e for e in range(2, q))]
+        lat = all_subgroups_small(agl(1, p))
+        assert lat.group_order == p * (p - 1)
+        assert len(lat) == len(divisors) * (p + 1) - p + 1
+        assert len(lat.maximal()) == len(primes) + p
 
     def test_lagrange_and_ordering(self):
         lat = all_subgroups_small(make_group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"))

@@ -52,16 +52,18 @@ def test_import_leaves_multiprocessing_unloaded():
 
 
 def test_numpy_loads_only_above_degree_255():
-    # a small group runs on byte-string permutations; J1 (266 points) needs numpy
+    # a small group, its subgroup lattice included, runs on byte-string
+    # permutations and tuple table rows; J1 (266 points) needs numpy
     code = (
         "import sys, subdeg; subdeg.analyze(subdeg.alternating(5)); print('numpy' in sys.modules); "
+        "G = subdeg.psl2(7); subdeg.mu(G); subdeg.coprime_factorizations(G); print('numpy' in sys.modules); "
         "G = subdeg.load_group(subdeg.fixture_path('j1_266.json')); print(G.degree, 'numpy' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["False", "266", "True"]
+    assert proc.stdout.split() == ["False", "False", "266", "True"]
 
 
 def test_only_the_subgroup_cap_is_a_parameter():
