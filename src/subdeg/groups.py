@@ -98,36 +98,58 @@ class PermGroup:
 
 
 class _Level:
-    """One level of the stabilizer chain."""
+    """One level of the stabilizer chain: a base point, the strong
+    generators fixing the earlier base points, the basic orbit with its
+    Schreier vector, and the transversal, whose elements are built only
+    when read (see `rep`)."""
 
-    __slots__ = ("point", "gen_idxs", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv", "dirty")
+    __slots__ = ("point", "gen_idxs", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv")
 
-    def __init__(self, point: int):
+    def __init__(self, point: int, degree: int):
         self.point = point
         self.gen_idxs: list[int] = []
         self.orbit_gens = -1  # len(gen_idxs) when orbit_list and schreier were built
-        self.dirty = True  # trans and trans_inv are set by rebuild
+        e = Permutation.identity(degree)
+        self.trans = {point: e}  # orbit point -> coset representative, filled by rep
+        self.trans_inv = {point: e}  # orbit point -> its inverse, filled by rep
 
     def orbit(self, strong: list[Permutation]) -> list[int]:
-        """The basic orbit, with its Schreier vector rebuilt only when
-        generators were added since the last build."""
+        """The basic orbit, with its Schreier vector rebuilt, and the
+        transversal memos emptied, only when generators were added since
+        the last build."""
         if self.orbit_gens != len(self.gen_idxs):
             self.orbit_list, self.schreier = _schreier_vector(strong, self.gen_idxs, self.point)
             self.orbit_gens = len(self.gen_idxs)
+            e = self.trans[self.point]
+            self.trans = {self.point: e}
+            self.trans_inv = {self.point: e}
         return self.orbit_list
 
-    def rebuild(self, strong: list[Permutation], degree: int) -> None:
-        self.orbit(strong)
-        self.trans = {self.point: Permutation.identity(degree)}
-        for b in self.orbit_list[1:]:
-            gi, a = self.schreier[b]
-            self.trans[b] = compose(self.trans[a], strong[gi])
-        self.trans_inv = {b: inverse(u) for b, u in self.trans.items()}
-        self.dirty = False
+    def rep(self, b: int, strong: list[Permutation], inv: bool = False) -> Permutation:
+        """The transversal element carrying the base point to the orbit point
+        b, or its inverse. The first read walks the Schreier vector, without
+        recursion, up to a point already built and memoizes every point on
+        the path. The orbit must be current (see `orbit`)."""
+        if inv:
+            u = self.trans_inv.get(b)
+            if u is None:
+                u = self.trans_inv[b] = inverse(self.rep(b, strong))
+            return u
+        trans, vec = self.trans, self.schreier
+        path = []
+        while b not in trans:
+            path.append(b)
+            b = vec[b][1]
+        u = trans[b]
+        for c in reversed(path):
+            u = trans[c] = compose(u, strong[vec[c][0]])
+        return u
 
 
 class _Chain:
-    """Mutable deterministic Schreier-Sims chain supporting incremental adds."""
+    """Mutable deterministic Schreier-Sims chain supporting incremental adds.
+    Each level holds its orbit and Schreier vector; its transversal elements
+    are built on demand."""
 
     def __init__(self, degree: int, base_prefix=()):
         self.degree = degree
@@ -137,18 +159,17 @@ class _Chain:
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
             if all(lv.point != pt for lv in self.levels):
-                self.levels.append(_Level(pt))
+                self.levels.append(_Level(pt, degree))
 
     @property
     def base(self) -> list[int]:
         return [lv.point for lv in self.levels]
 
     def order(self) -> int:
+        """Product of the basic orbit lengths; |G| once the chain is complete."""
         n = 1
         for lv in self.levels:
-            if lv.dirty:
-                lv.rebuild(self.strong, self.degree)
-            n *= len(lv.orbit_list)
+            n *= len(lv.orbit(self.strong))
         return n
 
     def _install(self, g: Permutation) -> int:
@@ -159,39 +180,29 @@ class _Chain:
                 i = l
                 break
         if i is None:
-            self.levels.append(_Level(g.min_moved()))
+            self.levels.append(_Level(g.min_moved(), self.degree))
             i = len(self.levels) - 1
         gi = len(self.strong)
         self.strong.append(g)
         for l in range(i + 1):
             self.levels[l].gen_idxs.append(gi)
-            self.levels[l].dirty = True
         return i
 
     def _sift(self, p: Permutation, start: int = 0) -> Permutation | None:
         """Reduce p through levels from `start`; None means p sifted to identity."""
         for l in range(start, len(self.levels)):
             lv = self.levels[l]
-            if lv.dirty:
-                lv.rebuild(self.strong, self.degree)
+            lv.orbit(self.strong)
             delta = p(lv.point)
             if delta == lv.point:
                 continue
-            u_inv = lv.trans_inv.get(delta)
-            if u_inv is None:
+            if delta not in lv.schreier:
                 return p
-            p = compose(p, u_inv)
+            p = compose(p, lv.rep(delta, self.strong, inv=True))
         return None if p.is_identity() else p
 
     def contains(self, p: Permutation) -> bool:
         return self._sift(p) is None
-
-    def _orbit_product(self) -> int:
-        """Product of the basic orbit lengths, without rebuilding transversals."""
-        n = 1
-        for lv in self.levels:
-            n *= len(lv.orbit(self.strong))
-        return n
 
     def _close(self, from_level: int, bound: int | None = None) -> None:
         """Re-establish the chain invariant from `from_level` upwards, or stop
@@ -199,20 +210,20 @@ class _Chain:
         i = min(from_level, len(self.levels) - 1)
         restart = True  # the orbits grew by the generators just installed
         while i >= 0:
-            if restart and bound is not None and self._orbit_product() == bound:
+            if restart and bound is not None and self.order() == bound:
                 return
             lv = self.levels[i]
-            if lv.dirty:
-                lv.rebuild(self.strong, self.degree)
+            strong = self.strong
+            orb = lv.orbit(strong)
             restart = False
             for gi in list(lv.gen_idxs):
-                g = self.strong[gi]
+                g = strong[gi]
                 img = g.image_seq()
-                for a in lv.orbit_list:
+                for a in orb:
                     b = img[a]
                     if lv.schreier.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
-                    sg = compose(compose(lv.trans[a], g), lv.trans_inv[b])
+                    sg = compose(compose(lv.rep(a, strong), g), lv.rep(b, strong, inv=True))
                     if sg.is_identity():
                         continue
                     residue = self._sift(sg, i + 1)
@@ -237,19 +248,17 @@ class _Chain:
 
     def elements_iter(self):
         """All elements, deterministically: transversal products, deepest first."""
-        for lv in self.levels:
-            if lv.dirty:
-                lv.rebuild(self.strong, self.degree)
         elts = [Permutation.identity(self.degree)]
         for lv in reversed(self.levels):
-            if len(lv.orbit_list) == 1:
+            orb = lv.orbit(self.strong)
+            if len(orb) == 1:
                 continue
             nxt = []
-            for pt in sorted(lv.orbit_list):
-                u = lv.trans[pt]
+            for pt in sorted(orb):
                 if pt == lv.point:
                     nxt.extend(elts)
                 else:
+                    u = lv.rep(pt, self.strong)
                     for h in elts:
                         nxt.append(compose(h, u))
             elts = nxt
@@ -288,7 +297,7 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
         degree=G.degree,
         base=tuple(chain.base),
         strong_generators=tuple(chain.strong),
-        order=chain.order(),  # also rebuilds the levels point_stabilizer reads
+        order=chain.order(),
         _chain=chain,
     )
 
@@ -361,10 +370,10 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     chain = G.bsgs._chain
-    if not chain.levels or point not in chain.levels[0].trans:
+    if not chain.levels or point not in chain.levels[0].schreier:
         chain = schreier_sims(G, base_prefix=(point,))._chain
     top = chain.levels[0]
-    u, u_inv = top.trans[point], top.trans_inv[point]
+    u, u_inv = top.rep(point, chain.strong), top.rep(point, chain.strong, inv=True)
     level1 = chain.levels[1].gen_idxs if len(chain.levels) > 1 else []
     gens = [compose(compose(u_inv, chain.strong[gi]), u) for gi in level1]
     label = f"Stab({point})" if G.label is None else f"{G.label}.stab({point})"
@@ -386,12 +395,11 @@ def _canonical_coset_rep(chain: _Chain, g: Permutation) -> Permutation:
     point over its fundamental orbit) yields the lex-least image array."""
     cur = g
     for lv in chain.levels:
-        if lv.dirty:
-            lv.rebuild(chain.strong, chain.degree)
-        if len(lv.orbit_list) > 1:
-            best = min(lv.orbit_list, key=cur.image_seq().__getitem__)
+        orb = lv.orbit(chain.strong)
+        if len(orb) > 1:
+            best = min(orb, key=cur.image_seq().__getitem__)
             if best != lv.point:
-                cur = compose(lv.trans[best], cur)
+                cur = compose(lv.rep(best, chain.strong), cur)
     return cur
 
 
@@ -514,7 +522,8 @@ def is_primitive(G: PermGroup) -> bool:
     The minimal block containing a point and x depends only on the suborbit
     of x (Atkinson, Math. Comp. 29, 1975), so one probe per non-trivial
     suborbit suffices. The suborbits at any point serve; these are at 0. A
-    regular group (trivial stabilizer) is primitive iff its degree is prime."""
+    block's size divides the degree, so a prime degree needs no probe, and a
+    regular group (trivial stabilizer) of composite degree is imprimitive."""
     if not is_transitive(G):
         return False
     return _is_primitive_at(G, 0, orbits(point_stabilizer(G, 0)))
@@ -523,8 +532,10 @@ def is_primitive(G: PermGroup) -> bool:
 def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
     """is_primitive for a transitive G, given the orbits of the stabilizer of
     point: one unchecked probe per suborbit other than (point,)."""
+    if is_prime(G.degree):
+        return True
     if all(len(orb) == 1 for orb in suborbits):
-        return is_prime(G.degree)
+        return False
     return all(
         _minimal_block_system(G, (point, orb[0])).num_blocks == 1
         for orb in suborbits

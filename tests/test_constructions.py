@@ -328,10 +328,18 @@ EDGE_BUILDS = [
 
 
 def chain_state(G):
-    """Everything a stabilizer chain holds, level by level."""
+    """Everything a stabilizer chain holds, level by level, with the
+    transversal element and its inverse at every orbit point."""
     b = G.bsgs
+    strong = b._chain.strong
     levels = [
-        (lv.point, lv.gen_idxs, lv.orbit_list, lv.schreier, lv.trans, lv.trans_inv)
+        (
+            lv.point,
+            lv.gen_idxs,
+            lv.orbit_list,
+            lv.schreier,
+            [(lv.rep(x, strong), lv.rep(x, strong, inv=True)) for x in lv.orbit_list],
+        )
         for lv in b._chain.levels
     ]
     return b.base, b.strong_generators, b.order, levels

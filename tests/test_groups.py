@@ -6,6 +6,8 @@ production code must reproduce.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +23,9 @@ import subdeg.analysis
 import subdeg.corpus
 import subdeg.groups
 from subdeg.analysis import subdegrees
-from subdeg.constructions import alternating, cyclic, partition_action
+from subdeg.constructions import agl, alternating, cyclic, dihedral, partition_action
 from subdeg.corpus import analyze, fixture_path, load_group
+from subdeg.numtheory import is_prime
 from subdeg.perm import Permutation, compose, inverse, parse_cycles
 from subdeg.groups import (
     Bsgs,
@@ -435,6 +438,23 @@ def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
     assert probes == []
 
 
+def test_is_primitive_prime_degree_needs_no_probe(monkeypatch):
+    # dihedral(997) has 498 non-trivial suborbits, one probe each before
+    probes = _spy(monkeypatch, "_minimal_block_system")
+    assert is_primitive(dihedral(997))
+    assert is_primitive(agl(1, 43))
+    assert probes == []
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 51) if is_prime(p)])
+def test_prime_degree_rule_agrees_with_the_probes(p):
+    for G in (dihedral(p), agl(1, p)):
+        probed = all(
+            subdeg.groups._minimal_block_system(G, (0, x)).num_blocks == 1 for x in range(1, p)
+        )
+        assert is_primitive(G) == probed
+
+
 @pytest.mark.parametrize(
     "make, point",
     [(_fresh_j1, 0), (lambda: alternating(7), 3)],
@@ -491,6 +511,28 @@ def test_each_basic_orbit_is_built_once_per_generator_count(monkeypatch):
     G = partition_action(9, 3)
     assert order(G) == 181440
     assert len(calls) == 21
+
+
+def test_transversal_is_built_only_where_read():
+    # built eagerly, the final levels held 443 entries beyond their base
+    # points and as many inverses; the known-order stop reads none of them
+    G = partition_action(9, 3)
+    assert order(G) == 181440
+    for lv in G.bsgs._chain.levels:
+        assert set(lv.trans) == set(lv.trans_inv) == {lv.point}
+
+
+def test_deep_schreier_tree_is_walked_without_recursion():
+    # the orbit of 0 under one 2003-cycle is a path of Schreier tree edges
+    G = cyclic(2003)
+    assert G.degree > sys.getrecursionlimit()
+    g = G.generators[0]
+    g2000 = inverse(compose(compose(g, g), g))
+    assert g2000(0) == 2000
+    assert contains(G, g)
+    assert contains(G, g2000)
+    assert not contains(G, Permutation([1, 0, *range(2, 2003)]))
+    assert order(point_stabilizer(G, 2002)) == 1
 
 
 def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
