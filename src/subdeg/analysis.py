@@ -88,20 +88,10 @@ def _suborbit_profile(degree: int, point: int, suborbits) -> SuborbitProfile:
     return SuborbitProfile(degree=degree, base_point=point, suborbits=tuple(pairs))
 
 
-def _coprime_graph(values: tuple[int, ...]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in values}
-    for i, u in enumerate(values):
-        for v in values[i + 1 :]:
-            if gcd(u, v) == 1:
-                adj[u].add(v)
-                adj[v].add(u)
-    return adj
-
-
 def maximum_cliques(values) -> list[tuple[int, ...]]:
     """All maximum cliques of the coprimality graph, each sorted ascending."""
     verts = tuple(sorted(set(values)))
-    adj = _coprime_graph(verts)
+    adj = {v: {u for u in verts if u != v and gcd(u, v) == 1} for v in verts}
     best: list[tuple[int, ...]] = [()]
 
     def extend(clique: list[int], candidates: list[int]) -> None:
@@ -172,15 +162,9 @@ class CommonDivisorGraph:
 
 def common_divisor_graph(profile: SuborbitProfile) -> CommonDivisorGraph:
     verts = profile.distinct_nontrivial
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if gcd(u, v) > 1:
-                adj[u].append(v)
-                adj[v].append(u)
     return CommonDivisorGraph(
         vertices=verts,
-        adjacency={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()},
+        adjacency={v: tuple(u for u in verts if u != v and gcd(u, v) > 1) for v in verts},
     )
 
 

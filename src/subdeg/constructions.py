@@ -9,7 +9,7 @@ hands its formula to Schreier-Sims as an upper bound on the order.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .groups import CapExceeded, PermGroup
 from .numtheory import is_prime, prime_factors
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 MAX_FIELD_SIZE = 1024
-PARTITION_DEGREE_CAP = 100_000
+ACTION_DEGREE_CAP = 100_000  # degree of the k-subset and partition actions
 AGL_DEGREE_CAP = 10_000
 
 
@@ -239,6 +239,9 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
     lexicographically. k is restricted to 1 <= k < n/2."""
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
+    degree = comb(n, k)
+    if degree > ACTION_DEGREE_CAP:
+        raise CapExceeded("k-subset degree", degree, ACTION_DEGREE_CAP)
     labels = list(combinations(range(n), k))
     return _induced_action(
         alternating(n).generators,
@@ -270,8 +273,8 @@ def partition_action(n: int, k: int) -> PermGroup:
     if n % k != 0 or not 1 < k < n:
         raise ValueError(f"need k | n and 1 < k < n, got k={k}, n={n}")
     degree = factorial(n) // (factorial(k) ** (n // k) * factorial(n // k))
-    if degree > PARTITION_DEGREE_CAP:
-        raise CapExceeded("partition degree", degree, PARTITION_DEGREE_CAP)
+    if degree > ACTION_DEGREE_CAP:
+        raise CapExceeded("partition degree", degree, ACTION_DEGREE_CAP)
     labels = sorted(_partitions_into_blocks(tuple(range(n)), k))
     assert len(labels) == degree
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -116,11 +116,11 @@ def load_group(path) -> PermGroup:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _fail(path, f"cannot read: {e}") from e
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise _fail(path, f"invalid JSON: {e}") from e
     return group_from_dict(data, path)
 
@@ -146,45 +146,28 @@ def fixture_path(filename: str) -> Path:
     return Path(resources.files("subdeg") / "fixtures" / filename)
 
 
-REPORT_FIELDS = (
-    "name",
-    "degree",
-    "order",
-    "transitive",
-    "primitive",
-    "rank",
-    "subdegrees",
-    "distinct_nontrivial_subdegrees",
-    "max_coprime_clique",
-    "clique_size",
-    "weiss_ok",
-    "neumann_ok",
-    "theorem_ok",
-    "skipped_checks",
-)
-
-
 @dataclass(frozen=True)
 class CoprimeReport:
     """Per-group verification record. Orders are decimal strings so that
     values beyond 64 bits serialize exactly. weiss_ok is pass/fail when the
     group is primitive and not cyclic of prime order, not-applicable
-    otherwise; theorem_ok is null unless the group is primitive."""
+    otherwise; theorem_ok is null unless the group is primitive. The
+    fields from rank to theorem_ok are null for an intransitive group."""
 
     name: str
     degree: int
     order: str
     transitive: bool
     primitive: bool
-    rank: int | None
-    subdegrees: tuple[int, ...] | None
-    distinct_nontrivial_subdegrees: tuple[int, ...] | None
-    max_coprime_clique: tuple[int, ...] | None
-    clique_size: int | None
-    weiss_ok: str | None
-    neumann_ok: bool | None
-    theorem_ok: bool | None
-    skipped_checks: tuple[str, ...]
+    rank: int | None = None
+    subdegrees: tuple[int, ...] | None = None
+    distinct_nontrivial_subdegrees: tuple[int, ...] | None = None
+    max_coprime_clique: tuple[int, ...] | None = None
+    clique_size: int | None = None
+    weiss_ok: str | None = None
+    neumann_ok: bool | None = None
+    theorem_ok: bool | None = None
+    skipped_checks: tuple[str, ...] = ()
 
     @property
     def violates(self) -> bool:
@@ -196,6 +179,9 @@ class CoprimeReport:
             or self.weiss_ok == "fail"
             or self.neumann_ok is False
         )
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(CoprimeReport))
 
 
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
@@ -213,14 +199,6 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
             order=str(n),
             transitive=False,
             primitive=False,
-            rank=None,
-            subdegrees=None,
-            distinct_nontrivial_subdegrees=None,
-            max_coprime_clique=None,
-            clique_size=None,
-            weiss_ok=None,
-            neumann_ok=None,
-            theorem_ok=None,
             skipped_checks=("subdegree analysis: group is not transitive",),
         )
     suborbits = orbits(point_stabilizer(G, point))
@@ -246,7 +224,6 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
         weiss_ok=weiss,
         neumann_ok=neumann_check(profile, clique),
         theorem_ok=(clique.size <= 2) if primitive else None,
-        skipped_checks=(),
     )
 
 

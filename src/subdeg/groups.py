@@ -146,10 +146,11 @@ class _Level:
         return u
 
 
-class _Chain:
-    """Mutable deterministic Schreier-Sims chain supporting incremental adds.
-    Each level holds its orbit and Schreier vector; its transversal elements
-    are built on demand."""
+class Bsgs:
+    """Base and strong generating set: the deterministic Schreier-Sims
+    stabilizer chain, grown by `_install` and completed by `_close`. Each
+    level holds its basic orbit and Schreier vector; its transversal
+    elements are built on demand."""
 
     def __init__(self, degree: int, base_prefix=()):
         self.degree = degree
@@ -162,9 +163,14 @@ class _Chain:
                 self.levels.append(_Level(pt, degree))
 
     @property
-    def base(self) -> list[int]:
-        return [lv.point for lv in self.levels]
+    def base(self) -> tuple[int, ...]:
+        return tuple(lv.point for lv in self.levels)
 
+    @property
+    def strong_generators(self) -> tuple[Permutation, ...]:
+        return tuple(self.strong)
+
+    @property
     def order(self) -> int:
         """Product of the basic orbit lengths; |G| once the chain is complete."""
         n = 1
@@ -188,8 +194,10 @@ class _Chain:
             self.levels[l].gen_idxs.append(gi)
         return i
 
-    def _sift(self, p: Permutation, start: int = 0) -> Permutation | None:
-        """Reduce p through levels from `start`; None means p sifted to identity."""
+    def sift(self, p: Permutation, start: int = 0) -> Permutation | None:
+        """Residue of p reduced through the levels from `start`; None when p
+        sifts to the identity, which from level 0 of a complete chain means
+        p is a member."""
         for l in range(start, len(self.levels)):
             lv = self.levels[l]
             lv.orbit(self.strong)
@@ -201,16 +209,13 @@ class _Chain:
             p = compose(p, lv.rep(delta, self.strong, inv=True))
         return None if p.is_identity() else p
 
-    def contains(self, p: Permutation) -> bool:
-        return self._sift(p) is None
-
     def _close(self, from_level: int, bound: int | None = None) -> None:
         """Re-establish the chain invariant from `from_level` upwards, or stop
         once the basic orbit lengths multiply to `bound` (see schreier_sims)."""
         i = min(from_level, len(self.levels) - 1)
         restart = True  # the orbits grew by the generators just installed
         while i >= 0:
-            if restart and bound is not None and self.order() == bound:
+            if restart and bound is not None and self.order == bound:
                 return
             lv = self.levels[i]
             strong = self.strong
@@ -226,7 +231,7 @@ class _Chain:
                     sg = compose(compose(lv.rep(a, strong), g), lv.rep(b, strong, inv=True))
                     if sg.is_identity():
                         continue
-                    residue = self._sift(sg, i + 1)
+                    residue = self.sift(sg, i + 1)
                     if residue is not None:
                         i = self._install(residue)
                         restart = True
@@ -236,17 +241,7 @@ class _Chain:
             if not restart:
                 i -= 1
 
-    def add_generator(self, g: Permutation) -> bool:
-        """Add g if not already in the group; returns True when the group grew."""
-        if g.degree != self.degree:
-            raise ValueError("degree mismatch")
-        if g.is_identity() or self.contains(g):
-            return False
-        k = self._install(g)
-        self._close(k)
-        return True
-
-    def elements_iter(self):
+    def elements(self) -> list[Permutation]:
         """All elements, deterministically: transversal products, deepest first."""
         elts = [Permutation.identity(self.degree)]
         for lv in reversed(self.levels):
@@ -265,21 +260,6 @@ class _Chain:
         return elts
 
 
-@dataclass(frozen=True, eq=False)
-class Bsgs:
-    """Base and strong generating set of a complete stabilizer chain."""
-
-    degree: int
-    base: tuple[int, ...]
-    strong_generators: tuple[Permutation, ...]
-    order: int
-    _chain: _Chain
-
-    def sift(self, p: Permutation) -> Permutation | None:
-        """Residue of p against the chain; None when p is a member."""
-        return self._chain._sift(p)
-
-
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     """Deterministic Schreier-Sims: same input, same chain, every run.
 
@@ -289,17 +269,11 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     product never exceeds |G| and equals it only on a complete chain, so the
     chain is the one the full run builds, or the bound is never reached and
     the full run happens."""
-    chain = _Chain(G.degree, base_prefix)
+    chain = Bsgs(G.degree, base_prefix)
     for g in G.generators:
         chain._install(g)
     chain._close(len(chain.levels) - 1, G._order_bound)
-    return Bsgs(
-        degree=G.degree,
-        base=tuple(chain.base),
-        strong_generators=tuple(chain.strong),
-        order=chain.order(),
-        _chain=chain,
-    )
+    return chain
 
 
 def _schreier_vector(gens, idxs, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
@@ -369,9 +343,9 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     or trivial G) gets a chain rebuilt with that point as first base point."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    chain = G.bsgs._chain
+    chain = G.bsgs
     if not chain.levels or point not in chain.levels[0].schreier:
-        chain = schreier_sims(G, base_prefix=(point,))._chain
+        chain = schreier_sims(G, base_prefix=(point,))
     top = chain.levels[0]
     u, u_inv = top.rep(point, chain.strong), top.rep(point, chain.strong, inv=True)
     level1 = chain.levels[1].gen_idxs if len(chain.levels) > 1 else []
@@ -386,7 +360,7 @@ def fixed_points(H: PermGroup) -> tuple[int, ...]:
     return tuple(x for x in range(H.degree) if all(img[x] == x for img in imgs))
 
 
-def _canonical_coset_rep(chain: _Chain, g: Permutation) -> Permutation:
+def _canonical_coset_rep(chain: Bsgs, g: Permutation) -> Permutation:
     """Lexicographically least element of the right coset H*g, where H is the
     group of `chain`.
 
@@ -418,7 +392,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutati
         raise CapExceeded("coset index", index, COSET_CAP)
     fixed = set(fixed_points(H))
     prefix = tuple(x for x in range(G.degree) if x not in fixed)
-    chain = schreier_sims(H, base_prefix=prefix)._chain
+    chain = schreier_sims(H, base_prefix=prefix)
     r0 = _canonical_coset_rep(chain, Permutation.identity(G.degree))
     reps = [r0]
     lookup = {r0: 0}
@@ -549,7 +523,7 @@ def elements(G: PermGroup) -> list[Permutation]:
     n = order(G)
     if n > ELEMENTS_CAP:
         raise CapExceeded("group order", n, ELEMENTS_CAP)
-    return G.bsgs._chain.elements_iter()
+    return G.bsgs.elements()
 
 
 def normalizer_small(G: PermGroup, H: PermGroup) -> PermGroup:
@@ -560,12 +534,13 @@ def normalizer_small(G: PermGroup, H: PermGroup) -> PermGroup:
         raise ValueError("H is not a subgroup of G")
     hb = H.bsgs
     gens: list[Permutation] = []
-    chain = _Chain(G.degree)
+    chain = Bsgs(G.degree)
     for g in elements(G):
         conj_ok = all(
             hb.sift(compose(compose(inverse(g), x), g)) is None for x in H.generators
         )
-        if conj_ok and chain.add_generator(g):
+        if conj_ok and chain.sift(g) is not None:
+            chain._close(chain._install(g))
             gens.append(g)
     label = f"N({H.label})" if H.label else "normalizer"
     return PermGroup(G.degree, gens or [Permutation.identity(G.degree)], label=label)

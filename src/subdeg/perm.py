@@ -8,6 +8,7 @@ compose(a, b)(x) == b(a(x)).
 """
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import lcm
 from operator import index
@@ -57,7 +58,12 @@ class Permutation:
     @property
     def images(self):
         """The images as a read-only int64 numpy array, at every degree."""
-        return _frozen(stack_images([self])[0])
+        img = self._img
+        if not isinstance(img, bytes):
+            return img
+        import numpy as np
+
+        return _frozen(np.frombuffer(img, dtype=np.uint8).astype(np.int64))
 
     def image_seq(self):
         """The images as an indexable sequence of ints, cheap to read point by
@@ -171,16 +177,6 @@ def inverse(p: Permutation) -> Permutation:
     return _wrap(_frozen(inv))
 
 
-def stack_images(perms):
-    """Images of permutations of one degree as the rows of an int64 array."""
-    import numpy as np
-
-    if isinstance(perms[0]._img, bytes):
-        flat = np.frombuffer(b"".join(p._img for p in perms), dtype=np.uint8)
-        return flat.reshape(len(perms), -1).astype(np.int64)
-    return np.stack([p._img for p in perms])
-
-
 def order_of(p: Permutation) -> int:
     """Multiplicative order: lcm of the cycle lengths."""
     o = 1
@@ -203,48 +199,24 @@ class CycleParseError(ValueError):
     """Cycle-notation text that cannot be parsed; carries line and column."""
 
 
-class _CycleScanner:
-    """Tokenizer for cycle strings that tracks line/column for errors."""
+# one token: optional whitespace, then an ASCII integer, any other single
+# character, or the end of the text (an empty token)
+_TOKEN = re.compile(r"\s*([0-9]+|.|\Z)", re.S)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str) -> CycleParseError:
-        return CycleParseError(f"line {self.line} column {self.col}: {message}")
+def _error(text: str, pos: int, message: str) -> CycleParseError:
+    """Error at offset pos; a newline starts a line, any other character,
+    Unicode whitespace too, takes one column."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return CycleParseError(f"line {line} column {col}: {message}")
 
-    def _advance(self, k: int) -> None:
-        for ch in self.text[self.pos : self.pos + k]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += k
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance(1)
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            got = self.peek()
-            raise self.error(f"expected {ch!r}, found {got!r}" if got else f"expected {ch!r}, found end of input")
-        self._advance(1)
-
-    def integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self._advance(1)
-        if self.pos == start:
-            got = self.peek()
-            raise self.error(f"expected an integer, found {got!r}" if got else "expected an integer, found end of input")
-        return int(self.text[start : self.pos])
+def _expected(text: str, m: re.Match, what: str) -> CycleParseError:
+    """Error at token m, which is not `what`; it names the token's first
+    character."""
+    found = repr(m[1][0]) if m[1] else "end of input"
+    return _error(text, m.start(1), f"expected {what}, found {found}")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -256,42 +228,40 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    sc = _CycleScanner(text)
     images = list(range(degree))
     used: set[int] = set()
-    sc.skip_ws()
-    if sc.peek() is None:
-        return _wrap(_store(images))
+    tokens = _TOKEN.finditer(text)
+    m = next(tokens)
     first_cycle = True
-    while sc.peek() is not None:
-        sc.expect("(")
-        sc.skip_ws()
-        if first_cycle and sc.peek() == ")":
+    while m[1]:
+        if m[1] != "(":
+            raise _expected(text, m, "'('")
+        m = next(tokens)
+        if first_cycle and m[1] == ")":
             # "()" spells the identity, only as the sole cycle
-            sc.expect(")")
-            sc.skip_ws()
-            if sc.peek() is not None:
-                raise sc.error("unexpected input after '()'")
-            return _wrap(_store(images))
+            m = next(tokens)
+            if m[1]:
+                raise _error(text, m.start(1), "unexpected input after '()'")
+            break
         first_cycle = False
         cyc: list[int] = []
         while True:
-            sc.skip_ws()
-            val = sc.integer()
+            if not (m[1].isascii() and m[1].isdigit()):
+                raise _expected(text, m, "an integer")
+            val = int(m[1])
             if val < 1 or val > degree:
-                raise sc.error(f"point {val} outside 1..{degree}")
-            pt = val - 1
-            if pt in used:
-                raise sc.error(f"repeated point {val}")
-            used.add(pt)
-            cyc.append(pt)
-            sc.skip_ws()
-            if sc.peek() == ",":
-                sc.expect(",")
-                continue
-            sc.expect(")")
-            break
+                raise _error(text, m.end(1), f"point {val} outside 1..{degree}")
+            if val - 1 in used:
+                raise _error(text, m.end(1), f"repeated point {val}")
+            used.add(val - 1)
+            cyc.append(val - 1)
+            m = next(tokens)
+            if m[1] != ",":
+                break
+            m = next(tokens)
+        if m[1] != ")":
+            raise _expected(text, m, "')'")
         for i, pt in enumerate(cyc):
             images[pt] = cyc[(i + 1) % len(cyc)]
-        sc.skip_ws()
+        m = next(tokens)
     return _wrap(_store(images))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import subdeg.constructions
 from subdeg.cli import main
 from subdeg.corpus import REPORT_FIELDS, write_group
 from subdeg.constructions import alternating, cyclic
@@ -52,6 +53,18 @@ class TestAnalyze:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b'{"name": "caf\xe9"}', "cannot read"), (b"[" * 100_000, "invalid JSON")],
+        ids=["non-utf8", "deeply-nested"],
+    )
+    def test_unloadable_file_is_an_input_error(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        rc = main(["analyze", str(path)])
+        assert rc == 2  # not 1, which reports a violation
+        assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+
 
 class TestConstruct:
     def test_payload_to_stdout(self, capsys):
@@ -90,6 +103,15 @@ class TestConstruct:
         rc = main(["construct", "psl2", "6"])
         assert rc == 2
         assert capsys.readouterr().err.strip()
+
+    def test_ksubsets_over_the_degree_cap(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("k-subsets enumerated past the cap")
+
+        monkeypatch.setattr(subdeg.constructions, "combinations", refuse)
+        rc = main(["construct", "ksubsets", "200", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k-subset degree 64684950 exceeds cap 100000\n"
 
 
 class TestVerifyCorpus:

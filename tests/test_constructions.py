@@ -24,6 +24,7 @@ from subdeg.constructions import (
 )
 from subdeg.corpus import FAMILY_BUILDERS, builtin_entries
 from subdeg.groups import (
+    CapExceeded,
     PermGroup,
     contains,
     is_primitive,
@@ -167,6 +168,16 @@ class TestKSubsets:
         with pytest.raises(ValueError):
             ksubsets_action(4, 2)
 
+    def test_degree_cap_is_checked_before_enumerating(self, monkeypatch):
+        # C(200,4) = 64,684,950 labels; the spy fails the test if they are listed
+        def refuse(*args):
+            raise AssertionError("k-subsets enumerated past the cap")
+
+        monkeypatch.setattr(subdeg.constructions, "combinations", refuse)
+        with pytest.raises(CapExceeded) as exc:
+            ksubsets_action(200, 4)
+        assert (exc.value.value, exc.value.cap) == (comb(200, 4), 100_000)
+
     def test_label_round_trip(self):
         # acting on the label then decoding = acting on the decoded subset
         n, k = 6, 2
@@ -197,7 +208,7 @@ class TestPartitions:
             partition_action(6, 1)
 
     def test_degree_cap(self, monkeypatch):
-        monkeypatch.setattr(subdeg.constructions, "PARTITION_DEGREE_CAP", 1000)
+        monkeypatch.setattr(subdeg.constructions, "ACTION_DEGREE_CAP", 1000)
         with pytest.raises(ValueError, match="cap"):
             partition_action(12, 2)
 
@@ -331,7 +342,7 @@ def chain_state(G):
     """Everything a stabilizer chain holds, level by level, with the
     transversal element and its inverse at every orbit point."""
     b = G.bsgs
-    strong = b._chain.strong
+    strong = b.strong
     levels = [
         (
             lv.point,
@@ -340,7 +351,7 @@ def chain_state(G):
             lv.schreier,
             [(lv.rep(x, strong), lv.rep(x, strong, inv=True)) for x in lv.orbit_list],
         )
-        for lv in b._chain.levels
+        for lv in b.levels
     ]
     return b.base, b.strong_generators, b.order, levels
 

@@ -262,6 +262,28 @@ class TestVerifyCorpus:
         assert any("load failed" in s for s in by_name["broken"]["skipped_checks"])
         assert any("order mismatch" in s for s in by_name["mismatch"]["skipped_checks"])
 
+    def test_undecodable_nested_and_non_ascii_files_are_skipped(self, tmp_path):
+        # a UnicodeDecodeError, RecursionError or bare ValueError from one
+        # file would end the whole sweep; each must be a skip entry instead
+        write_group(tmp_path / "a5.json", alternating(5))
+        (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+        (tmp_path / "nested.json").write_text("[" * 100_000, encoding="utf-8")
+        write_json(tmp_path / "superscript.json", {"name": "s", "degree": 4, "generators": ["(1,\u00b2)"]})
+        res = verify_corpus(directory=tmp_path, include_builtin=False)
+        assert res.total == 4
+        assert res.exit_code == 0
+        by_name = {e["name"]: e for e in res.entries}
+        assert by_name["alt(5)"]["theorem_ok"] is True
+        reasons = {
+            "latin1": "cannot read",
+            "nested": "invalid JSON",
+            "superscript": "generator 1: line 1 column 4: expected an integer, found '\u00b2'",
+        }
+        for stem, reason in reasons.items():
+            (note,) = by_name[stem]["skipped_checks"]
+            assert note.startswith(f"load failed: {tmp_path / stem}.json: {reason}")
+            assert by_name[stem]["degree"] is None
+
     def test_empty_directory(self, tmp_path):
         res = verify_corpus(directory=tmp_path, include_builtin=False)
         assert res.total == 0

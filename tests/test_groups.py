@@ -113,7 +113,7 @@ def test_orbit_and_schreier_vector():
 def test_bsgs_invariants():
     for G in [a5(), s4(), d4(), c6()]:
         b = G.bsgs
-        levels = b._chain.levels
+        levels = b.levels
         # order is the product of fundamental orbit sizes
         prod = 1
         for lv in levels:
@@ -132,8 +132,8 @@ def test_bsgs_deterministic():
     b2 = schreier_sims(a5())
     assert b1.base == b2.base
     assert b1.strong_generators == b2.strong_generators
-    assert [lv.orbit_list for lv in b1._chain.levels] == [lv.orbit_list for lv in b2._chain.levels]
-    assert [lv.schreier for lv in b1._chain.levels] == [lv.schreier for lv in b2._chain.levels]
+    assert [lv.orbit_list for lv in b1.levels] == [lv.orbit_list for lv in b2.levels]
+    assert [lv.schreier for lv in b1.levels] == [lv.schreier for lv in b2.levels]
 
 
 def test_contains_agrees_with_enumeration():
@@ -484,13 +484,13 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
 
 def _count_sifts(monkeypatch) -> list:
     calls = []
-    real = subdeg.groups._Chain._sift
+    real = subdeg.groups.Bsgs.sift
 
     def spy(self, p, start=0):
         calls.append(start)
         return real(self, p, start)
 
-    monkeypatch.setattr(subdeg.groups._Chain, "_sift", spy)
+    monkeypatch.setattr(subdeg.groups.Bsgs, "sift", spy)
     return calls
 
 
@@ -518,7 +518,7 @@ def test_transversal_is_built_only_where_read():
     # points and as many inverses; the known-order stop reads none of them
     G = partition_action(9, 3)
     assert order(G) == 181440
-    for lv in G.bsgs._chain.levels:
+    for lv in G.bsgs.levels:
         assert set(lv.trans) == set(lv.trans_inv) == {lv.point}
 
 

@@ -1,9 +1,11 @@
 """Subgroup enumeration, mu, and coprime factorizations."""
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subdeg.analysis import maximum_cliques
 from subdeg.constructions import agl, dihedral, psl2, symmetric
@@ -254,6 +256,90 @@ class TestAllSubgroups:
                 all_subgroups_small(G)
             assert e.value.what == "subgroup count"
             assert e.value.cap == 5
+
+
+def naive_lattice(G):
+    """Every subgroup as an element set, by the naive fixpoint: close the
+    trivial subgroup under <S, g> for every found S and every g in G until
+    nothing new appears. Elements are positions in closure_elements(G),
+    multiplied through a table of compose, so each join is a breadth-first
+    closure over ints."""
+    elems = closure_elements(G.degree, G.generators)
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[compose(p, q)] for q in elems] for p in elems]
+
+    def join(gens):
+        out = [index[Permutation.identity(G.degree)]]
+        seen = set(out)
+        for x in out:
+            for g in gens:
+                y = table[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    out.append(y)
+        return frozenset(out)
+
+    trivial = join(())
+    found = {trivial: ()}
+    pending = [trivial]
+    for S in pending:
+        for g in range(len(elems)):
+            if g not in S:
+                T = join((*found[S], g))
+                if T not in found:
+                    found[T] = (*found[S], g)
+                    pending.append(T)
+    return [frozenset(elems[i] for i in S) for S in found]
+
+
+@st.composite
+def small_groups(draw):
+    """Groups of degree <= 8 and order <= 200. The generators may all
+    preserve one split of the points, so that small groups of the larger
+    degrees (intransitive products) are drawn too."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, n))
+    rnd = draw(st.randoms(use_true_random=False))
+    gens = [
+        Permutation([*rnd.sample(range(m), m), *rnd.sample(range(m, n), n - m)])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    G = PermGroup(n, gens)
+    assume(len(closure_elements(n, G.generators)) <= 200)
+    return G
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_lattice_matches_naive_fixpoint(G):
+    lat = all_subgroups_small(G)
+    naive = naive_lattice(G)
+    n = lat.group_order
+    assert {s.element_set for s in lat.subgroups} == set(naive)
+    assert len(lat) == len(naive)
+    for s in lat.subgroups:
+        assert frozenset(closure_elements(G.degree, s.generators)) == s.element_set
+    assert [s.is_maximal for s in lat.subgroups] == maximal_by_containment(lat)
+    # mu: the most pairwise coprime indices among all proper subgroups;
+    # order <= 200 < 2*3*5*7 allows at most three
+    indices = sorted({n // len(S) for S in naive if len(S) < n})
+    coprime_sets = (
+        c for r in range(4) for c in combinations(indices, r)
+        if all(gcd(u, v) == 1 for u, v in combinations(c, 2))
+    )
+    assert mu(G, lat) == max(map(len, coprime_sets))
+    # factorizations: every unordered pair of proper subgroups with coprime
+    # indices, smaller index first, in lattice order
+    position = {s.element_set: i for i, s in enumerate(lat.subgroups)}
+    proper = sorted((S for S in naive if len(S) < n), key=position.__getitem__)
+    want = [
+        (A, B) if len(A) >= len(B) else (B, A)
+        for i, A in enumerate(proper)
+        for B in proper[i + 1 :]
+        if gcd(n // len(A), n // len(B)) == 1
+    ]
+    facs = coprime_factorizations(G, lat)
+    assert [(f.a.element_set, f.b.element_set) for f in facs] == want
 
 
 class TestMu:

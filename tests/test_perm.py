@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subdeg.perm import (
+    CycleParseError,
     Permutation,
     compose,
     format_cycles,
@@ -124,6 +125,95 @@ def test_parse_errors():
 def test_parse_error_reports_position():
     with pytest.raises(ValueError, match=r"line 1 column 3"):
         parse_cycles("(1;2)", 4)
+
+
+# (text, degree, images or the exact error message), recorded from the
+# character-at-a-time scanner this parser replaced; every message kind,
+# multi-line input, and Unicode whitespace, which moves the column only
+PARSE_TABLE = [
+    ('', 3, (0, 1, 2)),
+    ('  \t ', 3, (0, 1, 2)),
+    ('()', 3, (0, 1, 2)),
+    (' ( ) ', 3, (0, 1, 2)),
+    ('(1,2,3)(4,5)', 6, (1, 2, 0, 4, 3, 5)),
+    ('( 1 , 2 , 3 ) ( 4 , 5 )', 6, (1, 2, 0, 4, 3, 5)),
+    ('(01,002)', 3, (1, 0, 2)),
+    ('(3,1,2)', 3, (1, 2, 0)),
+    ('1,2', 4, "line 1 column 1: expected '(', found '1'"),
+    ('12,3', 4, "line 1 column 1: expected '(', found '1'"),
+    ('x', 4, "line 1 column 1: expected '(', found 'x'"),
+    (')', 4, "line 1 column 1: expected '(', found ')'"),
+    ('(1,2)3', 4, "line 1 column 6: expected '(', found '3'"),
+    ('(1,2) ,', 4, "line 1 column 7: expected '(', found ','"),
+    ('(1,2)\x00', 4, "line 1 column 6: expected '(', found '\\x00'"),
+    ('(1;2)', 4, "line 1 column 3: expected ')', found ';'"),
+    ('(1 2)', 4, "line 1 column 4: expected ')', found '2'"),
+    ('(1 23)', 4, "line 1 column 4: expected ')', found '2'"),
+    ('(1,2(', 4, "line 1 column 5: expected ')', found '('"),
+    ('(1,,2)', 4, "line 1 column 4: expected an integer, found ','"),
+    ('(a)', 4, "line 1 column 2: expected an integer, found 'a'"),
+    ('(1,-2)', 4, "line 1 column 4: expected an integer, found '-'"),
+    ('(1,2)()', 4, "line 1 column 7: expected an integer, found ')'"),
+    ('(,1)', 4, "line 1 column 2: expected an integer, found ','"),
+    ('(+1)', 4, "line 1 column 2: expected an integer, found '+'"),
+    ('(', 4, 'line 1 column 2: expected an integer, found end of input'),
+    ('(1', 4, "line 1 column 3: expected ')', found end of input"),
+    ('(1,', 4, 'line 1 column 4: expected an integer, found end of input'),
+    ('(1,2', 4, "line 1 column 5: expected ')', found end of input"),
+    ('(1,2)(', 4, 'line 1 column 7: expected an integer, found end of input'),
+    ('(1,2) ( 3 ,', 4, 'line 1 column 12: expected an integer, found end of input'),
+    ('(1,5)', 4, 'line 1 column 5: point 5 outside 1..4'),
+    ('(0,1)', 4, 'line 1 column 3: point 0 outside 1..4'),
+    ('(1,99999999999999999999)', 4, 'line 1 column 24: point 99999999999999999999 outside 1..4'),
+    ('(2,00)', 4, 'line 1 column 6: point 0 outside 1..4'),
+    ('(1,2)\n(3,10)', 9, 'line 2 column 6: point 10 outside 1..9'),
+    ('(1,2)(2,3)', 4, 'line 1 column 8: repeated point 2'),
+    ('(1,1)', 4, 'line 1 column 5: repeated point 1'),
+    ('(1,2,3,1)', 4, 'line 1 column 9: repeated point 1'),
+    ('(1,02)(2,3)', 4, 'line 1 column 9: repeated point 2'),
+    ('()(1,2)', 4, "line 1 column 3: unexpected input after '()'"),
+    ('() x', 4, "line 1 column 4: unexpected input after '()'"),
+    ('( )\n)', 4, "line 2 column 1: unexpected input after '()'"),
+    ('()()', 4, "line 1 column 3: unexpected input after '()'"),
+    ('(1,2)\n(3,4)', 4, (1, 0, 3, 2)),
+    ('(1,2)\n(3,\n4)\n(4,5)', 5, 'line 4 column 3: repeated point 4'),
+    ('\n\n(1,\n  x)', 4, "line 4 column 3: expected an integer, found 'x'"),
+    ('(1,2)\n\n', 3, (1, 0, 2)),
+    ('(1,\n2', 3, "line 2 column 2: expected ')', found end of input"),
+    ('\n()\n\n  (1,2)', 3, "line 4 column 3: unexpected input after '()'"),
+    ('(1\n,2)\n(3;4)', 4, "line 3 column 3: expected ')', found ';'"),
+    ('(1,2)\r\n(3,x)', 4, "line 2 column 4: expected an integer, found 'x'"),
+    ('\r\r(1,2)\r(2,3)', 4, 'line 1 column 11: repeated point 2'),
+    ('\xa0(1,2)\u2003(3,x)', 4, "line 1 column 11: expected an integer, found 'x'"),
+    ('(1,\u20282)\u2029(2,3)', 4, 'line 1 column 10: repeated point 2'),
+    ('\u3000(1,\u3000\u30002)', 3, (1, 0, 2)),
+    ('(1,2)\x0b\x0c\x1c(5,6)', 4, 'line 1 column 11: point 5 outside 1..4'),
+    ('\u2028\n\u2028(', 4, 'line 2 column 3: expected an integer, found end of input'),
+    ('(1,2)\u2009\n\u2009()', 4, "line 2 column 3: expected an integer, found ')'"),
+    ('\u2003(1,\xa02)\xa0', 2, (1, 0)),
+    ('(1,\x852)', 3, (1, 0, 2)),
+    ('(1,2)é', 4, "line 1 column 6: expected '(', found 'é'"),
+    ('(\u200b1,2)', 4, "line 1 column 2: expected an integer, found '\\u200b'"),
+]
+
+
+@pytest.mark.parametrize("text,degree,expected", PARSE_TABLE)
+def test_parse_table(text, degree, expected):
+    if isinstance(expected, str):
+        with pytest.raises(CycleParseError) as exc:
+            parse_cycles(text, degree)
+        assert str(exc.value) == expected
+    else:
+        assert tuple(parse_cycles(text, degree).image_seq()) == expected
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"], ids=["superscript-2", "arabic-indic-3", "fullwidth-3"])
+def test_parse_rejects_non_ascii_digits(digit):
+    # str.isdigit accepts all three, and int() rejects the superscript with a
+    # bare ValueError but reads the other two as 3
+    with pytest.raises(CycleParseError) as exc:
+        parse_cycles(f"(1,{digit})", 4)
+    assert str(exc.value) == f"line 1 column 4: expected an integer, found {digit!r}"
 
 
 def test_format_canonical_form():
