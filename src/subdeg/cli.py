@@ -151,9 +151,8 @@ def _cmd_verify_corpus(args) -> int:
     if args.dir is not None and not Path(args.dir).is_dir():
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return 2
-    include_builtin = args.builtin or args.dir is None
     result = corpus.verify_corpus(
-        directory=args.dir, include_builtin=include_builtin, jobs=args.jobs
+        directory=args.dir, include_builtin=args.builtin or None, jobs=args.jobs
     )
     if args.json_out == "-":
         # keep stdout valid JSON when piping

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb, factorial, gcd
 
+from . import groups
 from .groups import CapExceeded, PermGroup
 from .numtheory import is_prime, prime_factors
 from .perm import Permutation
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 MAX_FIELD_SIZE = 1024
-ACTION_DEGREE_CAP = 100_000  # degree of the k-subset and partition actions
 AGL_DEGREE_CAP = 10_000
 
 
@@ -123,32 +123,23 @@ class FiniteField:
         return self._encode(self._poly_divmod(prod, list(self.modulus)))
 
     def _build_tables(self):
+        """The first beta whose powers cycle through q-1 elements, with
+        those powers as the exp table and its inverse as the log table."""
         q = self.q
-        radicals = prime_factors(q - 1)
         for beta in range(1, q):
-            if all(self._pow_poly(beta, (q - 1) // r) != 1 for r in radicals):
+            exp = [1]
+            acc = self._mul_poly(1, beta)
+            while acc != 1:
+                exp.append(acc)
+                acc = self._mul_poly(acc, beta)
+            if len(exp) == q - 1:
                 break
         else:
             raise AssertionError("no primitive element found")  # impossible
-        exp = [0] * (q - 1)
         log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, beta)
-        assert acc == 1, "primitive element order check failed"
+        for i, a in enumerate(exp):
+            log[a] = i
         return exp, log, beta
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
 
     # public arithmetic, table-backed
 
@@ -240,8 +231,8 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
     degree = comb(n, k)
-    if degree > ACTION_DEGREE_CAP:
-        raise CapExceeded("k-subset degree", degree, ACTION_DEGREE_CAP)
+    if degree > groups.DEGREE_CAP:
+        raise CapExceeded("k-subset degree", degree, groups.DEGREE_CAP)
     labels = list(combinations(range(n), k))
     return _induced_action(
         alternating(n).generators,
@@ -273,8 +264,8 @@ def partition_action(n: int, k: int) -> PermGroup:
     if n % k != 0 or not 1 < k < n:
         raise ValueError(f"need k | n and 1 < k < n, got k={k}, n={n}")
     degree = factorial(n) // (factorial(k) ** (n // k) * factorial(n // k))
-    if degree > ACTION_DEGREE_CAP:
-        raise CapExceeded("partition degree", degree, ACTION_DEGREE_CAP)
+    if degree > groups.DEGREE_CAP:
+        raise CapExceeded("partition degree", degree, groups.DEGREE_CAP)
     labels = sorted(_partitions_into_blocks(tuple(range(n)), k))
     assert len(labels) == degree
 

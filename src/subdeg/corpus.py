@@ -23,6 +23,7 @@ from .constructions import (
     psl2,
     symmetric,
 )
+from . import groups
 from .groups import PermGroup, _is_primitive_at, is_transitive, orbits, order, point_stabilizer
 from .numtheory import is_prime
 from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
@@ -90,6 +91,8 @@ def group_from_dict(data: dict, path="<data>") -> PermGroup:
     degree = data.get("degree")
     if not _is_int(degree) or degree < 1:
         raise _fail(path, "'degree' must be a positive integer")
+    if degree > groups.DEGREE_CAP:
+        raise _fail(path, f"'degree' {degree} exceeds cap {groups.DEGREE_CAP}")
     gens_raw = data.get("generators")
     if not isinstance(gens_raw, list) or not gens_raw:
         raise _fail(path, "'generators' must be a non-empty list")
@@ -120,7 +123,8 @@ def load_group(path) -> PermGroup:
         raise _fail(path, f"cannot read: {e}") from e
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, or an integer longer than int() will convert
         raise _fail(path, f"invalid JSON: {e}") from e
     return group_from_dict(data, path)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numtheory import is_prime, prime_factors
+from .numtheory import is_prime
 from .perm import Permutation, compose, inverse
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "BlockSystem",
     "CapExceeded",
     "ELEMENTS_CAP",
-    "COSET_CAP",
+    "DEGREE_CAP",
     "orbit",
     "orbits",
     "schreier_sims",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 ELEMENTS_CAP = 200_000
-COSET_CAP = 100_000
+DEGREE_CAP = 100_000  # points of a coset, k-subset or partition action, or a group file
 
 
 class CapExceeded(ValueError):
@@ -99,33 +99,33 @@ class PermGroup:
 
 class _Level:
     """One level of the stabilizer chain: a base point, the strong
-    generators fixing the earlier base points, the basic orbit with its
-    Schreier vector, and the transversal, whose elements are built only
-    when read (see `rep`)."""
+    generators fixing the earlier base points, in install order, the basic
+    orbit with its Schreier vector, and the transversal, whose elements are
+    built only when read (see `rep`)."""
 
-    __slots__ = ("point", "gen_idxs", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv")
+    __slots__ = ("point", "gens", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv")
 
     def __init__(self, point: int, degree: int):
         self.point = point
-        self.gen_idxs: list[int] = []
-        self.orbit_gens = -1  # len(gen_idxs) when orbit_list and schreier were built
+        self.gens: list[Permutation] = []
+        self.orbit_gens = -1  # len(gens) when orbit_list and schreier were built
         e = Permutation.identity(degree)
         self.trans = {point: e}  # orbit point -> coset representative, filled by rep
         self.trans_inv = {point: e}  # orbit point -> its inverse, filled by rep
 
-    def orbit(self, strong: list[Permutation]) -> list[int]:
+    def orbit(self) -> list[int]:
         """The basic orbit, with its Schreier vector rebuilt, and the
         transversal memos emptied, only when generators were added since
         the last build."""
-        if self.orbit_gens != len(self.gen_idxs):
-            self.orbit_list, self.schreier = _schreier_vector(strong, self.gen_idxs, self.point)
-            self.orbit_gens = len(self.gen_idxs)
+        if self.orbit_gens != len(self.gens):
+            self.orbit_list, self.schreier = _schreier_vector(self.gens, self.point)
+            self.orbit_gens = len(self.gens)
             e = self.trans[self.point]
             self.trans = {self.point: e}
             self.trans_inv = {self.point: e}
         return self.orbit_list
 
-    def rep(self, b: int, strong: list[Permutation], inv: bool = False) -> Permutation:
+    def rep(self, b: int, inv: bool = False) -> Permutation:
         """The transversal element carrying the base point to the orbit point
         b, or its inverse. The first read walks the Schreier vector, without
         recursion, up to a point already built and memoizes every point on
@@ -133,34 +133,32 @@ class _Level:
         if inv:
             u = self.trans_inv.get(b)
             if u is None:
-                u = self.trans_inv[b] = inverse(self.rep(b, strong))
+                u = self.trans_inv[b] = inverse(self.rep(b))
             return u
-        trans, vec = self.trans, self.schreier
+        trans, vec, gens = self.trans, self.schreier, self.gens
         path = []
         while b not in trans:
             path.append(b)
             b = vec[b][1]
         u = trans[b]
         for c in reversed(path):
-            u = trans[c] = compose(u, strong[vec[c][0]])
+            u = trans[c] = compose(u, gens[vec[c][0]])
         return u
 
 
 class Bsgs:
     """Base and strong generating set: the deterministic Schreier-Sims
     stabilizer chain, grown by `_install` and completed by `_close`. Each
-    level holds its basic orbit and Schreier vector; its transversal
-    elements are built on demand."""
+    level holds its own generators, basic orbit and Schreier vector; its
+    transversal elements are built on demand."""
 
     def __init__(self, degree: int, base_prefix=()):
         self.degree = degree
-        self.strong: list[Permutation] = []
         self.levels: list[_Level] = []
-        for pt in base_prefix:
+        for pt in dict.fromkeys(base_prefix):
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
-            if all(lv.point != pt for lv in self.levels):
-                self.levels.append(_Level(pt, degree))
+            self.levels.append(_Level(pt, degree))
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -168,14 +166,14 @@ class Bsgs:
 
     @property
     def strong_generators(self) -> tuple[Permutation, ...]:
-        return tuple(self.strong)
+        return tuple(self.levels[0].gens) if self.levels else ()
 
     @property
     def order(self) -> int:
         """Product of the basic orbit lengths; |G| once the chain is complete."""
         n = 1
         for lv in self.levels:
-            n *= len(lv.orbit(self.strong))
+            n *= len(lv.orbit())
         return n
 
     def _install(self, g: Permutation) -> int:
@@ -188,10 +186,8 @@ class Bsgs:
         if i is None:
             self.levels.append(_Level(g.min_moved(), self.degree))
             i = len(self.levels) - 1
-        gi = len(self.strong)
-        self.strong.append(g)
-        for l in range(i + 1):
-            self.levels[l].gen_idxs.append(gi)
+        for lv in self.levels[: i + 1]:
+            lv.gens.append(g)
         return i
 
     def sift(self, p: Permutation, start: int = 0) -> Permutation | None:
@@ -200,13 +196,13 @@ class Bsgs:
         p is a member."""
         for l in range(start, len(self.levels)):
             lv = self.levels[l]
-            lv.orbit(self.strong)
+            lv.orbit()
             delta = p(lv.point)
             if delta == lv.point:
                 continue
             if delta not in lv.schreier:
                 return p
-            p = compose(p, lv.rep(delta, self.strong, inv=True))
+            p = compose(p, lv.rep(delta, inv=True))
         return None if p.is_identity() else p
 
     def _close(self, from_level: int, bound: int | None = None) -> None:
@@ -218,17 +214,15 @@ class Bsgs:
             if restart and bound is not None and self.order == bound:
                 return
             lv = self.levels[i]
-            strong = self.strong
-            orb = lv.orbit(strong)
+            orb = lv.orbit()
             restart = False
-            for gi in list(lv.gen_idxs):
-                g = strong[gi]
+            for gi, g in enumerate(lv.gens):
                 img = g.image_seq()
                 for a in orb:
                     b = img[a]
                     if lv.schreier.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
-                    sg = compose(compose(lv.rep(a, strong), g), lv.rep(b, strong, inv=True))
+                    sg = compose(compose(lv.rep(a), g), lv.rep(b, inv=True))
                     if sg.is_identity():
                         continue
                     residue = self.sift(sg, i + 1)
@@ -245,7 +239,7 @@ class Bsgs:
         """All elements, deterministically: transversal products, deepest first."""
         elts = [Permutation.identity(self.degree)]
         for lv in reversed(self.levels):
-            orb = lv.orbit(self.strong)
+            orb = lv.orbit()
             if len(orb) == 1:
                 continue
             nxt = []
@@ -253,7 +247,7 @@ class Bsgs:
                 if pt == lv.point:
                     nxt.extend(elts)
                 else:
-                    u = lv.rep(pt, self.strong)
+                    u = lv.rep(pt)
                     for h in elts:
                         nxt.append(compose(h, u))
             elts = nxt
@@ -276,11 +270,11 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     return chain
 
 
-def _schreier_vector(gens, idxs, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Breadth-first orbit of a point under gens[i] for i in idxs, trying
-    the generators in idxs order, with the Schreier vector mapping each orbit
-    point to (generator index, predecessor); the point maps to (-1, point)."""
-    images = [(gi, gens[gi].image_seq()) for gi in idxs]
+def _schreier_vector(gens, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first orbit of a point under gens, trying them in list order,
+    with the Schreier vector mapping each orbit point to (index in gens,
+    predecessor); the point maps to (-1, point)."""
+    images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
     orb = [point]
     vec = {point: (-1, point)}
     for a in orb:
@@ -297,7 +291,7 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
     vector mapping each orbit point to (generator index, predecessor)."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    orb, vec = _schreier_vector(G.generators, range(len(G.generators)), point)
+    orb, vec = _schreier_vector(G.generators, point)
     return tuple(orb), vec
 
 
@@ -336,7 +330,7 @@ def is_transitive(G: PermGroup) -> bool:
 
 
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, read off G's cached chain: the level-1 strong
+    """Stabilizer of a point, read off G's cached chain: the level-1
     generators generate the stabilizer of the first base point b, and the
     level-0 transversal element u carrying b to the point conjugates them
     into the stabilizer of the point. A point outside b's orbit (intransitive
@@ -347,9 +341,9 @@ def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
     if not chain.levels or point not in chain.levels[0].schreier:
         chain = schreier_sims(G, base_prefix=(point,))
     top = chain.levels[0]
-    u, u_inv = top.rep(point, chain.strong), top.rep(point, chain.strong, inv=True)
-    level1 = chain.levels[1].gen_idxs if len(chain.levels) > 1 else []
-    gens = [compose(compose(u_inv, chain.strong[gi]), u) for gi in level1]
+    u, u_inv = top.rep(point), top.rep(point, inv=True)
+    level1 = chain.levels[1].gens if len(chain.levels) > 1 else []
+    gens = [compose(compose(u_inv, g), u) for g in level1]
     label = f"Stab({point})" if G.label is None else f"{G.label}.stab({point})"
     return PermGroup(G.degree, gens, label=label)
 
@@ -369,11 +363,11 @@ def _canonical_coset_rep(chain: Bsgs, g: Permutation) -> Permutation:
     point over its fundamental orbit) yields the lex-least image array."""
     cur = g
     for lv in chain.levels:
-        orb = lv.orbit(chain.strong)
+        orb = lv.orbit()
         if len(orb) > 1:
             best = min(orb, key=cur.image_seq().__getitem__)
             if best != lv.point:
-                cur = compose(lv.rep(best, chain.strong), cur)
+                cur = compose(lv.rep(best), cur)
     return cur
 
 
@@ -381,18 +375,18 @@ def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutati
     """Action of G on the right cosets of H, with the coset transversal.
 
     Coset i corresponds to H*transversal[i]; coset 0 is H itself. Errors
-    when H is not a subgroup of G or the index exceeds COSET_CAP.
+    when H is not a subgroup of G or the index exceeds DEGREE_CAP.
     """
     if H.degree != G.degree:
         raise ValueError("degree mismatch between group and subgroup")
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
-    index = order(G) // order(H)
-    if index > COSET_CAP:
-        raise CapExceeded("coset index", index, COSET_CAP)
     fixed = set(fixed_points(H))
     prefix = tuple(x for x in range(G.degree) if x not in fixed)
     chain = schreier_sims(H, base_prefix=prefix)
+    index = order(G) // chain.order
+    if index > DEGREE_CAP:
+        raise CapExceeded("coset index", index, DEGREE_CAP)
     r0 = _canonical_coset_rep(chain, Permutation.identity(G.degree))
     reps = [r0]
     lookup = {r0: 0}
@@ -547,42 +541,36 @@ def normalizer_small(G: PermGroup, H: PermGroup) -> PermGroup:
 
 
 def sylow_subgroup_small(G: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown greedily: start from a p-element of maximal
-    order, then repeatedly adjoin p-elements of the current normalizer until
-    the full p-part of |G| is reached. Cap-gated by element enumeration."""
+    """A Sylow p-subgroup, grown on one chain from P = 1 by adjoining, in
+    element order, the first g of G outside P with g^p in P and every
+    generator adjoined so far conjugated by g back into P. Such a g
+    normalizes P and has order p modulo P, so |<P, g>| = p|P|. One exists
+    while P is not Sylow: P is then a proper subgroup of a Sylow subgroup S,
+    normalizers grow in p-groups, so N_S(P)/P is a non-trivial p-subgroup
+    of N_G(P)/P, and by Cauchy it holds a coset gP of order p. Returns the
+    adjoined elements as generators. Cap-gated by element enumeration."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = order(G)
-    p_part = 1
-    m = n
-    while m % p == 0:
+    n, p_part = order(G), 1
+    while n % (p_part * p) == 0:
         p_part *= p
-        m //= p
+    chain = Bsgs(G.degree)
+    gens: list[Permutation] = []
+    elems = elements(G) if p_part > 1 else []
+    while chain.order < p_part:
+        for g in elems:
+            if chain.sift(g) is None:
+                continue
+            gp = g
+            for _ in range(p - 1):
+                gp = compose(gp, g)
+            if chain.sift(gp) is None and all(
+                chain.sift(compose(compose(inverse(g), x), g)) is None for x in gens
+            ):
+                chain._close(chain._install(g))
+                gens.append(g)
+                break
+        else:
+            raise AssertionError("no element extends a non-Sylow p-subgroup")
     label = f"Sylow_{p}({G.label})" if G.label else f"Sylow_{p}"
-    if p_part == 1:
-        return PermGroup(G.degree, [Permutation.identity(G.degree)], label=label)
-    elems = elements(G)
-    best = None
-    best_order = 0
-    for g in elems:
-        o = g.order()
-        if o > best_order and prime_factors(o) == (p,):
-            best, best_order = g, o
-    assert best is not None, "Cauchy guarantees a p-element"
-    current = PermGroup(G.degree, [best], label=label)
-    while order(current) < p_part:
-        N = normalizer_small(G, current)
-        grown = False
-        for g in elements(N):
-            o = g.order()
-            if prime_factors(o) != (p,):
-                continue
-            if contains(current, g):
-                continue
-            current = PermGroup(
-                G.degree, list(current.generators) + [g], label=label
-            )
-            grown = True
-            break
-        assert grown, "normalizer of a non-Sylow p-subgroup must grow it"
-    return current
+    return PermGroup(G.degree, gens, label=label)

@@ -230,6 +230,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise ValueError("degree must be at least 1")
     images = list(range(degree))
     used: set[int] = set()
+    width = len(str(degree))
     tokens = _TOKEN.finditer(text)
     m = next(tokens)
     first_cycle = True
@@ -248,9 +249,12 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         while True:
             if not (m[1].isascii() and m[1].isdigit()):
                 raise _expected(text, m, "an integer")
-            val = int(m[1])
+            digits = m[1].lstrip("0") or "0"
+            # int() refuses very long digit runs, and one longer than the
+            # degree's is out of range anyway
+            val = int(digits) if len(digits) <= width else degree + 1
             if val < 1 or val > degree:
-                raise _error(text, m.end(1), f"point {val} outside 1..{degree}")
+                raise _error(text, m.end(1), f"point {digits} outside 1..{degree}")
             if val - 1 in used:
                 raise _error(text, m.end(1), f"repeated point {val}")
             used.add(val - 1)

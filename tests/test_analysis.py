@@ -20,11 +20,13 @@ from subdeg.groups import (
     contains,
     coset_action,
     elements,
+    is_subgroup,
     normalizer_small,
     order,
     point_stabilizer,
     sylow_subgroup_small,
 )
+from subdeg.numtheory import prime_factors
 from subdeg.perm import compose, inverse
 
 from conftest import brute_stabilizer, brute_orbits, closure_elements, make_group
@@ -228,6 +230,55 @@ def test_sylow_hypothesis_matches_conjugate_scan(name):
     for p in (2, 3, 5, 7, 11, 13):
         v = sylow_divisibility_check(G, 0, p)
         assert v.hypothesis_holds == conjugate_scan_hypothesis(G, 0, p), (name, p)
+
+
+SYLOW_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# (order of the Sylow subgroup, hypothesis_holds, conclusion_holds) at point
+# 0 for each prime in SYLOW_PRIMES, as computed by the normalizer-scan search
+SYLOW_TABLE = {
+    "psl2(7)": ((8, False, None), (3, False, None), (1, False, None), (7, True, True), (1, False, None), (1, False, None)),
+    "psl2(8)": ((8, True, True), (9, False, None), (1, False, None), (7, False, None), (1, False, None), (1, False, None)),
+    "psl2(11)": ((4, False, None), (3, False, None), (5, False, None), (1, False, None), (11, True, True), (1, False, None)),
+    "psl2(13)": ((4, False, None), (3, False, None), (1, False, None), (7, False, None), (1, False, None), (13, True, True)),
+    "alt(5)": ((4, True, True), (3, False, None), (5, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "alt(6)": ((8, False, None), (9, False, None), (5, True, True), (1, False, None), (1, False, None), (1, False, None)),
+    "alt(7)": ((8, True, True), (9, True, True), (5, False, None), (7, False, None), (1, False, None), (1, False, None)),
+    "alt(8)": ((64, False, None), (9, False, None), (5, False, None), (7, True, True), (1, False, None), (1, False, None)),
+    "sym(5)": ((8, True, True), (3, False, None), (5, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "agl(1,7)": ((2, True, True), (3, True, True), (1, False, None), (7, False, None), (1, False, None), (1, False, None)),
+    "agl(2,3)": ((16, True, True), (27, False, None), (1, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "agl(3,2)": ((64, False, None), (3, False, None), (1, False, None), (7, True, True), (1, False, None), (1, False, None)),
+    "ksubsets(6,2)": ((8, True, True), (9, False, None), (5, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "ksubsets(7,2)": ((8, True, True), (9, False, None), (5, True, True), (7, False, None), (1, False, None), (1, False, None)),
+    "dihedral(6)": ((4, False, None), (3, False, None), (1, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "dihedral(9)": ((2, True, True), (9, False, None), (1, False, None), (1, False, None), (1, False, None), (1, False, None)),
+    "cyclic(6)": ((2, False, None), (3, False, None), (1, False, None), (1, False, None), (1, False, None), (1, False, None)),
+}
+
+
+@pytest.mark.parametrize("name", SYLOW_ORACLE_GROUPS)
+def test_sylow_verdicts_match_the_pinned_table(name):
+    G = SYLOW_ORACLE_GROUPS[name]()
+    row = []
+    for p in SYLOW_PRIMES:
+        v = sylow_divisibility_check(G, 0, p)
+        row.append((order(sylow_subgroup_small(G, p)), v.hypothesis_holds, v.conclusion_holds))
+    assert tuple(row) == SYLOW_TABLE[name]
+
+
+@pytest.mark.parametrize("name", SYLOW_ORACLE_GROUPS)
+def test_sylow_subgroup_is_a_full_p_subgroup(name):
+    # independent of sylow_subgroup_small: |P| is the p-part of |G|, read
+    # off the factorization of |G|, and every element of P has p-power order
+    G = SYLOW_ORACLE_GROUPS[name]()
+    n = order(G)
+    for p in SYLOW_PRIMES:
+        P = sylow_subgroup_small(G, p)
+        assert is_subgroup(P, G), (name, p)
+        assert n % order(P) == 0 and (n // order(P)) % p != 0, (name, p)
+        for x in elements(P):
+            assert set(prime_factors(x.order())) <= {p}, (name, p)
 
 
 class TestStabilizerNormalBound:

@@ -66,6 +66,22 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
 
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ({"name": "h", "degree": 2_000_000, "generators": ["(1,2)"]}, "'degree' 2000000 exceeds cap"),
+            ({"name": "d", "degree": 4, "generators": ["(1," + "9" * 5000 + ")"]}, "generator 1: line 1"),
+            ('{"degree": 1' + "0" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+        ],
+        ids=["oversized-degree", "long-digit-run", "long-json-integer"],
+    )
+    def test_oversized_input_is_an_input_error(self, tmp_path, capsys, data, reason):
+        path = tmp_path / "big.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
+        rc = main(["analyze", str(path)])
+        assert rc == 2  # not 1, which reports a violation
+        assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+
 class TestConstruct:
     def test_payload_to_stdout(self, capsys):
         rc = main(["construct", "cyclic", "6"])

@@ -1,13 +1,18 @@
 """Field arithmetic and the family constructors, against closed forms."""
+import hashlib
+import json
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
 import subdeg.constructions
+import subdeg.groups
 from subdeg.analysis import subdegrees
 from subdeg.constructions import (
     AGL_DEGREE_CAP,
+    MAX_FIELD_SIZE,
     FiniteField,
     ProjectiveLine,
     agl,
@@ -33,9 +38,12 @@ from subdeg.groups import (
     order,
     point_stabilizer,
 )
+from subdeg.numtheory import prime_factors
 from subdeg.perm import parse_cycles
 
 from conftest import full_order
+
+DATA = Path(__file__).resolve().parent / "data"
 
 AGL_PARAMS = [(1, 5), (1, 7), (1, 13), (2, 2), (2, 3), (3, 2), (2, 5), (4, 2), (2, 7), (3, 3)]
 PSL_PARAMS = [4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61]
@@ -69,6 +77,21 @@ class TestFiniteField:
             FiniteField(2048)
         with pytest.raises(ValueError):
             FiniteField(1)
+
+    def test_every_field_matches_the_pinned_table(self):
+        # tests/data/finite_fields.json holds (q, modulus, primitive element)
+        # for every prime power q <= 1024, and a digest of the exp tables,
+        # as built by fast exponentiation with the radical test
+        pinned = json.loads((DATA / "finite_fields.json").read_text())
+        qs = [q for q in range(2, MAX_FIELD_SIZE + 1) if len(prime_factors(q)) == 1]
+        fields = [FiniteField(q) for q in qs]
+        assert len(fields) == 198
+        assert [[F.q, list(F.modulus), F.primitive_element] for F in fields] == pinned["fields"]
+        digest = hashlib.sha256()
+        for F in fields:
+            digest.update(repr((F.q, F._exp)).encode())
+            assert all(F._log[F._exp[i]] == i for i in range(F.q - 1))
+        assert digest.hexdigest() == pinned["exp_sha256"]
 
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
     def test_field_axioms(self, q):
@@ -208,7 +231,7 @@ class TestPartitions:
             partition_action(6, 1)
 
     def test_degree_cap(self, monkeypatch):
-        monkeypatch.setattr(subdeg.constructions, "ACTION_DEGREE_CAP", 1000)
+        monkeypatch.setattr(subdeg.groups, "DEGREE_CAP", 1000)
         with pytest.raises(ValueError, match="cap"):
             partition_action(12, 2)
 
@@ -342,14 +365,13 @@ def chain_state(G):
     """Everything a stabilizer chain holds, level by level, with the
     transversal element and its inverse at every orbit point."""
     b = G.bsgs
-    strong = b.strong
     levels = [
         (
             lv.point,
-            lv.gen_idxs,
+            lv.gens,
             lv.orbit_list,
             lv.schreier,
-            [(lv.rep(x, strong), lv.rep(x, strong, inv=True)) for x in lv.orbit_list],
+            [(lv.rep(x), lv.rep(x, inv=True)) for x in lv.orbit_list],
         )
         for lv in b.levels
     ]

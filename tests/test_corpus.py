@@ -1,8 +1,10 @@
 """Group-file IO, report shape, and the corpus driver."""
 import json
+import tracemalloc
 
 import pytest
 
+import subdeg.groups
 from subdeg.constructions import alternating, cyclic, dihedral, psl2
 from subdeg.corpus import (
     BUILTIN_CORPUS,
@@ -119,6 +121,22 @@ class TestLoadGroup:
         p = write_json(tmp_path / "b.json", {"name": "b", "degree": True, "generators": ["()"]})
         with pytest.raises(GroupFileError, match=r"b\.json: 'degree' must be a positive integer"):
             load_group(p)
+
+    def test_degree_cap_is_checked_before_allocation(self, monkeypatch):
+        data = {"name": "h", "degree": 2_000_000, "generators": ["(1,2)"]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupFileError, match="'degree' 2000000 exceeds cap 100000"):
+                group_from_dict(data, "h.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the image list alone would take over 16 MB
+        # the one cap of subdeg.groups, read when the file is loaded
+        monkeypatch.setattr(subdeg.groups, "DEGREE_CAP", 5)
+        assert group_from_dict({"name": "c", "degree": 5, "generators": [[2, 3, 4, 5, 1]]}).degree == 5
+        with pytest.raises(GroupFileError, match="'degree' 6 exceeds cap 5"):
+            group_from_dict({"name": "c", "degree": 6, "generators": [[2, 3, 4, 5, 6, 1]]})
 
     def test_boolean_image_entries_rejected(self, tmp_path):
         for i, images in enumerate([[2, 3, True], [False, 1, 2]]):
@@ -278,6 +296,29 @@ class TestVerifyCorpus:
             "latin1": "cannot read",
             "nested": "invalid JSON",
             "superscript": "generator 1: line 1 column 4: expected an integer, found '\u00b2'",
+        }
+        for stem, reason in reasons.items():
+            (note,) = by_name[stem]["skipped_checks"]
+            assert note.startswith(f"load failed: {tmp_path / stem}.json: {reason}")
+            assert by_name[stem]["degree"] is None
+
+    def test_oversized_degree_and_long_digit_runs_are_skipped(self, tmp_path):
+        # the degree allocated an image list of that length before any
+        # check, and a 5,000-digit point or JSON integer escaped as a bare
+        # ValueError
+        write_group(tmp_path / "a5.json", alternating(5))
+        write_json(tmp_path / "huge.json", {"name": "h", "degree": 2_000_000, "generators": ["(1,2)"]})
+        write_json(tmp_path / "digits.json", {"name": "d", "degree": 4, "generators": ["(1," + "9" * 5000 + ")"]})
+        (tmp_path / "bigint.json").write_text('{"degree": 1' + "0" * 5000 + "}", encoding="utf-8")
+        res = verify_corpus(directory=tmp_path, include_builtin=False)
+        assert res.total == 4
+        assert res.exit_code == 0
+        by_name = {e["name"]: e for e in res.entries}
+        assert by_name["alt(5)"]["theorem_ok"] is True
+        reasons = {
+            "huge": "'degree' 2000000 exceeds cap 100000",
+            "digits": "generator 1: line 1 column 5004: point 999",
+            "bigint": "invalid JSON: Exceeds the limit",
         }
         for stem, reason in reasons.items():
             (note,) = by_name[stem]["skipped_checks"]

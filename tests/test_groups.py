@@ -6,7 +6,9 @@ production code must reproduce.
 """
 from __future__ import annotations
 
+import hashlib
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,10 +25,18 @@ import subdeg.analysis
 import subdeg.corpus
 import subdeg.groups
 from subdeg.analysis import subdegrees
-from subdeg.constructions import agl, alternating, cyclic, dihedral, partition_action
+from subdeg.constructions import (
+    agl,
+    alternating,
+    cyclic,
+    dihedral,
+    ksubsets_action,
+    partition_action,
+    psl2,
+)
 from subdeg.corpus import analyze, fixture_path, load_group
 from subdeg.numtheory import is_prime
-from subdeg.perm import Permutation, compose, inverse, parse_cycles
+from subdeg.perm import Permutation, compose, format_cycles, inverse, parse_cycles
 from subdeg.groups import (
     Bsgs,
     CapExceeded,
@@ -222,7 +232,7 @@ def test_coset_action_regular():
 def test_coset_action_cap_and_subgroup_errors(monkeypatch):
     G = a5()
     H = make_group(5, "(1,2,3)", "(1,2)(4,5)")
-    monkeypatch.setattr(subdeg.groups, "COSET_CAP", 5)
+    monkeypatch.setattr(subdeg.groups, "DEGREE_CAP", 5)
     with pytest.raises(CapExceeded) as exc:
         coset_action(G, H)
     assert exc.value.value == 10
@@ -535,8 +545,81 @@ def test_deep_schreier_tree_is_walked_without_recursion():
     assert order(point_stabilizer(G, 2002)) == 1
 
 
+def test_base_prefix_keeps_the_first_of_each_point():
+    assert Bsgs(5, (3, 1, 3, 0, 1)).base == (3, 1, 0)
+    with pytest.raises(ValueError, match="base point 5 out of range"):
+        Bsgs(5, (0, 5))
+    # linear in the prefix: about 0.2 s, where the quadratic scan over the
+    # levels built so far took tens of seconds
+    start = time.perf_counter()
+    assert len(Bsgs(20_000, [*range(20_000), *range(20_000)]).levels) == 20_000
+    assert time.perf_counter() - start < 5
+
+
 def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
     G = _fresh_j1()
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 175560
     assert len(sifts) == 1865
+
+
+def chain_digest(G: PermGroup) -> str:
+    """SHA-256 over G's stabilizer chain: the base, the strong generators,
+    and per level its generators, every Schreier tree edge as (point,
+    predecessor, generator) and every coset representative with its inverse.
+    Generators appear as cycle strings, never as indices, so the digest does
+    not depend on how a level numbers its generators."""
+    b = G.bsgs
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(repr(xs).encode())
+
+    put("base", b.base)
+    put("strong", [format_cycles(g) for g in b.strong_generators])
+    for lv in b.levels:
+        orb = lv.orbit()
+        put("level", lv.point, [format_cycles(g) for g in lv.gens])
+        edges = [
+            (x, lv.schreier[x][1], format_cycles(lv.gens[lv.schreier[x][0]]))
+            for x in orb
+            if x != lv.point
+        ]
+        put("edges", edges)
+        put("reps", [(format_cycles(lv.rep(x)), format_cycles(lv.rep(x, inv=True))) for x in orb])
+    return h.hexdigest()
+
+
+# computed when each level still indexed into one shared strong generator list
+CHAIN_DIGESTS = {
+    "j1": "f0129bebb55fa5e7095ab52027a66eacc1326edafb080eecbfe0a22e209869ab",
+    "partitions(9,3)": "4f1f50ecc73d0959f112ddacad37496e0e909be272fbd03ebaef6be0f53300f1",
+    "agl(3,3)": "fec82cbff6b24eb02d56b8481270f117306cc08c5942e188da5637daa3e8c9e7",
+    "psl2(49)": "a10bdce8ac786adbe8c16142e77b8041ccd5adc831a1583f342079896cb25afe",
+    "alt(9)": "e34e77d1d5bdc49ccd2163c0d100feac4e89c797bd2e979889abc4660cbff463",
+    "ksubsets(10,3)": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
+    "dihedral(12)": "648d9059a2f11e6cce9aca9a6df6ebd6bd2f5a5f416fc976f703ebaca738ba78",
+}
+CHAIN_GROUPS = {
+    "j1": lambda: load_group(fixture_path("j1_266.json")),
+    "partitions(9,3)": lambda: partition_action(9, 3),
+    "agl(3,3)": lambda: agl(3, 3),
+    "psl2(49)": lambda: psl2(49),
+    "alt(9)": lambda: alternating(9),
+    "ksubsets(10,3)": lambda: ksubsets_action(10, 3),
+    "dihedral(12)": lambda: dihedral(12),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_GROUPS)
+def test_chain_matches_the_pinned_digest(name):
+    assert chain_digest(CHAIN_GROUPS[name]()) == CHAIN_DIGESTS[name]
+
+
+def test_coset_action_builds_one_chain_for_the_subgroup(monkeypatch):
+    G = a5()
+    H = make_group(5, "(1,2,3)", "(1,2)(4,5)")
+    chains = _spy(monkeypatch, "schreier_sims")
+    K, _ = coset_action(G, H)
+    assert order(K) == 60 and K.degree == 10
+    assert sum(1 for args in chains if args[0] is H) == 1

@@ -216,6 +216,21 @@ def test_parse_rejects_non_ascii_digits(digit):
     assert str(exc.value) == f"line 1 column 4: expected an integer, found {digit!r}"
 
 
+def test_parse_reads_digit_runs_of_any_length():
+    # int() refuses more than 4,300 digits with a bare ValueError, which
+    # escaped both a sweep and the CLI's input-error path
+    nines = "9" * 5000
+    text = f"(1,{nines})"
+    with pytest.raises(CycleParseError) as exc:
+        parse_cycles(text, 4)
+    assert str(exc.value) == f"line 1 column {len(text)}: point {nines} outside 1..4"
+    assert parse_cycles("(1," + "0" * 5000 + "2)", 4).image_seq() == bytes([1, 0, 2, 3])
+    # a token as long as the degree's digits is compared by value
+    assert parse_cycles("(1,0100)", 100).image_seq()[:2] == bytes([99, 1])
+    with pytest.raises(CycleParseError, match="point 101 outside 1..100"):
+        parse_cycles("(1,00101)", 100)
+
+
 def test_format_canonical_form():
     # cycles sorted by smallest moved point, rotated to lead with it
     p = parse_cycles("(5,4)(3,1,2)", 6)
