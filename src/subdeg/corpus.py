@@ -108,11 +108,23 @@ def group_from_dict(data: dict, path="<data>") -> PermGroup:
                 raise TypeError  # int() would also take true and 60.5
             want = int(expected)
         except (TypeError, ValueError):
-            raise _fail(path, f"metadata.expected_order {expected!r} is not a decimal integer")
+            if not (isinstance(expected, str) and expected.isascii() and expected.isdigit()):
+                raise _fail(path, f"metadata.expected_order {expected!r} is not a decimal integer")
+            from decimal import Decimal
+
+            want = Decimal(expected)  # exact past the 4,300 digits int() converts
         got = order(G)
         if got != want:
-            raise _fail(path, f"order mismatch: computed {got}, expected_order says {want}")
+            raise _fail(
+                path, f"order mismatch: computed {_quoted(got)}, expected_order says {_quoted(want)}"
+            )
     return G
+
+
+def _quoted(n) -> str:
+    """n in decimal, or its first 20 digits and a digit count past 50 digits."""
+    text = str(n)
+    return text if len(text) <= 50 else f"{text[:20]}... ({len(text)} digits)"
 
 
 def load_group(path) -> PermGroup:
@@ -348,14 +360,50 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
+def _claim(counter) -> int:
+    """The next unclaimed task index; past the end once every task is taken."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _help(tasks, counter, outbox) -> None:
+    """A helper process's part of a sweep: claim tasks and send back
+    (index, result) until the counter passes the end. An error ends the
+    helper quietly: the caller then runs the task itself and raises it."""
+    try:
+        while (i := _claim(counter)) < len(tasks):
+            outbox.put((i, _analyze_task(tasks[i])))
+    except Exception:
+        pass
+
+
+def _gather(tasks, counter, inbox) -> list:
+    """The caller's part of a sweep: claim and run tasks until the counter
+    passes the end, then take each task's result from the helpers if it has
+    arrived and run the task here if not. It never waits on a helper, so
+    one that dies or never starts costs time but drops no task."""
+    results = [None] * len(tasks)
+    while (i := _claim(counter)) < len(tasks):
+        results[i] = _analyze_task(tasks[i])
+    for i, task in enumerate(tasks):
+        while results[i] is None and not inbox.empty():
+            j, result = inbox.get()
+            results[j] = result
+        if results[i] is None:
+            results[i] = _analyze_task(task)
+    return results
+
+
 def verify_corpus(
     directory=None, include_builtin: bool | None = None, jobs: int = 1
 ) -> CorpusResult:
     """Analyze a directory of group files and/or the built-in constructed
     corpus. Unreadable files become entries with a load-failure note, never
-    a crash. jobs > 1 runs up to that many worker processes, never more
-    than there are cores; jobs below 1 is a ValueError. The result is
-    sorted by name and byte-stable across jobs."""
+    a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
+    processes, never more than the machine has cores; jobs below 1 is a
+    ValueError. The result is sorted by name and byte-stable across jobs."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if include_builtin is None:
@@ -368,12 +416,23 @@ def verify_corpus(
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here so that `import subdeg` does not load multiprocessing;
-        # spawned workers start clean even when the caller runs threads
-        from concurrent.futures import ProcessPoolExecutor
+        # spawned helpers start clean even when the caller runs threads
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            results = list(pool.map(_analyze_task, tasks))
+        ctx = get_context("spawn")
+        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
+        helpers = []
+        try:
+            for _ in range(workers - 1):
+                helper = ctx.Process(target=_help, args=(tasks, counter, queue), daemon=True)
+                helper.start()
+                helpers.append(helper)
+            results = _gather(tasks, counter, queue)
+        finally:
+            for helper in helpers:
+                helper.terminate()
+            for helper in helpers:
+                helper.join()
     else:
         results = [_analyze_task(t) for t in tasks]
     results.sort(key=lambda r: r[0]["name"])

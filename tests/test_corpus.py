@@ -1,5 +1,9 @@
 """Group-file IO, report shape, and the corpus driver."""
 import json
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -11,6 +15,9 @@ from subdeg.corpus import (
     REPORT_FIELDS,
     CorpusResult,
     GroupFileError,
+    _analyze_task,
+    _gather,
+    _help,
     analyze,
     builtin_entries,
     fixture_path,
@@ -149,7 +156,7 @@ class TestLoadGroup:
             data = {"name": "x", "degree": 1, "generators": ["()"], "metadata": {"expected_order": bad}}
             with pytest.raises(GroupFileError, match="is not a decimal integer"):
                 group_from_dict(data)
-        for good in ("1", 1):
+        for good in ("1", 1, "0" * 5000 + "1"):
             data = {"name": "x", "degree": 1, "generators": ["()"], "metadata": {"expected_order": good}}
             assert order(group_from_dict(data)) == 1
 
@@ -304,14 +311,18 @@ class TestVerifyCorpus:
 
     def test_oversized_degree_and_long_digit_runs_are_skipped(self, tmp_path):
         # the degree allocated an image list of that length before any
-        # check, and a 5,000-digit point or JSON integer escaped as a bare
-        # ValueError
+        # check, a 5,000-digit point or JSON integer escaped as a bare
+        # ValueError, and a 5,001-digit expected_order was called "not a
+        # decimal integer" and quoted whole
         write_group(tmp_path / "a5.json", alternating(5))
         write_json(tmp_path / "huge.json", {"name": "h", "degree": 2_000_000, "generators": ["(1,2)"]})
         write_json(tmp_path / "digits.json", {"name": "d", "degree": 4, "generators": ["(1," + "9" * 5000 + ")"]})
         (tmp_path / "bigint.json").write_text('{"degree": 1' + "0" * 5000 + "}", encoding="utf-8")
+        write_json(tmp_path / "longorder.json", {
+            "name": "o", "degree": 3, "generators": ["(1,2,3)"], "metadata": {"expected_order": "3" + "0" * 5000},
+        })
         res = verify_corpus(directory=tmp_path, include_builtin=False)
-        assert res.total == 4
+        assert res.total == 5
         assert res.exit_code == 0
         by_name = {e["name"]: e for e in res.entries}
         assert by_name["alt(5)"]["theorem_ok"] is True
@@ -319,11 +330,13 @@ class TestVerifyCorpus:
             "huge": "'degree' 2000000 exceeds cap 100000",
             "digits": "generator 1: line 1 column 5004: point 999",
             "bigint": "invalid JSON: Exceeds the limit",
+            "longorder": "order mismatch: computed 3, expected_order says 30000000000000000000... (5001 digits)",
         }
         for stem, reason in reasons.items():
             (note,) = by_name[stem]["skipped_checks"]
             assert note.startswith(f"load failed: {tmp_path / stem}.json: {reason}")
             assert by_name[stem]["degree"] is None
+        assert by_name["longorder"]["skipped_checks"][0].endswith("digits)")
 
     def test_empty_directory(self, tmp_path):
         res = verify_corpus(directory=tmp_path, include_builtin=False)
@@ -348,6 +361,90 @@ class TestVerifyCorpus:
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             verify_corpus(directory=tmp_path, include_builtin=True, jobs=jobs)
+
+    def test_jobs_start_helpers_and_leave_none_running(self, tmp_path, monkeypatch):
+        for n in range(3, 7):
+            write_group(tmp_path / f"c{n}.json", cyclic(n))
+        started = []
+        real_start = multiprocessing.context.SpawnProcess.start
+
+        def start(process):
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
+        two = verify_corpus(directory=tmp_path, include_builtin=False, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert len(started) == min(2, os.cpu_count() or 1) - 1
+        assert two.to_json() == verify_corpus(directory=tmp_path, include_builtin=False, jobs=1).to_json()
+
+    def test_helpers_claim_each_task_once(self):
+        # four helpers share one counter; a lost update would send some
+        # index twice or leave it out
+        tasks = builtin_entries()
+        ctx = multiprocessing.get_context("spawn")
+        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
+        helpers = [ctx.Process(target=_help, args=(tasks, counter, queue), daemon=True)
+                   for _ in range(4)]
+        for h in helpers:
+            h.start()
+        got, deadline = [], time.monotonic() + 120
+        while time.monotonic() < deadline and (any(h.is_alive() for h in helpers) or not queue.empty()):
+            if queue.empty():
+                time.sleep(0.01)
+            else:
+                got.append(queue.get())
+        for h in helpers:
+            h.join(10)
+        assert not any(h.is_alive() for h in helpers)
+        assert sorted(i for i, _ in got) == list(range(len(tasks)))
+        assert dict(got) == {i: _analyze_task(t) for i, t in enumerate(tasks)}
+
+    def test_caller_runs_what_a_dead_helper_claimed(self):
+        # the counter starts past tasks 0..2, as if helpers claimed them and
+        # died; task 1's result did arrive and is taken, not recomputed
+        tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:5]
+        ctx = multiprocessing.get_context("spawn")
+        counter, inbox = ctx.Value("q", 3), ctx.SimpleQueue()
+        inbox.put((1, ("sent by a helper", False)))
+        out = []
+        caller = threading.Thread(target=lambda: out.append(_gather(tasks, counter, inbox)), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+        want = [_analyze_task(t) for t in tasks]
+        want[1] = ("sent by a helper", False)
+        assert out == [want]
+
+    def test_task_error_is_raised_by_the_caller(self, monkeypatch):
+        tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
+        calls = []
+
+        def analyze_task(task):
+            calls.append(task)
+            if task is tasks[1]:
+                raise RuntimeError("task 1 failed")
+            return _analyze_task(task)
+
+        monkeypatch.setattr("subdeg.corpus._analyze_task", analyze_task)
+        ctx = multiprocessing.get_context("spawn")
+        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
+        _help(tasks, counter, queue)  # a helper stops quietly at task 1
+        assert calls == tasks[:2]
+        assert counter.value == 2
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            _gather(tasks, counter, queue)  # the caller runs 2, takes 0's result, runs 1
+        assert calls == tasks[:2] + [tasks[2], tasks[1]]
+        assert queue.empty()
+
+    def test_task_error_raises_at_jobs_above_one(self, monkeypatch):
+        def analyze_task(task):
+            raise RuntimeError("every task fails in the caller")
+
+        monkeypatch.setattr("subdeg.corpus._analyze_task", analyze_task)
+        with pytest.raises(RuntimeError, match="every task fails"):
+            verify_corpus(include_builtin=True, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1
