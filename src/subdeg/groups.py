@@ -101,13 +101,19 @@ class _Level:
     """One level of the stabilizer chain: a base point, the strong
     generators fixing the earlier base points, in install order, the basic
     orbit with its Schreier vector, and the transversal, whose elements are
-    built only when read (see `rep`)."""
+    built only when read (see `rep`). `Bsgs._close` forms Schreier
+    generators from `gens[:scan]`, which ends at the last generator that
+    came from above; by Schreier's lemma the later ones, residues found at
+    this level or deeper, add nothing (see `Bsgs._install`)."""
 
-    __slots__ = ("point", "gens", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv")
+    __slots__ = (
+        "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv"
+    )
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Permutation] = []
+        self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_gens = -1  # len(gens) when orbit_list and schreier were built
         e = Permutation.identity(degree)
         self.trans = {point: e}  # orbit point -> coset representative, filled by rep
@@ -176,8 +182,15 @@ class Bsgs:
             n *= len(lv.orbit())
         return n
 
-    def _install(self, g: Permutation) -> int:
-        """Register a non-identity strong generator; returns its deepest level."""
+    def _install(self, g: Permutation, origin: int = -1) -> int:
+        """Register a non-identity strong generator; returns its deepest level.
+
+        `origin` is the level whose Schreier generator sifted to g, or -1 for
+        a generator from outside the chain. g lies in the group of every
+        level l <= origin, and by Schreier's lemma Schreier generators from
+        any generating set of a level's group generate the next one; so g
+        extends `scan` only at the levels l > origin, where it came from
+        above."""
         i = None
         for l, lv in enumerate(self.levels):
             if g(lv.point) != lv.point:
@@ -186,8 +199,10 @@ class Bsgs:
         if i is None:
             self.levels.append(_Level(g.min_moved(), self.degree))
             i = len(self.levels) - 1
-        for lv in self.levels[: i + 1]:
+        for l, lv in enumerate(self.levels[: i + 1]):
             lv.gens.append(g)
+            if l > origin:
+                lv.scan = len(lv.gens)
         return i
 
     def sift(self, p: Permutation, start: int = 0) -> Permutation | None:
@@ -207,7 +222,13 @@ class Bsgs:
 
     def _close(self, from_level: int, bound: int | None = None) -> None:
         """Re-establish the chain invariant from `from_level` upwards, or stop
-        once the basic orbit lengths multiply to `bound` (see schreier_sims)."""
+        once the basic orbit lengths multiply to `bound` (see schreier_sims).
+
+        Level i forms Schreier generators only from `gens[:scan]`. Every
+        deeper level is closed when level i is scanned, so if that prefix
+        yields no residue, level i is closed too and the skipped Schreier
+        generators would have sifted to the identity. The residues, and
+        their order, are those of a scan over every generator."""
         i = min(from_level, len(self.levels) - 1)
         restart = True  # the orbits grew by the generators just installed
         while i >= 0:
@@ -216,7 +237,7 @@ class Bsgs:
             lv = self.levels[i]
             orb = lv.orbit()
             restart = False
-            for gi, g in enumerate(lv.gens):
+            for gi, g in enumerate(lv.gens[: lv.scan]):
                 img = g.image_seq()
                 for a in orb:
                     b = img[a]
@@ -227,7 +248,7 @@ class Bsgs:
                         continue
                     residue = self.sift(sg, i + 1)
                     if residue is not None:
-                        i = self._install(residue)
+                        i = self._install(residue, i)
                         restart = True
                         break
                 if restart:
@@ -256,6 +277,11 @@ class Bsgs:
 
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     """Deterministic Schreier-Sims: same input, same chain, every run.
+
+    Each level forms Schreier generators only from G's generators and the
+    residues found at levels above it, the ones that can enlarge its group
+    (Schreier's lemma; see `Bsgs._install`). The chain is the one a scan of
+    every generator builds, from fewer sifts (see `Bsgs._close`).
 
     A group built in `constructions` carries a closed-form `_order_bound`,
     and the chain stops sifting Schreier generators once its basic orbit

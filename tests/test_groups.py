@@ -19,6 +19,7 @@ from conftest import (
     brute_orbits,
     brute_stabilizer,
     closure_elements,
+    full_order,
     make_group,
 )
 import subdeg.analysis
@@ -33,6 +34,7 @@ from subdeg.constructions import (
     ksubsets_action,
     partition_action,
     psl2,
+    symmetric,
 )
 from subdeg.corpus import analyze, fixture_path, load_group
 from subdeg.numtheory import is_prime
@@ -557,10 +559,27 @@ def test_base_prefix_keeps_the_first_of_each_point():
 
 
 def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
+    # a work bound: a scan of every generator at every level sifts 1,865
     G = _fresh_j1()
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 175560
-    assert len(sifts) == 1865
+    assert len(sifts) == 664
+
+
+def _bound_free_ksubsets() -> PermGroup:
+    G = ksubsets_action(10, 3)
+    return PermGroup(G.degree, G.generators)
+
+
+def test_levels_form_schreier_generators_from_a_prefix(monkeypatch):
+    # a scan of every generator at every level sifts 2,089; here level 0
+    # scans 2 of its 15 generators and level 1 8 of its 13
+    G = _bound_free_ksubsets()
+    sifts = _count_sifts(monkeypatch)
+    assert order(G) == 1814400
+    assert len(sifts) == 564
+    scanned = [(lv.scan, len(lv.gens)) for lv in G.bsgs.levels]
+    assert scanned[:2] == [(2, 15), (8, 13)]
 
 
 def chain_digest(G: PermGroup) -> str:
@@ -599,6 +618,9 @@ CHAIN_DIGESTS = {
     "alt(9)": "e34e77d1d5bdc49ccd2163c0d100feac4e89c797bd2e979889abc4660cbff463",
     "ksubsets(10,3)": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
     "dihedral(12)": "648d9059a2f11e6cce9aca9a6df6ebd6bd2f5a5f416fc976f703ebaca738ba78",
+    # computed with every level scanning all of its generators; equal to
+    # ksubsets(10,3), since the known-order stop stops at the full chain
+    "ksubsets(10,3) bound-free": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
 }
 CHAIN_GROUPS = {
     "j1": lambda: load_group(fixture_path("j1_266.json")),
@@ -608,12 +630,62 @@ CHAIN_GROUPS = {
     "alt(9)": lambda: alternating(9),
     "ksubsets(10,3)": lambda: ksubsets_action(10, 3),
     "dihedral(12)": lambda: dihedral(12),
+    "ksubsets(10,3) bound-free": _bound_free_ksubsets,
 }
 
 
 @pytest.mark.parametrize("name", CHAIN_GROUPS)
 def test_chain_matches_the_pinned_digest(name):
     assert chain_digest(CHAIN_GROUPS[name]()) == CHAIN_DIGESTS[name]
+
+
+class _FullScanBsgs(Bsgs):
+    """The reference chain: every level forms Schreier generators from all
+    of its generators, whatever level each residue was found at."""
+
+    def _install(self, g, origin=-1):
+        i = super()._install(g)
+        for lv in self.levels[: i + 1]:
+            lv.scan = len(lv.gens)
+        return i
+
+
+def _full_scan_copy(G: PermGroup) -> PermGroup:
+    ref = PermGroup(G.degree, G.generators)
+    chain = _FullScanBsgs(G.degree)
+    for g in G.generators:
+        chain._install(g)
+    chain._close(len(chain.levels) - 1)
+    ref._bsgs = chain
+    return ref
+
+
+SMALL_CONSTRUCTED = [
+    lambda: alternating(7),
+    lambda: symmetric(6),
+    lambda: ksubsets_action(6, 2),
+    lambda: partition_action(6, 2),
+    lambda: agl(2, 3),
+    lambda: agl(1, 7),
+    lambda: psl2(7),
+    lambda: dihedral(10),
+    lambda: cyclic(9),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_scan_builds_the_full_scan_chain(data):
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=1, max_value=10))
+        k = data.draw(st.integers(min_value=1, max_value=4))
+        gens = [Permutation(list(data.draw(st.permutations(range(n))))) for _ in range(k)]
+        G = PermGroup(n, gens)
+    else:
+        built = data.draw(st.sampled_from(SMALL_CONSTRUCTED))()
+        G = PermGroup(built.degree, built.generators)
+        assert order(built) == full_order(built)
+    assert chain_digest(G) == chain_digest(_full_scan_copy(G))
 
 
 def test_coset_action_builds_one_chain_for_the_subgroup(monkeypatch):
