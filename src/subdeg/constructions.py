@@ -45,6 +45,10 @@ class FiniteField:
     (coefficients compared low-degree-first); this need not be the Conway
     polynomial. The stored primitive element is the smallest element, in
     encoding order, of multiplicative order q-1.
+
+    Addition goes through the Zech table of "1 + x": with a = beta^i and
+    b = beta^j, a + b = a(1 + b/a), and 1 + beta^(j-i) is read off the
+    table built with the field.
     """
 
     def __init__(self, q: int):
@@ -64,6 +68,10 @@ class FiniteField:
         self.f = f
         self.modulus = self._find_modulus()
         self._exp, self._log, self.primitive_element = self._build_tables()
+        # _zech[k] = log(1 + beta^k), or -1 where 1 + beta^k = 0; adding 1
+        # steps the lowest base-p digit of the encoding
+        one_plus = [a - a % p + (a + 1) % p for a in self._exp]
+        self._zech = [self._log[b] if b else -1 for b in one_plus]
 
     # polynomial helpers: coefficient tuples over GF(p), low degree first
 
@@ -144,11 +152,16 @@ class FiniteField:
     # public arithmetic, table-backed
 
     def add(self, a: int, b: int) -> int:
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        if a == 0 or b == 0:
+            return a or b
+        m = self.q - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % m]
+        return 0 if z < 0 else self._exp[(la + z) % m]
 
     def neg(self, a: int) -> int:
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        """a(p - 1), that is a itself in characteristic 2."""
+        return a if self.p == 2 else self.mul(a, self.p - 1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -190,7 +203,8 @@ class ProjectiveLine:
 
 
 def _bounded(G: PermGroup, bound: int) -> PermGroup:
-    """G with a bound >= |G| that ends its chain early (groups.schreier_sims)."""
+    """G with a bound >= |G|; its chain sifts random elements until it
+    reaches the bound (groups.schreier_sims)."""
     G._order_bound = bound
     return G
 

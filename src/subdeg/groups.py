@@ -1,13 +1,15 @@
-"""Permutation groups: deterministic Schreier-Sims, orbits, stabilizers,
-coset actions, block systems, primitivity, and small-group searches.
+"""Permutation groups: Schreier-Sims, orbits, stabilizers, coset actions,
+block systems, primitivity, and small-group searches.
 
-The stabilizer chain is built deterministically: no randomization, base
-points chosen as the smallest moved point, orbits explored breadth-first
-with generators in list order. Two runs over the same generators produce
-identical chains.
+Two runs over the same generators produce identical chains. Base points
+are chosen as the smallest moved point and orbits explored breadth-first
+with generators in list order. A group with a proven order bound draws
+its random elements from a fixed seed; every other group gets the
+deterministic Schreier-Sims, with no randomization.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .numtheory import is_prime
@@ -153,8 +155,9 @@ class _Level:
 
 
 class Bsgs:
-    """Base and strong generating set: the deterministic Schreier-Sims
-    stabilizer chain, grown by `_install` and completed by `_close`. Each
+    """Base and strong generating set: the Schreier-Sims stabilizer chain,
+    grown by `_install` and completed by `_close`, or by random residues
+    up to a proven order (see schreier_sims). Each
     level holds its own generators, basic orbit and Schreier vector; its
     transversal elements are built on demand."""
 
@@ -176,7 +179,8 @@ class Bsgs:
 
     @property
     def order(self) -> int:
-        """Product of the basic orbit lengths; |G| once the chain is complete."""
+        """Product of the basic orbit lengths; |G| once the chain is complete,
+        and never more than |G| (see schreier_sims)."""
         n = 1
         for lv in self.levels:
             n *= len(lv.orbit())
@@ -220,9 +224,8 @@ class Bsgs:
             p = compose(p, lv.rep(delta, inv=True))
         return None if p.is_identity() else p
 
-    def _close(self, from_level: int, bound: int | None = None) -> None:
-        """Re-establish the chain invariant from `from_level` upwards, or stop
-        once the basic orbit lengths multiply to `bound` (see schreier_sims).
+    def _close(self, from_level: int) -> None:
+        """Re-establish the chain invariant from `from_level` upwards.
 
         Level i forms Schreier generators only from `gens[:scan]`. Every
         deeper level is closed when level i is scanned, so if that prefix
@@ -232,8 +235,6 @@ class Bsgs:
         i = min(from_level, len(self.levels) - 1)
         restart = True  # the orbits grew by the generators just installed
         while i >= 0:
-            if restart and bound is not None and self.order == bound:
-                return
             lv = self.levels[i]
             orb = lv.orbit()
             restart = False
@@ -276,24 +277,76 @@ class Bsgs:
 
 
 def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
-    """Deterministic Schreier-Sims: same input, same chain, every run.
+    """Schreier-Sims: same input, same chain, every run.
 
-    Each level forms Schreier generators only from G's generators and the
-    residues found at levels above it, the ones that can enlarge its group
-    (Schreier's lemma; see `Bsgs._install`). The chain is the one a scan of
-    every generator builds, from fewer sifts (see `Bsgs._close`).
+    Level i holds the generators S_i that fix the base points above it,
+    with S_i containing S_(i+1), and its basic orbit is the orbit of its
+    base point under <S_i>. S_(i+1) fixes that point, so <S_(i+1)> lies in
+    its stabilizer in <S_i>, and |<S_i>| >= |orbit_i| |<S_(i+1)>|; hence
+    |<S_i>| >= prod_(j>=i) |orbit_j|. At level 0 this reads |G| >= `order`,
+    and equality forces equality at every level, so <S_(i+1)> is the whole
+    stabilizer in <S_i> and <S_i> is G^(i), the pointwise stabilizer of
+    the base points above level i: the chain is complete.
 
-    A group built in `constructions` carries a closed-form `_order_bound`,
-    and the chain stops sifting Schreier generators once its basic orbit
-    lengths multiply to it. This is sound only for a bound >= |G|: the
-    product never exceeds |G| and equals it only on a complete chain, so the
-    chain is the one the full run builds, or the bound is never reached and
-    the full run happens."""
+    A group built in `constructions` carries a closed-form `_order_bound`
+    >= |G|. Its chain sifts seeded random elements (`_random_residues`)
+    until `order` reaches the bound, which by the argument above proves it
+    complete with no verification pass. If the bound is not reached, as
+    for a group acting with a kernel, the chain is completed by `_close`.
+
+    Every other group gets the deterministic run: each level forms
+    Schreier generators only from G's generators and the residues found at
+    levels above it, the ones that can enlarge its group (Schreier's lemma;
+    see `Bsgs._install`). The chain is the one a scan of every generator
+    builds, from fewer sifts (see `Bsgs._close`)."""
     chain = Bsgs(G.degree, base_prefix)
     for g in G.generators:
         chain._install(g)
-    chain._close(len(chain.levels) - 1, G._order_bound)
+    bound = G._order_bound
+    if bound is None or not _random_residues(chain, G.generators, bound):
+        chain._close(len(chain.levels) - 1)
     return chain
+
+
+def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
+    """Sift product-replacement elements of <gens> through the chain and
+    install each non-trivial residue until the basic orbit lengths multiply
+    to `bound`; True then. False once the product passes the bound or 30
+    sifts in a row come out trivial.
+
+    Product replacement (Celler, Leedham-Green, Murray, Niemeyer and
+    O'Brien, 1995) keeps 10 slots, filled from gens in turn. A step
+    multiplies a random slot by another, on a random side, and the
+    accumulator x by the result; 10 steps run before the first draw. The
+    stream comes from `random.Random(0).random()` alone, whose output
+    Python keeps fixed across versions."""
+    order = chain.order
+    if order == bound:
+        return True
+    rng = random.Random(0).random
+    slots = [gens[k % len(gens)] for k in range(10)]
+    x = Permutation.identity(chain.degree)
+
+    def step() -> Permutation:
+        nonlocal x
+        i = int(rng() * 10)
+        j = int(rng() * 9)
+        j += j >= i
+        slots[i] = compose(slots[i], slots[j]) if rng() < 0.5 else compose(slots[j], slots[i])
+        x = compose(x, slots[i])
+        return x
+
+    for _ in range(10):
+        step()
+    trivial = 0
+    while order < bound and trivial < 30:
+        residue = chain.sift(step())
+        if residue is None:
+            trivial += 1
+        else:
+            chain._install(residue)
+            order, trivial = chain.order, 0
+    return order == bound
 
 
 def _schreier_vector(gens, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:

@@ -1,6 +1,7 @@
 """Field arithmetic and the family constructors, against closed forms."""
 import hashlib
 import json
+import random
 from itertools import combinations
 from math import comb, factorial
 from pathlib import Path
@@ -29,6 +30,7 @@ from subdeg.constructions import (
 )
 from subdeg.corpus import FAMILY_BUILDERS, builtin_entries
 from subdeg.groups import (
+    Bsgs,
     CapExceeded,
     PermGroup,
     contains,
@@ -39,9 +41,9 @@ from subdeg.groups import (
     point_stabilizer,
 )
 from subdeg.numtheory import prime_factors
-from subdeg.perm import parse_cycles
+from subdeg.perm import Permutation, compose, parse_cycles
 
-from conftest import full_order
+from conftest import brute_orbits, full_order
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -361,26 +363,17 @@ EDGE_BUILDS = [
 ]
 
 
-def chain_state(G):
-    """Everything a stabilizer chain holds, level by level, with the
-    transversal element and its inverse at every orbit point."""
-    b = G.bsgs
-    levels = [
-        (
-            lv.point,
-            lv.gens,
-            lv.orbit_list,
-            lv.schreier,
-            [(lv.rep(x), lv.rep(x, inv=True)) for x in lv.orbit_list],
-        )
-        for lv in b.levels
-    ]
-    return b.base, b.strong_generators, b.order, levels
+def _word(gens, rng: random.Random, length: int = 12):
+    w = gens[0]
+    for _ in range(length):
+        w = compose(w, gens[int(rng.random() * len(gens))])
+    return w
 
 
 class TestOrderBound:
     """Each constructor hands Schreier-Sims its closed-form order as an upper
-    bound, and the chain stops once complete; it must be the same chain."""
+    bound, and the chain sifts seeded random elements until its basic orbit
+    lengths multiply to it; that chain must be complete."""
 
     @pytest.mark.parametrize(
         "build, params",
@@ -388,12 +381,48 @@ class TestOrderBound:
         ids=[name for name, _ in builtin_entries()]
         + [f"{b.__name__}{p}" for b, p in EDGE_BUILDS],
     )
-    def test_bounded_chain_is_the_full_chain(self, build, params):
+    def test_bounded_chain_is_the_full_chain(self, build, params, monkeypatch):
         G = build(*params)
-        assert G._order_bound is not None
+        bound = G._order_bound
+        assert bound is not None
         full = PermGroup(G.degree, G.generators)
         assert full._order_bound is None
-        assert chain_state(G) == chain_state(full)
+        starts = []
+        sift = Bsgs.sift
+        monkeypatch.setattr(Bsgs, "sift", lambda c, p, start=0: starts.append(start) or sift(c, p, start))
+        chain = G.bsgs
+        monkeypatch.undo()
+        assert chain.order == order(full)
+        # the random draws sift from level 0 and `_close` from deeper levels:
+        # none of the latter unless the bound is out of reach, and then only
+        # after exactly 30 trivial draws
+        from_gens = Bsgs(G.degree)
+        for g in G.generators:
+            from_gens._install(g)
+        if chain.order < bound:
+            assert starts[:30] == [0] * 30 and 0 not in starts[30:]
+        elif from_gens.order == bound:
+            assert starts == []
+        else:
+            assert starts and set(starts) == {0}
+        # every level's orbit is that of its base point under its own
+        # generators, which fix the base points above it and lie in the
+        # level above: the product of the orbit lengths bounds |G| from below
+        for i, lv in enumerate(chain.levels):
+            assert all(g(b) == b for g in lv.gens for b in chain.base[:i])
+            if i:
+                assert set(lv.gens) <= set(chain.levels[i - 1].gens)
+            want = next(o for o in brute_orbits(lv.gens, G.degree) if lv.point in o)
+            assert sorted(lv.orbit()) == list(want)
+        # sift agrees with the bound-free chain on members and on their
+        # products with a transposition, a member only of some groups
+        rng = random.Random(7)
+        swap = Permutation([1, 0, *range(2, G.degree)])
+        for _ in range(10):
+            w = _word(G.generators, rng)
+            assert chain.sift(w) is None and full.bsgs.sift(w) is None
+            t = compose(w, swap)
+            assert (chain.sift(t) is None) == (full.bsgs.sift(t) is None)
 
     def test_bound_is_only_an_upper_bound(self):
         # Alt(4) acts on the 3 pair partitions through its quotient by the
@@ -401,6 +430,13 @@ class TestOrderBound:
         G = partition_action(4, 2)
         assert G._order_bound == 12
         assert order(G) == 3
+
+    def test_bound_the_product_passes_falls_back_to_the_full_run(self):
+        # not an upper bound on |G| = 60: the random draws pass 7 and stop,
+        # and `_close` completes the chain
+        G = PermGroup(5, alternating(5).generators)
+        G._order_bound = 7
+        assert order(G) == 60
 
     def test_point_stabilizer_carries_no_bound(self):
         G = alternating(6)

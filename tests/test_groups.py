@@ -7,8 +7,11 @@ production code must reproduce.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
 import time
+from math import factorial
 
 import numpy as np
 import pytest
@@ -507,31 +510,46 @@ def _count_sifts(monkeypatch) -> list:
 
 
 def test_known_order_chain_stops_early(monkeypatch):
-    # the parent of the known-order stop sifted 3,930 Schreier generators
+    # the random chain stops once its orbit lengths multiply to the known
+    # order: 6 draws, all from level 0, where the deterministic run that
+    # stopped at the order sifted 481 Schreier generators, and the full
+    # run 3,930
     G = partition_action(9, 3)
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 181440
-    assert len(sifts) <= 500
+    assert sifts == [0] * 6
+
+
+def test_symmetric_100_chain_is_random(monkeypatch):
+    # 138 draws, all from level 0: the chain is complete at 100! with no
+    # deterministic pass
+    G = symmetric(100)
+    sifts = _count_sifts(monkeypatch)
+    assert order(G) == factorial(100)
+    assert sifts == [0] * 138
 
 
 def test_each_basic_orbit_is_built_once_per_generator_count(monkeypatch):
-    # the known-order stop and the transversal rebuild share a level's
-    # Schreier vector; building it in both took 40 calls
+    # one Schreier vector per level each time its generators grow: the
+    # random chain installs 7 strong generators on 4 levels; the
+    # deterministic run that stopped at the known order built 21
     calls = []
     real = subdeg.groups._schreier_vector
     monkeypatch.setattr(subdeg.groups, "_schreier_vector", lambda *a: calls.append(1) or real(*a))
     G = partition_action(9, 3)
     assert order(G) == 181440
-    assert len(calls) == 21
+    assert len(calls) == 15
 
 
 def test_transversal_is_built_only_where_read():
-    # built eagerly, the final levels held 443 entries beyond their base
-    # points and as many inverses; the known-order stop reads none of them
+    # built eagerly, the final levels would hold 317 entries beyond their
+    # base points and as many inverses. The draws read some, but the last
+    # residue opens the deepest level, so it joins every level, and each
+    # level empties its memos when it rebuilds its orbit
     G = partition_action(9, 3)
     assert order(G) == 181440
-    for lv in G.bsgs.levels:
-        assert set(lv.trans) == set(lv.trans_inv) == {lv.point}
+    held = sum(len(lv.trans) + len(lv.trans_inv) - 2 for lv in G.bsgs.levels)
+    assert held == 0
 
 
 def test_deep_schreier_tree_is_walked_without_recursion():
@@ -609,17 +627,20 @@ def chain_digest(G: PermGroup) -> str:
     return h.hexdigest()
 
 
-# computed when each level still indexed into one shared strong generator list
+# the j1, dihedral(12) and bound-free entries were computed when each level
+# still indexed into one shared strong generator list; dihedral(12)'s
+# generators already reach its order, so it takes no random draw. The other
+# constructed groups' entries pin the seeded random chain
 CHAIN_DIGESTS = {
     "j1": "f0129bebb55fa5e7095ab52027a66eacc1326edafb080eecbfe0a22e209869ab",
-    "partitions(9,3)": "4f1f50ecc73d0959f112ddacad37496e0e909be272fbd03ebaef6be0f53300f1",
-    "agl(3,3)": "fec82cbff6b24eb02d56b8481270f117306cc08c5942e188da5637daa3e8c9e7",
-    "psl2(49)": "a10bdce8ac786adbe8c16142e77b8041ccd5adc831a1583f342079896cb25afe",
-    "alt(9)": "e34e77d1d5bdc49ccd2163c0d100feac4e89c797bd2e979889abc4660cbff463",
-    "ksubsets(10,3)": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
+    "partitions(9,3)": "014349ab0056cd7dbdeeed2974254fbdd7d19bd5bf636b2c8bcead12cb1efcbb",
+    "agl(3,3)": "1d51ba19615731e26dda3f006cce4c53ca1508352c2c3b802c4d0d0123c9db73",
+    "psl2(49)": "ec0c4a4b6b5a8c42b24f045bd705930811e6c0459d0af37e1ebc46a8804bd780",
+    "alt(9)": "303dda322907c2dbf9feec194fe5ed8378299faf0c8b7ca0453d3682f54ea062",
+    "ksubsets(10,3)": "5de4175a01c1e714ffef661553a5f1b2d558e6caf386c49d10ec040ca3dd725a",
     "dihedral(12)": "648d9059a2f11e6cce9aca9a6df6ebd6bd2f5a5f416fc976f703ebaca738ba78",
-    # computed with every level scanning all of its generators; equal to
-    # ksubsets(10,3), since the known-order stop stops at the full chain
+    # computed with every level scanning all of its generators; the
+    # deterministic chain of the same generators as ksubsets(10,3)
     "ksubsets(10,3) bound-free": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
 }
 CHAIN_GROUPS = {
@@ -637,6 +658,27 @@ CHAIN_GROUPS = {
 @pytest.mark.parametrize("name", CHAIN_GROUPS)
 def test_chain_matches_the_pinned_digest(name):
     assert chain_digest(CHAIN_GROUPS[name]()) == CHAIN_DIGESTS[name]
+
+
+def test_random_chain_does_not_depend_on_the_hash_seed():
+    # the draws come from a fixed seed, never from set or hash order
+    code = (
+        "from test_groups import chain_digest\n"
+        "from subdeg.constructions import partition_action\n"
+        "print(chain_digest(partition_action(9, 3)))\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.strip())
+    assert out == [CHAIN_DIGESTS["partitions(9,3)"]] * 2
 
 
 class _FullScanBsgs(Bsgs):
