@@ -25,7 +25,6 @@ from .groups import (
     is_subgroup,
     is_transitive,
     minimal_block_system,
-    normalizer_small,
     orbit,
     orbits,
     order,

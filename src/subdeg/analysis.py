@@ -11,9 +11,7 @@ from .groups import (
     contains,
     fixed_points,
     is_transitive,
-    normalizer_small,
     orbits,
-    order,
     point_stabilizer,
     sylow_subgroup_small,
 )
@@ -192,12 +190,20 @@ def sylow_divisibility_check(G: PermGroup, point: int, p: int) -> SylowDivisibil
     p-subgroup, every non-trivial subdegree must be divisible by p.
 
     All Sylow p-subgroups being conjugate, the hypothesis asks whether some
-    conjugate N^g of one Sylow normalizer N lies in the stabilizer of the
-    point. N <= G_b iff N^h <= G_(b^h), and G is transitive, so that holds
-    iff N fixes some point."""
+    conjugate N^g of one Sylow normalizer N = N_G(P) lies in the stabilizer
+    of the point. N <= G_b iff N^h <= G_(b^h), and G is transitive, so that
+    holds iff N fixes some point. By Witt's lemma (Wielandt, Finite
+    Permutation Groups, 1964, section 3) this is the same as P fixing
+    exactly one point, so no normalizer is built. N permutes Fix(P), and
+    any point N fixes lies in Fix(P) since P <= N. For a and b in Fix(P),
+    P is a Sylow subgroup of G_a. Pick g with a^g = b. Then P and P^g are
+    both Sylow in G_b, so P^(gh) = P for some h in G_b. That makes gh an
+    element of N carrying a to b, so N is transitive on Fix(P) and fixes a
+    point exactly when |Fix(P)| = 1. P is trivial exactly when it has no
+    generators, since identity generators are stripped."""
     profile = subdegrees(G, point)
     P = sylow_subgroup_small(G, p)
-    hypothesis = order(P) > 1 and bool(fixed_points(normalizer_small(G, P)))
+    hypothesis = bool(P.generators) and len(fixed_points(P)) == 1
     conclusion = all(d % p == 0 for d in profile.subdegrees if d > 1) if hypothesis else None
     return SylowDivisibilityVerdict(
         prime=p,
@@ -233,11 +239,10 @@ def check_stabilizer_normal_bound(G: PermGroup, point: int, N: PermGroup) -> Sta
     coprime indices."""
     from . import lattice
 
-    stab = point_stabilizer(G, point)
     for x in N.generators:
-        if not contains(stab, x):
+        if not (contains(G, x) and x(point) == point):
             raise ValueError("N is not a subgroup of the point stabilizer")
-    for s in stab.generators:
+    for s in point_stabilizer(G, point).generators:
         s_inv = inverse(s)
         for x in N.generators:
             if not contains(N, compose(compose(s_inv, x), s)):

@@ -148,12 +148,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify_corpus(args) -> int:
-    if args.dir is not None and not Path(args.dir).is_dir():
-        print(f"error: {args.dir} is not a directory", file=sys.stderr)
+    try:
+        result = corpus.verify_corpus(
+            directory=args.dir, include_builtin=args.builtin or None, jobs=args.jobs
+        )
+    except NotADirectoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = corpus.verify_corpus(
-        directory=args.dir, include_builtin=args.builtin or None, jobs=args.jobs
-    )
     if args.json_out == "-":
         # keep stdout valid JSON when piping
         sys.stdout.write(result.to_json())

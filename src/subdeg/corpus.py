@@ -205,7 +205,10 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
     raises on mathematical grounds; intransitive groups get a report with
     the analysis fields null and a note in skipped_checks. The stabilizer
     of point and its orbits are computed once and give both the subdegrees
-    and the primitivity verdict."""
+    and the primitivity verdict. A point outside 0..degree-1 is a
+    ValueError for every group."""
+    if not 0 <= point < G.degree:
+        raise ValueError(f"point {point} out of range for degree {G.degree}")
     label = name or G.label or "group"
     n = order(G)
     if not is_transitive(G):
@@ -403,13 +406,16 @@ def verify_corpus(
     corpus. Unreadable files become entries with a load-failure note, never
     a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
     processes, never more than the machine has cores; jobs below 1 is a
-    ValueError. The result is sorted by name and byte-stable across jobs."""
+    ValueError, and a directory that is not one a NotADirectoryError. The
+    result is sorted by name and byte-stable across jobs."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if include_builtin is None:
         include_builtin = directory is None
     tasks: list = []
     if directory is not None:
+        if not Path(directory).is_dir():
+            raise NotADirectoryError(f"{directory} is not a directory")
         tasks += sorted(Path(directory).glob("*.json"))
     if include_builtin:
         tasks += builtin_entries()

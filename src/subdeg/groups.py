@@ -32,7 +32,6 @@ __all__ = [
     "minimal_block_system",
     "is_primitive",
     "elements",
-    "normalizer_small",
     "sylow_subgroup_small",
     "fixed_points",
     "is_subgroup",
@@ -597,26 +596,6 @@ def elements(G: PermGroup) -> list[Permutation]:
     if n > ELEMENTS_CAP:
         raise CapExceeded("group order", n, ELEMENTS_CAP)
     return G.bsgs.elements()
-
-
-def normalizer_small(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Normalizer of H in G by scanning all elements of G (cap-gated)."""
-    if H.degree != G.degree:
-        raise ValueError("degree mismatch")
-    if not is_subgroup(H, G):
-        raise ValueError("H is not a subgroup of G")
-    hb = H.bsgs
-    gens: list[Permutation] = []
-    chain = Bsgs(G.degree)
-    for g in elements(G):
-        conj_ok = all(
-            hb.sift(compose(compose(inverse(g), x), g)) is None for x in H.generators
-        )
-        if conj_ok and chain.sift(g) is not None:
-            chain._close(chain._install(g))
-            gens.append(g)
-    label = f"N({H.label})" if H.label else "normalizer"
-    return PermGroup(G.degree, gens or [Permutation.identity(G.degree)], label=label)
 
 
 def sylow_subgroup_small(G: PermGroup, p: int) -> PermGroup:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from subdeg.perm import Permutation, compose, parse_cycles
+from subdeg.perm import Permutation, compose, inverse, parse_cycles
 from subdeg.groups import PermGroup, order
 
 
@@ -39,6 +39,13 @@ def closure_elements(degree: int, gens) -> list[Permutation]:
                 seen.add(y)
                 out.append(y)
     return out
+
+
+def brute_normalizer(elems, sub_elems) -> list[Permutation]:
+    """The elements g of a group that conjugate every element of a
+    subgroup back into it, both given as element lists."""
+    sub = set(sub_elems)
+    return [g for g in elems if all(compose(compose(inverse(g), h), g) in sub for h in sub_elems)]
 
 
 def brute_stabilizer(elems, point: int) -> list[Permutation]:

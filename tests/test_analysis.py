@@ -17,11 +17,9 @@ from subdeg.analysis import (
 from subdeg.constructions import agl, alternating, cyclic, dihedral, ksubsets_action, psl2, symmetric
 from subdeg.groups import (
     PermGroup,
-    contains,
     coset_action,
     elements,
     is_subgroup,
-    normalizer_small,
     order,
     point_stabilizer,
     sylow_subgroup_small,
@@ -29,7 +27,7 @@ from subdeg.groups import (
 from subdeg.numtheory import prime_factors
 from subdeg.perm import compose, inverse
 
-from conftest import brute_stabilizer, brute_orbits, closure_elements, make_group
+from conftest import brute_normalizer, brute_stabilizer, brute_orbits, closure_elements, make_group
 
 
 def petersen_action():
@@ -187,20 +185,43 @@ class TestSylowDivisibility:
         assert v.hypothesis_holds is False
         assert v.conclusion_holds is None
 
+    def test_trivial_sylow_subgroup_on_one_point(self):
+        # a trivial P fixes every point; on one point that is exactly one
+        v = sylow_divisibility_check(PermGroup(1, []), 0, 2)
+        assert v.hypothesis_holds is False
+        assert v.conclusion_holds is None
 
-def conjugate_scan_hypothesis(G, point, p):
-    """Oracle: some conjugate of the Sylow normalizer lies in the stabilizer
-    of the point, found by scanning every element of G."""
-    P = sylow_subgroup_small(G, p)
-    if order(P) == 1:
+
+def conjugate_scan_hypothesis(g_elems, P, point):
+    """Oracle: some conjugate of the normalizer of the Sylow subgroup P lies
+    in the stabilizer of the point, with the normalizer and the scan over G
+    both taken from element lists built by closure; g_elems lists G."""
+    p_elems = closure_elements(P.degree, P.generators)
+    if len(p_elems) == 1:
         return False
-    N = normalizer_small(G, P)
-    stab = point_stabilizer(G, point)
-    for g in elements(G):
+    N = brute_normalizer(g_elems, p_elems)
+    for g in g_elems:
         g_inv = inverse(g)
-        if all(contains(stab, compose(compose(g_inv, x), g)) for x in N.generators):
+        if all(compose(compose(g_inv, x), g)(point) == point for x in N):
             return True
     return False
+
+
+@pytest.mark.parametrize(
+    "degree, gens, sub_gens, size",
+    [
+        (4, ("(1,2,3,4)", "(1,2)"), ("(1,2,3,4)",), 8),
+        (4, ("(1,2,3,4)", "(1,2)"), ("(1,2)(3,4)", "(1,3)(2,4)"), 24),  # normal subgroup
+        (5, ("(1,2,3,4,5)", "(1,2,3)"), ("(1,2,3,4,5)",), 10),
+    ],
+    ids=["c4-in-s4", "v4-in-s4", "c5-in-a5"],
+)
+def test_brute_normalizer_orders(degree, gens, sub_gens, size):
+    # checks the oracle behind conjugate_scan_hypothesis on known normalizers
+    G, H = make_group(degree, *gens), make_group(degree, *sub_gens)
+    N = brute_normalizer(closure_elements(degree, G.generators), closure_elements(degree, H.generators))
+    assert len(N) == size
+    assert len(closure_elements(degree, N)) == size  # closed under products
 
 
 SYLOW_ORACLE_GROUPS = {
@@ -227,9 +248,10 @@ SYLOW_ORACLE_GROUPS = {
 @pytest.mark.parametrize("name", SYLOW_ORACLE_GROUPS)
 def test_sylow_hypothesis_matches_conjugate_scan(name):
     G = SYLOW_ORACLE_GROUPS[name]()
+    g_elems = closure_elements(G.degree, G.generators)
     for p in (2, 3, 5, 7, 11, 13):
         v = sylow_divisibility_check(G, 0, p)
-        assert v.hypothesis_holds == conjugate_scan_hypothesis(G, 0, p), (name, p)
+        assert v.hypothesis_holds == conjugate_scan_hypothesis(g_elems, sylow_subgroup_small(G, p), 0), (name, p)
 
 
 SYLOW_PRIMES = (2, 3, 5, 7, 11, 13)

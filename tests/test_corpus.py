@@ -2,6 +2,7 @@
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -217,6 +218,12 @@ class TestAnalyze:
             assert getattr(r, f) is None
         assert any("transitive" in s for s in r.skipped_checks)
 
+    @pytest.mark.parametrize("transitive", [True, False], ids=["transitive", "intransitive"])
+    def test_point_out_of_range_is_rejected(self, transitive):
+        G = make_group(3, "(1,2,3)" if transitive else "(1,2)")
+        with pytest.raises(ValueError, match="point 7 out of range for degree 3"):
+            analyze(G, 7)
+
     def test_base_point_invariance(self):
         A5 = make_group(5, "(1,2,3)", "(3,4,5)")
         H = make_group(5, "(1,2,3)", "(1,2)(4,5)")
@@ -286,6 +293,15 @@ class TestVerifyCorpus:
         assert by_name["broken"]["degree"] is None
         assert any("load failed" in s for s in by_name["broken"]["skipped_checks"])
         assert any("order mismatch" in s for s in by_name["mismatch"]["skipped_checks"])
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_directory_that_is_not_one_is_an_error(self, tmp_path, kind):
+        # a sweep over nothing must not report success
+        path = tmp_path / "ghost"
+        if kind == "file":
+            write_group(path, cyclic(4))
+        with pytest.raises(NotADirectoryError, match=re.escape(f"{path} is not a directory")):
+            verify_corpus(directory=path, include_builtin=False)
 
     def test_undecodable_nested_and_non_ascii_files_are_skipped(self, tmp_path):
         # a UnicodeDecodeError, RecursionError or bare ValueError from one

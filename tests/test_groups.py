@@ -54,7 +54,6 @@ from subdeg.groups import (
     is_subgroup,
     is_transitive,
     minimal_block_system,
-    normalizer_small,
     orbit,
     order,
     point_stabilizer,
@@ -323,28 +322,6 @@ def test_analyze_primitivity_at_every_point(G):
     assert [analyze(G, pt).primitive for pt in range(n)] == [blockless] * n
 
 
-def test_normalizer_small():
-    G = s4()
-    c4 = make_group(4, "(1,2,3,4)")
-    N = normalizer_small(G, c4)
-    assert order(N) == 8
-    v4 = make_group(4, "(1,2)(3,4)", "(1,3)(2,4)")
-    assert order(normalizer_small(G, v4)) == 24  # normal subgroup
-    A = a5()
-    c5 = make_group(5, "(1,2,3,4,5)")
-    assert order(normalizer_small(A, c5)) == 10
-    # oracle: direct element filter
-    gelems = closure_elements(4, G.generators)
-    c4_set = set(closure_elements(4, c4.generators))
-    oracle = [
-        g
-        for g in gelems
-        if all(compose(compose(inverse(g), x), g) in c4_set for x in c4_set)
-    ]
-    assert len(oracle) == 8
-    assert set(elements(N)) == set(oracle)
-
-
 def test_sylow_subgroup_small():
     A = a5()
     for p, expected in [(2, 4), (3, 3), (5, 5), (7, 1)]:
@@ -481,6 +458,24 @@ def test_analyze_builds_one_chain(monkeypatch, make, point):
     report = analyze(G, point)
     assert report.primitive
     assert len(chains) == 1
+
+
+def test_sylow_check_builds_one_chain_and_lists_once(monkeypatch):
+    # the hypothesis reads Fix(P), which needs no chain for P and no second listing of G
+    G = alternating(8)
+    chains, listings = _spy(monkeypatch, "schreier_sims"), _spy(monkeypatch, "elements")
+    assert subdeg.analysis.sylow_divisibility_check(G, 0, 7).hypothesis_holds
+    assert [args[0] for args in chains] == [G]
+    assert [args[0] for args in listings] == [G]
+
+
+def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
+    # membership in G_0 is read off G's chain, not a chain of its own
+    G = alternating(7)
+    chains = _spy(monkeypatch, "schreier_sims")
+    N = point_stabilizer(G, 0)
+    assert subdeg.analysis.check_stabilizer_normal_bound(G, 0, N).applicable
+    assert [args[0] for args in chains] == [G, N]
 
 
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
