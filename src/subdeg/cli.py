@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", action="store_true", help="include the built-in corpus (default when no --dir)")
     p.add_argument(
         "--jobs", type=positive_int, default=1, metavar="N",
-        help="worker processes, at most one per core (default 1)",
+        help="worker processes, at most one per usable core (default 1)",
     )
     p.add_argument("--json", metavar="OUT", dest="json_out", help="write the JSON aggregate to this file ('-' for stdout)")
 

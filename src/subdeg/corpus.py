@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -363,39 +364,81 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
-def _claim(counter) -> int:
-    """The next unclaimed task index; past the end once every task is taken."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i
+def _serve() -> None:
+    """A helper process's part of a sweep, once its sys.path is set: read
+    the tasks and its order of them from stdin, and write each (index,
+    result) to stdout. A task's error ends the helper quietly: the caller
+    then runs that task itself and raises it."""
+    import pickle
 
-
-def _help(tasks, counter, outbox) -> None:
-    """A helper process's part of a sweep: claim tasks and send back
-    (index, result) until the counter passes the end. An error ends the
-    helper quietly: the caller then runs the task itself and raises it."""
+    tasks, order = pickle.load(sys.stdin.buffer)
     try:
-        while (i := _claim(counter)) < len(tasks):
-            outbox.put((i, _analyze_task(tasks[i])))
+        for i in order:
+            pickle.dump((i, _analyze_task(tasks[i])), sys.stdout.buffer)
+            sys.stdout.buffer.flush()
     except Exception:
         pass
 
 
-def _gather(tasks, counter, inbox) -> list:
-    """The caller's part of a sweep: claim and run tasks until the counter
-    passes the end, then take each task's result from the helpers if it has
-    arrived and run the task here if not. It never waits on a helper, so
-    one that dies or never starts costs time but drops no task."""
+def _help(helper, tasks, order, results) -> None:
+    """A reader thread's part of a sweep: send the helper process this
+    process's sys.path, then the tasks and its order, and store each
+    (index, result) it sends back until its output ends. A helper that
+    dies, even mid-message, ends the thread quietly."""
+    import pickle
+
+    try:
+        with helper.stdin:
+            pickle.dump(sys.path, helper.stdin)
+            pickle.dump((tasks, order), helper.stdin)
+        while True:
+            i, result = pickle.load(helper.stdout)
+            results[i] = result
+    except (OSError, EOFError, pickle.UnpicklingError):
+        pass
+
+
+def _sweep(tasks, workers: int) -> list:
+    """Each task's result, from the caller and workers - 1 helper processes.
+    Helper h runs tasks n-1-h, n-1-h-(workers-1), ... down to the first;
+    the caller runs tasks from the first forwards, skipping any whose result
+    has arrived. It never waits on a helper, so one that dies or never
+    starts costs time but drops no task. Every helper is killed and reaped,
+    and its reader thread joined, before this returns or raises."""
     results = [None] * len(tasks)
-    while (i := _claim(counter)) < len(tasks):
-        results[i] = _analyze_task(tasks[i])
-    for i, task in enumerate(tasks):
-        while results[i] is None and not inbox.empty():
-            j, result = inbox.get()
-            results[j] = result
-        if results[i] is None:
-            results[i] = _analyze_task(task)
+    helpers, readers = [], []
+    try:
+        if workers > 1:
+            # imported here so that `import subdeg` and a serial sweep do not pay for them
+            import subprocess
+            import threading
+
+            for h in range(workers - 1):
+                try:
+                    helper = subprocess.Popen(
+                        [sys.executable, "-c", "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer); "
+                                               f"from {__name__} import _serve; _serve()"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    )
+                except OSError:  # no interpreter to start
+                    break
+                helpers.append(helper)
+                order = range(len(tasks) - 1 - h, -1, -(workers - 1))
+                reader = threading.Thread(target=_help, args=(helper, tasks, order, results), daemon=True)
+                reader.start()
+                readers.append(reader)
+        # a reader may store a task's result while the caller computes it; the two are equal
+        for i, task in enumerate(tasks):
+            if results[i] is None:
+                results[i] = _analyze_task(task)
+    finally:
+        for helper in helpers:
+            helper.kill()
+        for reader in readers:
+            reader.join()
+        for helper in helpers:
+            with helper:  # closes its pipes and reaps it
+                pass
     return results
 
 
@@ -405,9 +448,9 @@ def verify_corpus(
     """Analyze a directory of group files and/or the built-in constructed
     corpus. Unreadable files become entries with a load-failure note, never
     a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
-    processes, never more than the machine has cores; jobs below 1 is a
-    ValueError, and a directory that is not one a NotADirectoryError. The
-    result is sorted by name and byte-stable across jobs."""
+    processes, never more than this process has usable cores; jobs below 1
+    is a ValueError, and a directory that is not one a NotADirectoryError.
+    The result is sorted by name and byte-stable across jobs."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if include_builtin is None:
@@ -419,28 +462,8 @@ def verify_corpus(
         tasks += sorted(Path(directory).glob("*.json"))
     if include_builtin:
         tasks += builtin_entries()
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that `import subdeg` does not load multiprocessing;
-        # spawned helpers start clean even when the caller runs threads
-        from multiprocessing import get_context
-
-        ctx = get_context("spawn")
-        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
-        helpers = []
-        try:
-            for _ in range(workers - 1):
-                helper = ctx.Process(target=_help, args=(tasks, counter, queue), daemon=True)
-                helper.start()
-                helpers.append(helper)
-            results = _gather(tasks, counter, queue)
-        finally:
-            for helper in helpers:
-                helper.terminate()
-            for helper in helpers:
-                helper.join()
-    else:
-        results = [_analyze_task(t) for t in tasks]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    results = _sweep(tasks, min(jobs, len(tasks), cores))
     results.sort(key=lambda r: r[0]["name"])
     return CorpusResult(
         entries=tuple(d for d, _ in results),

@@ -1,15 +1,22 @@
 """Group-file IO, report shape, and the corpus driver."""
+import io
 import json
-import multiprocessing
 import os
+import pickle
 import re
+import shutil
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import subdeg.groups
+from subdeg import corpus
 from subdeg.constructions import alternating, cyclic, dihedral, psl2
 from subdeg.corpus import (
     BUILTIN_CORPUS,
@@ -17,8 +24,6 @@ from subdeg.corpus import (
     CorpusResult,
     GroupFileError,
     _analyze_task,
-    _gather,
-    _help,
     analyze,
     builtin_entries,
     fixture_path,
@@ -33,6 +38,31 @@ from subdeg.corpus import (
 from subdeg.groups import PermGroup, coset_action, order
 
 from conftest import make_group
+
+
+def usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every helper process a sweep starts, by a spy on subprocess.Popen."""
+    procs = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return procs
+
+
+def assert_none_left(procs, threads):
+    """Every helper in procs is reaped with its pipes closed, and no thread
+    outlives the sweep."""
+    assert all(p.returncode is not None and p.stdin.closed and p.stdout.closed for p in procs)
+    assert threading.enumerate() == threads
 
 
 def write_json(path, obj):
@@ -378,89 +408,163 @@ class TestVerifyCorpus:
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             verify_corpus(directory=tmp_path, include_builtin=True, jobs=jobs)
 
-    def test_jobs_start_helpers_and_leave_none_running(self, tmp_path, monkeypatch):
+    def test_jobs_start_helpers_and_leave_none_running(self, tmp_path, monkeypatch, started):
         for n in range(3, 7):
             write_group(tmp_path / f"c{n}.json", cyclic(n))
-        started = []
-        real_start = multiprocessing.context.SpawnProcess.start
+        real_help = corpus._help
 
-        def start(process):
-            started.append(process)
-            real_start(process)
+        def help(*args):
+            real_help(*args)
+            time.sleep(0.2)  # a reader that ends late is still joined
 
-        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
+        monkeypatch.setattr(corpus, "_help", help)
+        threads = threading.enumerate()
         two = verify_corpus(directory=tmp_path, include_builtin=False, jobs=2)
-        assert multiprocessing.active_children() == []
-        assert len(started) == min(2, os.cpu_count() or 1) - 1
+        assert len(started) == min(2, usable_cores()) - 1
+        assert_none_left(started, threads)
         assert two.to_json() == verify_corpus(directory=tmp_path, include_builtin=False, jobs=1).to_json()
 
-    def test_helpers_claim_each_task_once(self):
-        # four helpers share one counter; a lost update would send some
-        # index twice or leave it out
+    def test_helpers_are_capped_at_the_usable_cores(self, monkeypatch, started):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_core = verify_corpus(include_builtin=True, jobs=2)
+        assert started == []
+        assert one_core.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
+
+    def test_helpers_claim_each_task_once(self, monkeypatch):
+        # four helpers, more than the cores, each run their own tasks to the
+        # end into a private list; the caller waits for them here and then
+        # runs every task itself
         tasks = builtin_entries()
-        ctx = multiprocessing.get_context("spawn")
-        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
-        helpers = [ctx.Process(target=_help, args=(tasks, counter, queue), daemon=True)
-                   for _ in range(4)]
-        for h in helpers:
-            h.start()
-        got, deadline = [], time.monotonic() + 120
-        while time.monotonic() < deadline and (any(h.is_alive() for h in helpers) or not queue.empty()):
-            if queue.empty():
-                time.sleep(0.01)
-            else:
-                got.append(queue.get())
-        for h in helpers:
-            h.join(10)
-        assert not any(h.is_alive() for h in helpers)
-        assert sorted(i for i, _ in got) == list(range(len(tasks)))
-        assert dict(got) == {i: _analyze_task(t) for i, t in enumerate(tasks)}
+        real_help, real_analyze, helped = corpus._help, corpus._analyze_task, []
 
-    def test_caller_runs_what_a_dead_helper_claimed(self):
-        # the counter starts past tasks 0..2, as if helpers claimed them and
-        # died; task 1's result did arrive and is taken, not recomputed
-        tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:5]
-        ctx = multiprocessing.get_context("spawn")
-        counter, inbox = ctx.Value("q", 3), ctx.SimpleQueue()
-        inbox.put((1, ("sent by a helper", False)))
-        out = []
-        caller = threading.Thread(target=lambda: out.append(_gather(tasks, counter, inbox)), daemon=True)
-        caller.start()
-        caller.join(60)
-        assert not caller.is_alive()
-        want = [_analyze_task(t) for t in tasks]
-        want[1] = ("sent by a helper", False)
-        assert out == [want]
+        def help(helper, tasks, order, results):
+            mine = [None] * len(tasks)
+            helped.append((order, mine))
+            real_help(helper, tasks, order, mine)
 
-    def test_task_error_is_raised_by_the_caller(self, monkeypatch):
-        tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
-        calls = []
+        def done():
+            return len(helped) == 4 and all(mine[i] is not None for order, mine in helped for i in order)
 
         def analyze_task(task):
+            deadline = time.monotonic() + 120
+            while not done() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real_analyze(task)
+
+        monkeypatch.setattr(corpus, "_help", help)
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        want = [real_analyze(t) for t in tasks]
+        assert corpus._sweep(tasks, 5) == want
+        assert done()
+        assert sorted(i for order, _ in helped for i in order) == list(range(len(tasks)))
+        for order, mine in helped:
+            assert list(order) == sorted(order, reverse=True) and order[0] >= len(tasks) - 4
+            assert {i: r for i, r in enumerate(mine) if r is not None} == {i: want[i] for i in order}
+
+    def test_caller_runs_what_a_dead_helper_claimed(self, monkeypatch, started):
+        # the helper is killed once its first result, the last task's, has
+        # arrived; that result is taken, not recomputed, and the caller runs
+        # every task the helper did not send
+        tasks = builtin_entries()
+        real_help, real_analyze, shared, calls = corpus._help, corpus._analyze_task, [], []
+
+        def help(helper, tasks, order, results):
+            shared.append(results)
+            real_help(helper, tasks, order, results)
+
+        def analyze_task(task):
+            if not calls:
+                deadline = time.monotonic() + 120
+                while not (shared and shared[0][-1] is not None) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                started[0].kill()
             calls.append(task)
-            if task is tasks[1]:
-                raise RuntimeError("task 1 failed")
-            return _analyze_task(task)
+            return real_analyze(task)
 
-        monkeypatch.setattr("subdeg.corpus._analyze_task", analyze_task)
-        ctx = multiprocessing.get_context("spawn")
-        counter, queue = ctx.Value("q", 0), ctx.SimpleQueue()
-        _help(tasks, counter, queue)  # a helper stops quietly at task 1
-        assert calls == tasks[:2]
-        assert counter.value == 2
-        with pytest.raises(RuntimeError, match="task 1 failed"):
-            _gather(tasks, counter, queue)  # the caller runs 2, takes 0's result, runs 1
-        assert calls == tasks[:2] + [tasks[2], tasks[1]]
-        assert queue.empty()
+        monkeypatch.setattr(corpus, "_help", help)
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
+        assert started[0].returncode != 0
+        assert tasks[-1] not in calls and len(calls) == len(set(calls))
+        assert set(calls) | {t for t, r in zip(tasks, shared[0]) if r is not None} == set(tasks)
 
-    def test_task_error_raises_at_jobs_above_one(self, monkeypatch):
+    @pytest.mark.parametrize("executable", ["missing", "exits", "hangs"])
+    def test_helper_that_never_starts_drops_no_task(self, tmp_path, monkeypatch, started, executable):
+        # the caller never waits on a helper, even one that never reads its tasks
+        for name, body in [("exits", "exit 3"), ("hangs", "exec sleep 600")]:
+            (tmp_path / name).write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
+            (tmp_path / name).chmod(0o755)
+        tasks = builtin_entries()
+        want = [_analyze_task(t) for t in tasks]
+        threads = threading.enumerate()
+        monkeypatch.setattr(sys, "executable", str(tmp_path / executable))
+        out = []
+        sweep = threading.Thread(target=lambda: out.append(corpus._sweep(tasks, 2)), daemon=True)
+        sweep.start()
+        sweep.join(60)
+        assert not sweep.is_alive()
+        assert out == [want]
+        assert_none_left(started, threads)
+
+    def test_task_error_is_raised_by_the_caller(self, monkeypatch, started):
+        tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
+        tasks.insert(1, ("bad", ("no-such-family", ())))
+        # a helper stops quietly at the bad task
+        inbox, outbox = io.BytesIO(pickle.dumps((tasks, range(3, -1, -1)))), io.BytesIO()
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=inbox))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=outbox))
+        corpus._serve()
+        outbox.seek(0)
+        assert [pickle.load(outbox), pickle.load(outbox)] == [(i, _analyze_task(tasks[i])) for i in (3, 2)]
+        assert outbox.read() == b""
+        # the caller runs it and raises; the helper's results are not enough
+        monkeypatch.setattr(corpus, "builtin_entries", lambda: tasks)
+        threads = threading.enumerate()
+        with pytest.raises(KeyError, match="no-such-family"):
+            verify_corpus(include_builtin=True, jobs=2)
+        assert len(started) == min(2, usable_cores()) - 1
+        assert_none_left(started, threads)
+
+    def test_task_error_raises_at_jobs_above_one(self, monkeypatch, started):
         def analyze_task(task):
             raise RuntimeError("every task fails in the caller")
 
         monkeypatch.setattr("subdeg.corpus._analyze_task", analyze_task)
+        threads = threading.enumerate()
         with pytest.raises(RuntimeError, match="every task fails"):
             verify_corpus(include_builtin=True, jobs=2)
-        assert multiprocessing.active_children() == []
+        assert len(started) == min(2, usable_cores()) - 1
+        assert_none_left(started, threads)
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="a helper needs a second usable core")
+    def test_helper_imports_the_callers_subdeg(self, tmp_path):
+        # a copy of subdeg that tags each result with the process and file
+        # that made it is put on sys.path in process only; without the
+        # caller's sys.path a helper would import another subdeg or none
+        copy = tmp_path / "copy"
+        shutil.copytree(Path(corpus.__file__).parent, copy / "subdeg", ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "subdeg" / "corpus.py", "a", encoding="utf-8") as f:
+            f.write(
+                "\n_untagged = _analyze_task\n\n\n"
+                "def _analyze_task(task):\n"
+                "    import time\n"
+                "    time.sleep(0.02)\n"
+                "    report, violates = _untagged(task)\n"
+                "    return {**report, 'pid': os.getpid(), 'file': __file__}, violates\n"
+            )
+        script = (
+            f"import json, os, sys; sys.path.insert(0, {str(copy)!r}); import subdeg; "
+            "r = subdeg.verify_corpus(include_builtin=True, jobs=2); "
+            "print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        caller, made = json.loads(proc.stdout)
+        assert {f for _, f in made} == {str(copy / "subdeg" / "corpus.py")}
+        assert len({pid for pid, _ in made}) == 2 and {pid for pid, _ in made} != {caller}
 
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1

@@ -42,34 +42,38 @@ def test_make_j1_fixture_reproduces_bundled_file(tmp_path):
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # verify_corpus imports multiprocessing only when jobs > 1, so neither
-    # the import nor a serial sweep pays for it
+    # --jobs helpers are plain child processes, so neither the import nor a
+    # sweep at any jobs pays for multiprocessing
     code = (
         "import sys, subdeg; print('multiprocessing' in sys.modules); "
-        "subdeg.verify_corpus(include_builtin=True, jobs=1); print('multiprocessing' in sys.modules)"
+        "subdeg.verify_corpus(include_builtin=True, jobs=1); print('multiprocessing' in sys.modules); "
+        "subdeg.verify_corpus(include_builtin=True, jobs=2); print('multiprocessing' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_jobs_in_a_script_without_a_main_guard(tmp_path):
-    # spawned helpers re-run such a script and fail to start; the caller
-    # sweeps alone and must still finish with the same output
-    script = tmp_path / "sweep.py"
-    script.write_text(
+    # a helper never imports the caller's __main__, so such a script, run
+    # from a file or from stdin, sweeps with helpers and prints nothing else
+    script = (
         "import subdeg\n"
         "r = subdeg.verify_corpus(include_builtin=True, jobs=2)\n"
-        "print(r.to_json(), end='')\n",
-        encoding="utf-8",
+        "print(r.to_json(), end='')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == subdeg.verify_corpus(include_builtin=True, jobs=1).to_json()
+    (tmp_path / "sweep.py").write_text(script, encoding="utf-8")
+    want = subdeg.verify_corpus(include_builtin=True, jobs=1).to_json()
+    for args, stdin in [([str(tmp_path / "sweep.py")], None), (["-"], script)]:
+        proc = subprocess.run(
+            [sys.executable, *args], input=stdin, cwd=tmp_path, env=_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        assert proc.stdout == want
 
 
 def test_numpy_loads_only_above_degree_255():
