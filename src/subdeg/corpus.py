@@ -364,47 +364,73 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
-def _serve() -> None:
+def _claim(ends, lock, back: bool):
+    """The next unclaimed task index, from the front or from the back, or
+    None once every task is claimed; tasks[ends[0]:ends[1]] are unclaimed."""
+    with lock:
+        if ends[0] == ends[1]:
+            return None
+        if back:
+            ends[1] -= 1
+            return ends[1]
+        ends[0] += 1
+        return ends[0] - 1
+
+
+def _serve(out) -> None:
     """A helper process's part of a sweep, once its sys.path is set: read
-    the tasks and its order of them from stdin, and write each (index,
-    result) to stdout. A task's error ends the helper quietly: the caller
-    then runs that task itself and raises it."""
+    the tasks from stdin, then run each index that follows and write its
+    (index, result) to out. Its input ending or a task's error ends the
+    helper quietly: the caller then runs that task itself and raises it."""
     import pickle
 
-    tasks, order = pickle.load(sys.stdin.buffer)
     try:
-        for i in order:
-            pickle.dump((i, _analyze_task(tasks[i])), sys.stdout.buffer)
-            sys.stdout.buffer.flush()
+        tasks = pickle.load(sys.stdin.buffer)
+        while True:
+            i = pickle.load(sys.stdin.buffer)
+            pickle.dump((i, _analyze_task(tasks[i])), out)
+            out.flush()
     except Exception:
         pass
 
 
-def _help(helper, tasks, order, results) -> None:
+def _help(helper, tasks, results, ends, lock) -> None:
     """A reader thread's part of a sweep: send the helper process this
-    process's sys.path, then the tasks and its order, and store each
-    (index, result) it sends back until its output ends. A helper that
-    dies, even mid-message, ends the thread quietly."""
+    process's sys.path and the tasks, then claim tasks from the back for it
+    and store each result it sends back, until none is left to claim. It
+    keeps a second index queued, so that the helper does not idle while
+    this thread waits for the interpreter lock. A helper that dies, or
+    writes anything but its results, ends the thread quietly."""
     import pickle
 
     try:
         with helper.stdin:
             pickle.dump(sys.path, helper.stdin)
-            pickle.dump((tasks, order), helper.stdin)
-        while True:
-            i, result = pickle.load(helper.stdout)
-            results[i] = result
-    except (OSError, EOFError, pickle.UnpicklingError):
+            pickle.dump(tasks, helper.stdin)
+            sent = []
+            while True:
+                while len(sent) < 2 and (i := _claim(ends, lock, back=True)) is not None:
+                    pickle.dump(i, helper.stdin)
+                    sent.append(i)
+                helper.stdin.flush()
+                if not sent:
+                    break
+                i, result = pickle.load(helper.stdout)
+                if i != sent.pop(0):
+                    break
+                results[i] = result
+    except Exception:
         pass
 
 
 def _sweep(tasks, workers: int) -> list:
     """Each task's result, from the caller and workers - 1 helper processes.
-    Helper h runs tasks n-1-h, n-1-h-(workers-1), ... down to the first;
-    the caller runs tasks from the first forwards, skipping any whose result
-    has arrived. It never waits on a helper, so one that dies or never
-    starts costs time but drops no task. Every helper is killed and reaped,
-    and its reader thread joined, before this returns or raises."""
+    The caller claims tasks from the front and each helper's reader thread
+    from the back, one at a time behind a lock. Once none is left, the
+    caller runs every task whose result has not arrived itself: it never
+    waits on a helper, so one that dies or never starts costs time but
+    drops no task. Every helper is killed and reaped, and its reader thread
+    joined, before this returns or raises."""
     results = [None] * len(tasks)
     helpers, readers = [], []
     try:
@@ -413,21 +439,26 @@ def _sweep(tasks, workers: int) -> list:
             import subprocess
             import threading
 
-            for h in range(workers - 1):
+            ends, lock = [0, len(tasks)], threading.Lock()
+            for _ in range(workers - 1):
                 try:
                     helper = subprocess.Popen(
-                        [sys.executable, "-c", "import pickle, sys; sys.path[:] = pickle.load(sys.stdin.buffer); "
-                                               f"from {__name__} import _serve; _serve()"],
+                        # the helper takes fd 1 for its results before anything it imports can write there
+                        [sys.executable, "-c", "import os, pickle, sys; out = os.fdopen(os.dup(1), 'wb'); "
+                                               "os.dup2(2, 1); sys.path[:] = pickle.load(sys.stdin.buffer); "
+                                               f"from {__name__} import _serve; _serve(out)"],
                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                     )
                 except OSError:  # no interpreter to start
                     break
                 helpers.append(helper)
-                order = range(len(tasks) - 1 - h, -1, -(workers - 1))
-                reader = threading.Thread(target=_help, args=(helper, tasks, order, results), daemon=True)
+                reader = threading.Thread(target=_help, args=(helper, tasks, results, ends, lock), daemon=True)
                 reader.start()
                 readers.append(reader)
-        # a reader may store a task's result while the caller computes it; the two are equal
+            while (i := _claim(ends, lock, back=False)) is not None:
+                results[i] = _analyze_task(tasks[i])
+        # what a helper claimed and has not sent, or in a serial sweep every task;
+        # a reader may store a task's result while the caller computes it: the two are equal
         for i, task in enumerate(tasks):
             if results[i] is None:
                 results[i] = _analyze_task(task)

@@ -60,9 +60,15 @@ def started(monkeypatch):
 
 def assert_none_left(procs, threads):
     """Every helper in procs is reaped with its pipes closed, and no thread
-    outlives the sweep."""
+    started since threads were listed outlives the sweep."""
     assert all(p.returncode is not None and p.stdin.closed and p.stdout.closed for p in procs)
-    assert threading.enumerate() == threads
+    assert set(threading.enumerate()) <= set(threads)
+
+
+def wait_until(ready, timeout=120):
+    deadline = time.monotonic() + timeout
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def write_json(path, obj):
@@ -430,73 +436,123 @@ class TestVerifyCorpus:
         assert started == []
         assert one_core.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
 
-    def test_helpers_claim_each_task_once(self, monkeypatch):
-        # four helpers, more than the cores, each run their own tasks to the
-        # end into a private list; the caller waits for them here and then
-        # runs every task itself
+    def test_helpers_claim_each_task_once(self, monkeypatch, started):
+        # four helpers, more than the cores; the caller's first task waits
+        # until every reader has run out of tasks to claim
         tasks = builtin_entries()
-        real_help, real_analyze, helped = corpus._help, corpus._analyze_task, []
+        real_claim, real_help, real_analyze = corpus._claim, corpus._help, corpus._analyze_task
+        claims, done, calls = [], [], []
 
-        def help(helper, tasks, order, results):
-            mine = [None] * len(tasks)
-            helped.append((order, mine))
-            real_help(helper, tasks, order, mine)
+        def claim(ends, lock, back):
+            i = real_claim(ends, lock, back)
+            if i is not None:
+                claims.append((threading.get_ident(), back, i))
+            return i
 
-        def done():
-            return len(helped) == 4 and all(mine[i] is not None for order, mine in helped for i in order)
+        def help(*args):
+            real_help(*args)
+            done.append(args[0])
 
         def analyze_task(task):
-            deadline = time.monotonic() + 120
-            while not done() and time.monotonic() < deadline:
-                time.sleep(0.01)
+            if not calls:
+                wait_until(lambda: len(done) == 4)
+            calls.append(task)
+            return real_analyze(task)
+
+        monkeypatch.setattr(corpus, "_claim", claim)
+        monkeypatch.setattr(corpus, "_help", help)
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        want = [real_analyze(t) for t in tasks]
+        threads = threading.enumerate()
+        assert corpus._sweep(tasks, 5) == want
+        assert len(started) == 4
+        assert_none_left(started, threads)
+        me = threading.get_ident()
+        assert sorted(i for _, _, i in claims) == list(range(len(tasks)))
+        assert [(back, i) for who, back, i in claims if who == me] == [(False, 0)]
+        assert all(back for who, back, _ in claims if who != me)
+        for reader in {who for who, _, _ in claims} - {me}:
+            mine = [i for who, _, i in claims if who == reader]
+            assert mine == sorted(mine, reverse=True)
+        # so every result but the first came from a helper, and equals the caller's
+        assert calls == [tasks[0]]
+
+    def test_a_stalled_helper_holds_back_at_most_two_tasks(self, tmp_path, monkeypatch):
+        # one helper never reads its input; the other takes every task left,
+        # as it claims one at a time from the shared end
+        (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
+        (tmp_path / "hangs").chmod(0o755)
+        procs = []
+
+        class Spy(subprocess.Popen):
+            def __init__(self, args, **kwargs):
+                super().__init__([str(tmp_path / "hangs")] if not procs else args, **kwargs)
+                procs.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Spy)
+        tasks = builtin_entries()
+        real_help, real_analyze, done, calls = corpus._help, corpus._analyze_task, [], []
+
+        def help(*args):
+            real_help(*args)
+            done.append(args[0])
+
+        def analyze_task(task):
+            if not calls:
+                wait_until(lambda: procs[1:] and procs[1] in done)
+            calls.append(task)
             return real_analyze(task)
 
         monkeypatch.setattr(corpus, "_help", help)
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
-        want = [real_analyze(t) for t in tasks]
-        assert corpus._sweep(tasks, 5) == want
-        assert done()
-        assert sorted(i for order, _ in helped for i in order) == list(range(len(tasks)))
-        for order, mine in helped:
-            assert list(order) == sorted(order, reverse=True) and order[0] >= len(tasks) - 4
-            assert {i: r for i, r in enumerate(mine) if r is not None} == {i: want[i] for i in order}
+        threads = threading.enumerate()
+        assert corpus._sweep(tasks, 3) == [real_analyze(t) for t in tasks]
+        assert_none_left(procs, threads)
+        # the caller's first task, and the two the stalled helper claimed
+        assert calls[0] == tasks[0] and len(calls) <= 3 and len(set(calls)) == len(calls)
 
     def test_caller_runs_what_a_dead_helper_claimed(self, monkeypatch, started):
-        # the helper is killed once its first result, the last task's, has
-        # arrived; that result is taken, not recomputed, and the caller runs
-        # every task the helper did not send
+        # the helper is killed once its first result has arrived; that result
+        # is taken, not recomputed, and the caller runs every task the helper
+        # did not send, each once
         tasks = builtin_entries()
-        real_help, real_analyze, shared, calls = corpus._help, corpus._analyze_task, [], []
+        real_help, real_analyze = corpus._help, corpus._analyze_task
+        shared, arrived, calls = [], [], []
 
-        def help(helper, tasks, order, results):
+        def help(helper, tasks, results, *rest):
             shared.append(results)
-            real_help(helper, tasks, order, results)
+            real_help(helper, tasks, results, *rest)
 
         def analyze_task(task):
             if not calls:
-                deadline = time.monotonic() + 120
-                while not (shared and shared[0][-1] is not None) and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                wait_until(lambda: shared and any(r is not None for r in shared[0]))
+                arrived.extend(t for t, r in zip(tasks, shared[0]) if r is not None)
                 started[0].kill()
             calls.append(task)
             return real_analyze(task)
 
         monkeypatch.setattr(corpus, "_help", help)
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        threads = threading.enumerate()
         assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
         assert started[0].returncode != 0
-        assert tasks[-1] not in calls and len(calls) == len(set(calls))
-        assert set(calls) | {t for t, r in zip(tasks, shared[0]) if r is not None} == set(tasks)
+        assert_none_left(started, threads)
+        assert arrived and not set(arrived) & set(calls) and len(calls) == len(set(calls))
+        assert len(calls) >= len(tasks) - len(arrived) - 2
 
-    @pytest.mark.parametrize("executable", ["missing", "exits", "hangs"])
+    @pytest.mark.parametrize("executable", ["missing", "exits", "hangs", "garbles"])
     def test_helper_that_never_starts_drops_no_task(self, tmp_path, monkeypatch, started, executable):
-        # the caller never waits on a helper, even one that never reads its tasks
-        for name, body in [("exits", "exit 3"), ("hangs", "exec sleep 600")]:
+        # the caller never waits on a helper, even one that never reads its
+        # tasks; one that writes something before its results, here a pickled
+        # 5, is dropped without a traceback
+        for name, body in [("exits", "exit 3"), ("hangs", "exec sleep 600"),
+                           ("garbles", f"printf 'I5\\n.'\nexec {sys.executable} \"$@\"")]:
             (tmp_path / name).write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
             (tmp_path / name).chmod(0o755)
         tasks = builtin_entries()
         want = [_analyze_task(t) for t in tasks]
-        threads = threading.enumerate()
+        threads, raised = threading.enumerate(), []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
         monkeypatch.setattr(sys, "executable", str(tmp_path / executable))
         out = []
         sweep = threading.Thread(target=lambda: out.append(corpus._sweep(tasks, 2)), daemon=True)
@@ -504,16 +560,17 @@ class TestVerifyCorpus:
         sweep.join(60)
         assert not sweep.is_alive()
         assert out == [want]
+        assert raised == []
         assert_none_left(started, threads)
 
     def test_task_error_is_raised_by_the_caller(self, monkeypatch, started):
         tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
         tasks.insert(1, ("bad", ("no-such-family", ())))
         # a helper stops quietly at the bad task
-        inbox, outbox = io.BytesIO(pickle.dumps((tasks, range(3, -1, -1)))), io.BytesIO()
+        inbox = io.BytesIO(b"".join(pickle.dumps(x) for x in [tasks, 3, 2, 1, 0]))
+        outbox = io.BytesIO()
         monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=inbox))
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=outbox))
-        corpus._serve()
+        corpus._serve(outbox)
         outbox.seek(0)
         assert [pickle.load(outbox), pickle.load(outbox)] == [(i, _analyze_task(tasks[i])) for i in (3, 2)]
         assert outbox.read() == b""
@@ -540,23 +597,37 @@ class TestVerifyCorpus:
     def test_helper_imports_the_callers_subdeg(self, tmp_path):
         # a copy of subdeg that tags each result with the process and file
         # that made it is put on sys.path in process only; without the
-        # caller's sys.path a helper would import another subdeg or none
+        # caller's sys.path a helper would import another subdeg or none.
+        # The caller's first task waits for a helper's first result.
         copy = tmp_path / "copy"
         shutil.copytree(Path(corpus.__file__).parent, copy / "subdeg", ignore=shutil.ignore_patterns("__pycache__"))
         with open(copy / "subdeg" / "corpus.py", "a", encoding="utf-8") as f:
             f.write(
                 "\n_untagged = _analyze_task\n\n\n"
                 "def _analyze_task(task):\n"
-                "    import time\n"
-                "    time.sleep(0.02)\n"
                 "    report, violates = _untagged(task)\n"
                 "    return {**report, 'pid': os.getpid(), 'file': __file__}, violates\n"
             )
-        script = (
-            f"import json, os, sys; sys.path.insert(0, {str(copy)!r}); import subdeg; "
-            "r = subdeg.verify_corpus(include_builtin=True, jobs=2); "
-            "print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))"
-        )
+        script = f"""
+import json, os, sys, time
+sys.path.insert(0, {str(copy)!r})
+from subdeg import corpus
+real_help, real_analyze, shared = corpus._help, corpus._analyze_task, []
+
+def help(helper, tasks, results, *rest):
+    shared.append(results)
+    real_help(helper, tasks, results, *rest)
+
+def analyze_task(task):
+    deadline = time.monotonic() + 120
+    while not any(r is not None for rs in shared for r in rs) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return real_analyze(task)
+
+corpus._help, corpus._analyze_task = help, analyze_task
+r = corpus.verify_corpus(include_builtin=True, jobs=2)
+print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))
+"""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
@@ -564,7 +635,7 @@ class TestVerifyCorpus:
         assert proc.stderr == ""
         caller, made = json.loads(proc.stdout)
         assert {f for _, f in made} == {str(copy / "subdeg" / "corpus.py")}
-        assert len({pid for pid, _ in made}) == 2 and {pid for pid, _ in made} != {caller}
+        assert len({pid for pid, _ in made}) == 2 and caller in {pid for pid, _ in made}
 
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1
