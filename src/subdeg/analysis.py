@@ -3,8 +3,8 @@ and the classical divisibility checks on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .groups import (
     PermGroup,
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuborbitProfile:
+class SuborbitProfile(NamedTuple):
     """Orbits of a point stabilizer: (representative, length) pairs sorted
     by length then representative. The base point's own suborbit has
     length 1."""
@@ -58,8 +57,7 @@ class SuborbitProfile:
         return tuple(sorted({d for d in self.subdegrees if d > 1}))
 
 
-@dataclass(frozen=True)
-class CoprimeClique:
+class CoprimeClique(NamedTuple):
     """A set of pairwise coprime non-trivial subdegrees, values ascending."""
 
     values: tuple[int, ...]
@@ -140,8 +138,7 @@ def neumann_check(profile: SuborbitProfile, clique: CoprimeClique) -> bool:
     return profile.rank >= 2**clique.size
 
 
-@dataclass(frozen=True)
-class CommonDivisorGraph:
+class CommonDivisorGraph(NamedTuple):
     """Graph on the distinct non-trivial subdegrees, edges joining values
     with gcd > 1. A maximum coprime set is a maximum independent set here."""
 
@@ -166,8 +163,7 @@ def common_divisor_graph(profile: SuborbitProfile) -> CommonDivisorGraph:
     )
 
 
-@dataclass(frozen=True)
-class SylowDivisibilityVerdict:
+class SylowDivisibilityVerdict(NamedTuple):
     """Outcome of the Sylow normalizer divisibility check.
 
     hypothesis_holds: some Sylow p-subgroup has its normalizer inside the
@@ -213,8 +209,7 @@ def sylow_divisibility_check(G: PermGroup, point: int, p: int) -> SylowDivisibil
     )
 
 
-@dataclass(frozen=True)
-class StabilizerBoundVerdict:
+class StabilizerBoundVerdict(NamedTuple):
     """Clique size against the coprime-index invariant of a normal subgroup
     of the stabilizer fixing only the base point.
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from . import corpus
 from .analysis import maximum_cliques
 from .groups import CapExceeded
-from .lattice import SUBGROUP_CAP, all_subgroups_small, coprime_factorizations, mu
 
 
 def positive_int(text: str) -> int:
@@ -60,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("file")
         p.add_argument(
-            "--subgroup-cap", type=positive_int, default=SUBGROUP_CAP, metavar="N",
+            # no default here: parsing must not import the lattice module
+            "--subgroup-cap", type=positive_int, metavar="N",
             help="largest group order for subgroup enumeration (default 2000)",
         )
 
@@ -180,11 +180,13 @@ def _cmd_verify_corpus(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattice  # only mu and factorizations pay for it
+
     G = _load_or_fail(args.file)
     if G is None:
         return 2
     try:
-        lat = all_subgroups_small(G, cap=args.subgroup_cap)
+        lat = lattice.all_subgroups_small(G, cap=args.subgroup_cap or lattice.SUBGROUP_CAP)
     except CapExceeded as e:
         print(f"skipped: {e}")
         return 0
@@ -193,9 +195,9 @@ def _cmd_lattice(args) -> int:
         print(f"order: {lat.group_order}")
         print(f"subgroups: {len(lat)}")
         print(f"maximal subgroup indices: {_seq(sorted({s.index for s in lat.maximal()}), 'none')}")
-        print(f"mu = {mu(G, lat)}")
+        print(f"mu = {lattice.mu(G, lat)}")
         return 0
-    facs = coprime_factorizations(G, lat)
+    facs = lattice.coprime_factorizations(G, lat)
     print(f"coprime factorizations: {len(facs)}")
     for f in facs:
         tag = "  [maximal pair]" if f.both_maximal else ""

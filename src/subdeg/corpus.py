@@ -9,9 +9,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
 from .constructions import (
@@ -160,11 +159,12 @@ def write_group(path, G: PermGroup, name: str | None = None) -> None:
 
 def fixture_path(filename: str) -> Path:
     """Path of a bundled fixture file, e.g. fixture_path('j1_266.json')."""
+    from importlib import resources  # imported here: it is slow to import
+
     return Path(resources.files("subdeg") / "fixtures" / filename)
 
 
-@dataclass(frozen=True)
-class CoprimeReport:
+class CoprimeReport(NamedTuple):
     """Per-group verification record. Orders are decimal strings so that
     values beyond 64 bits serialize exactly. weiss_ok is pass/fail when the
     group is primitive and not cyclic of prime order, not-applicable
@@ -198,7 +198,7 @@ class CoprimeReport:
         )
 
 
-REPORT_FIELDS = tuple(f.name for f in fields(CoprimeReport))
+REPORT_FIELDS = CoprimeReport._fields
 
 
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
@@ -323,8 +323,7 @@ def builtin_entries() -> list[tuple[str, tuple]]:
     ]
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     entries: tuple[dict, ...]  # report dicts sorted by name
     violations: tuple[str, ...]
 

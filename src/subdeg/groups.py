@@ -10,7 +10,7 @@ deterministic Schreier-Sims, with no randomization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import is_prime
 from .perm import Permutation, compose, inverse
@@ -31,6 +31,7 @@ __all__ = [
     "coset_action",
     "minimal_block_system",
     "is_primitive",
+    "is_transitive",
     "elements",
     "sylow_subgroup_small",
     "fixed_points",
@@ -488,8 +489,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutati
     return K, tuple(reps)
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """Partition of the points preserved by the group. Blocks are sorted by
     smallest point; block_of[x] is the index of the block containing x."""
 

@@ -13,10 +13,10 @@ subgroup once per double coset (see all_subgroups_small).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from .analysis import maximum_cliques
 from .groups import CapExceeded, PermGroup, elements, order
@@ -43,9 +43,9 @@ SUBGROUP_CAP = 2000
 SUBGROUP_COUNT_GUARD = 200_000
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
-    """One node of the lattice: a subgroup with its full element set."""
+class Subgroup(NamedTuple):
+    """One node of the lattice: a subgroup with its full element set.
+    Two nodes are equal only if they are the same object."""
 
     generators: tuple[Permutation, ...]
     element_set: frozenset[Permutation]
@@ -53,12 +53,30 @@ class Subgroup:
     index: int
     is_maximal: bool
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass(frozen=True, eq=False)
+
 class SubgroupLattice:
-    degree: int
-    group_order: int
-    subgroups: tuple[Subgroup, ...]
+    """Every subgroup of a group, in lattice order. Read-only, and equal
+    only to itself."""
+
+    __slots__ = ("degree", "group_order", "subgroups")
+
+    def __init__(self, degree: int, group_order: int, subgroups: tuple[Subgroup, ...]):
+        for name, value in zip(self.__slots__, (degree, group_order, subgroups)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return SubgroupLattice, (self.degree, self.group_order, self.subgroups)
+
+    def __repr__(self) -> str:
+        return (
+            f"SubgroupLattice(degree={self.degree!r}, group_order={self.group_order!r}, "
+            f"subgroups={self.subgroups!r})"
+        )
 
     def proper(self) -> tuple[Subgroup, ...]:
         return tuple(s for s in self.subgroups if s.order < self.group_order)
@@ -223,15 +241,17 @@ def mu_prime_bound(group_order: int) -> int:
     return len(distinct_prime_factors(group_order))
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
-    """G = A*B witnessed by coprime indices; |A||B| = |G||A cap B| checked."""
+class Factorization(NamedTuple):
+    """G = A*B witnessed by coprime indices; |A||B| = |G||A cap B| checked.
+    Two factorizations are equal only if they are the same object."""
 
     a: Subgroup
     b: Subgroup
     index_a: int
     index_b: int
     both_maximal: bool
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def coprime_factorizations(
@@ -273,8 +293,7 @@ def coprime_factorizations(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MuBoundVerdict:
+class MuBoundVerdict(NamedTuple):
     mu_value: int
     bound: int
 

@@ -1,10 +1,13 @@
 """End-to-end checks of the subdeg command-line entry point."""
 import json
+import re
 
 import pytest
 
 import subdeg.constructions
-from subdeg.cli import main
+import subdeg.lattice
+from subdeg import corpus
+from subdeg.cli import build_parser, main
 from subdeg.corpus import REPORT_FIELDS, write_group
 from subdeg.constructions import alternating, cyclic
 
@@ -221,3 +224,20 @@ class TestParser:
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["construct", "wreath", "3"])
+
+    def test_construct_choices_are_the_family_builders(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (family,) = [a for a in sub.choices["construct"]._actions if a.dest == "family"]
+        assert family.choices == sorted(corpus.FAMILY_BUILDERS)
+
+    @pytest.mark.parametrize("command", ["mu", "factorizations"])
+    def test_default_subgroup_cap_is_the_module_constant(self, command, a5_file, monkeypatch, capsys):
+        caps = []
+        real = subdeg.lattice.all_subgroups_small
+        monkeypatch.setattr(subdeg.lattice, "all_subgroups_small", lambda G, cap: caps.append(cap) or real(G, cap))
+        assert main([command, str(a5_file)]) == 0
+        assert caps == [subdeg.lattice.SUBGROUP_CAP]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(r"subgroup enumeration \(default (\d+)\)", help_text)[1] == str(caps[0])

@@ -35,9 +35,13 @@ from subdeg.corpus import (
     verify_corpus,
     write_group,
 )
-from subdeg.groups import PermGroup, coset_action, order
+from subdeg.analysis import subdegrees
+from subdeg.groups import PermGroup, coset_action, minimal_block_system, order
+from subdeg.lattice import all_subgroups_small, check_mu_bound, coprime_factorizations
 
 from conftest import make_group
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def usable_cores() -> int:
@@ -294,6 +298,55 @@ class TestReportSerialization:
         cells = text.strip().split("\n")[1].split(",")
         assert cells[3] == "false"  # transitive
         assert cells[5] == ""  # rank is null
+
+
+class TestRecords:
+    def test_report_repr_and_field_order(self):
+        assert repr(analyze(load_group(GOLDEN / "alt5.json"))) == (
+            "CoprimeReport(name='alt(5)', degree=5, order='60', transitive=True, primitive=True, rank=2, "
+            "subdegrees=(1, 4), distinct_nontrivial_subdegrees=(4,), max_coprime_clique=(4,), clique_size=1, "
+            "weiss_ok='pass', neumann_ok=True, theorem_ok=True, skipped_checks=())"
+        )
+        assert REPORT_FIELDS == (
+            "name", "degree", "order", "transitive", "primitive", "rank", "subdegrees",
+            "distinct_nontrivial_subdegrees", "max_coprime_clique", "clique_size", "weiss_ok",
+            "neumann_ok", "theorem_ok", "skipped_checks",
+        )
+
+    def test_fields_are_read_only(self):
+        G = psl2(7)
+        lat = all_subgroups_small(G)
+        records = [
+            (analyze(G), "rank"),
+            (CorpusResult(entries=(), violations=()), "violations"),
+            (subdegrees(G), "degree"),
+            (minimal_block_system(dihedral(4), (0, 2)), "blocks"),
+            (check_mu_bound(G), "bound"),
+            (lat, "subgroups"),
+            (lat.subgroups[0], "order"),
+            (coprime_factorizations(G, lat)[0], "index_a"),
+        ]
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    def test_lattice_records_compare_by_identity(self):
+        first, second = all_subgroups_small(psl2(7)), all_subgroups_small(psl2(7))
+        assert first == first and first != second
+        assert repr(first.subgroups[0]) == repr(second.subgroups[0])
+        for a, b in [(first.subgroups[0], second.subgroups[0]),
+                     (coprime_factorizations(psl2(7), first)[0], coprime_factorizations(psl2(7), second)[0])]:
+            assert a == a and a != b and len({a, b}) == 2
+
+    def test_records_survive_pickle(self):
+        report = analyze(alternating(5))
+        again = pickle.loads(pickle.dumps(report))
+        assert type(again) is type(report) and again == report
+        assert again.violates is False
+        lat = all_subgroups_small(cyclic(6))
+        copy = pickle.loads(pickle.dumps(lat))
+        assert (copy.degree, copy.group_order, len(copy)) == (6, 6, 4)
+        assert [s.order for s in copy.maximal()] == [s.order for s in lat.maximal()]
 
 
 class TestBuiltinCorpus:

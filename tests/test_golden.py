@@ -10,7 +10,14 @@ an intended output change, run each case from the repository root:
     PYTHONPATH=src python -m subdeg.cli ARGS > tests/golden/NAME.out
 
 with NAME and ARGS taken from CASES, and update the exit code there too.
+
+Each case runs twice: through main() in this process, and as that command
+in a fresh interpreter. The second catches an import that works only
+because the test session has already loaded every module.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +66,16 @@ def test_cli_matches_golden(name, args, code, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,args,code", CASES, ids=[" ".join(args) for _, args, _ in CASES]
+)
+def test_fresh_interpreter_matches_golden(name, args, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subdeg.cli", *args], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
