@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import corpus
-from .analysis import maximum_cliques
 from .groups import CapExceeded
 
 
@@ -38,7 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="emit the report as CSV")
 
     p = sub.add_parser("construct", help="build a group from a named family")
-    p.add_argument("family", choices=sorted(corpus.FAMILY_BUILDERS))
+    # the names of corpus.FAMILY_BUILDERS, which would load the constructions
+    p.add_argument(
+        "family", choices=["agl", "alt", "cyclic", "dihedral", "ksubsets", "partitions", "psl2", "sym"]
+    )
     p.add_argument("params", nargs="+", type=int, help="family parameters, e.g. 7 3")
     p.add_argument("--out", metavar="FILE", help="write the group file here")
     p.add_argument("--analyze", action="store_true", dest="do_analyze", help="also print the analysis report")
@@ -76,6 +78,8 @@ def _seq(values, empty: str) -> str:
 
 
 def _print_report(r: corpus.CoprimeReport) -> None:
+    from .analysis import maximum_cliques
+
     print(f"name: {r.name}")
     print(f"degree: {r.degree}")
     print(f"order: {r.order}")

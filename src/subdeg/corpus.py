@@ -12,17 +12,6 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
-from .constructions import (
-    agl,
-    alternating,
-    cyclic,
-    dihedral,
-    ksubsets_action,
-    partition_action,
-    psl2,
-    symmetric,
-)
 from . import groups
 from .groups import PermGroup, _is_primitive_at, is_transitive, orbits, order, point_stabilizer
 from .numtheory import is_prime
@@ -208,6 +197,8 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
     of point and its orbits are computed once and give both the subdegrees
     and the primitivity verdict. A point outside 0..degree-1 is a
     ValueError for every group."""
+    from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
+
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     label = name or G.label or "group"
@@ -281,16 +272,31 @@ def report_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-FAMILY_BUILDERS = {
-    "alt": alternating,
-    "sym": symmetric,
-    "ksubsets": ksubsets_action,
-    "partitions": partition_action,
-    "agl": agl,
-    "psl2": psl2,
-    "dihedral": dihedral,
-    "cyclic": cyclic,
-}
+def _family_builders() -> dict:
+    """FAMILY_BUILDERS, which imports the constructions on first use: a
+    command that builds no group does not load them."""
+    builders = globals().get("FAMILY_BUILDERS")
+    if builders is None:
+        from . import constructions as c
+
+        builders = globals()["FAMILY_BUILDERS"] = {
+            "alt": c.alternating,
+            "sym": c.symmetric,
+            "ksubsets": c.ksubsets_action,
+            "partitions": c.partition_action,
+            "agl": c.agl,
+            "psl2": c.psl2,
+            "dihedral": c.dihedral,
+            "cyclic": c.cyclic,
+        }
+    return builders
+
+
+def __getattr__(name: str):
+    if name == "FAMILY_BUILDERS":
+        return _family_builders()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 BUILTIN_CORPUS: tuple[tuple[str, tuple[int, ...]], ...] = (
     tuple(("alt", (n,)) for n in range(5, 10))
@@ -359,7 +365,7 @@ def _analyze_task(task) -> tuple[dict, bool]:
         report = analyze(G)
     else:
         name, (family, params) = task
-        report = analyze(FAMILY_BUILDERS[family](*params), name=name)
+        report = analyze(_family_builders()[family](*params), name=name)
     return report_to_dict(report), report.violates
 
 

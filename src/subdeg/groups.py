@@ -5,7 +5,9 @@ Two runs over the same generators produce identical chains. Base points
 are chosen as the smallest moved point and orbits explored breadth-first
 with generators in list order. A group with a proven order bound draws
 its random elements from a fixed seed; every other group gets the
-deterministic Schreier-Sims, with no randomization.
+deterministic Schreier-Sims, with no randomization. The chain memoizes
+and multiplies stored images (see perm), and wraps in a Permutation only
+the residues it installs or returns and the representatives it hands out.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .numtheory import is_prime
-from .perm import Permutation, compose, inverse
+from .perm import Permutation, _at, _identity, _inv, _is_id, _mul, _wrap, compose, inverse
 
 __all__ = [
     "PermGroup",
@@ -103,10 +105,13 @@ class _Level:
     """One level of the stabilizer chain: a base point, the strong
     generators fixing the earlier base points, in install order, the basic
     orbit with its Schreier vector, and the transversal, whose elements are
-    built only when read (see `rep`). `Bsgs._close` forms Schreier
-    generators from `gens[:scan]`, which ends at the last generator that
-    came from above; by Schreier's lemma the later ones, residues found at
-    this level or deeper, add nothing (see `Bsgs._install`)."""
+    built only when read (see `_rep`). The transversal memos hold stored
+    images, which the chain multiplies directly; only `rep` wraps one in a
+    Permutation, for readers outside the chain. `Bsgs._close` forms
+    Schreier generators from `gens[:scan]`, which ends at the last
+    generator that came from above; by Schreier's lemma the later ones,
+    residues found at this level or deeper, add nothing (see
+    `Bsgs._install`)."""
 
     __slots__ = (
         "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv"
@@ -117,9 +122,9 @@ class _Level:
         self.gens: list[Permutation] = []
         self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_gens = -1  # len(gens) when orbit_list and schreier were built
-        e = Permutation.identity(degree)
-        self.trans = {point: e}  # orbit point -> coset representative, filled by rep
-        self.trans_inv = {point: e}  # orbit point -> its inverse, filled by rep
+        e = _identity(degree)
+        self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
+        self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
 
     def orbit(self) -> list[int]:
         """The basic orbit, with its Schreier vector rebuilt, and the
@@ -135,13 +140,17 @@ class _Level:
 
     def rep(self, b: int, inv: bool = False) -> Permutation:
         """The transversal element carrying the base point to the orbit point
-        b, or its inverse. The first read walks the Schreier vector, without
-        recursion, up to a point already built and memoizes every point on
-        the path. The orbit must be current (see `orbit`)."""
+        b, or its inverse. The orbit must be current (see `orbit`)."""
+        return _wrap(self._rep(b, inv))
+
+    def _rep(self, b: int, inv: bool = False):
+        """The stored image of rep(b, inv). The first read walks the Schreier
+        vector, without recursion, up to a point already built and memoizes
+        every point on the path."""
         if inv:
             u = self.trans_inv.get(b)
             if u is None:
-                u = self.trans_inv[b] = inverse(self.rep(b))
+                u = self.trans_inv[b] = _inv(self._rep(b))
             return u
         trans, vec, gens = self.trans, self.schreier, self.gens
         path = []
@@ -150,7 +159,7 @@ class _Level:
             b = vec[b][1]
         u = trans[b]
         for c in reversed(path):
-            u = trans[c] = compose(u, gens[vec[c][0]])
+            u = trans[c] = _mul(u, gens[vec[c][0]]._img)
         return u
 
 
@@ -213,16 +222,20 @@ class Bsgs:
         """Residue of p reduced through the levels from `start`; None when p
         sifts to the identity, which from level 0 of a complete chain means
         p is a member."""
-        for l in range(start, len(self.levels)):
-            lv = self.levels[l]
+        residue = self._sift(p._img, start)
+        return None if residue is None else _wrap(residue)
+
+    def _sift(self, x, start: int):
+        """`sift` on the stored image x: the residue's image, or None."""
+        for lv in self.levels[start:]:
             lv.orbit()
-            delta = p(lv.point)
+            delta = _at(x, lv.point)
             if delta == lv.point:
                 continue
             if delta not in lv.schreier:
-                return p
-            p = compose(p, lv.rep(delta, inv=True))
-        return None if p.is_identity() else p
+                return x
+            x = _mul(x, lv._rep(delta, True))
+        return None if _is_id(x) else x
 
     def _close(self, from_level: int) -> None:
         """Re-establish the chain invariant from `from_level` upwards.
@@ -231,25 +244,28 @@ class Bsgs:
         deeper level is closed when level i is scanned, so if that prefix
         yields no residue, level i is closed too and the skipped Schreier
         generators would have sifted to the identity. The residues, and
-        their order, are those of a scan over every generator."""
+        their order, are those of a scan over every generator. Schreier
+        generators are formed and sifted as stored images; only a residue
+        to install becomes a Permutation."""
         i = min(from_level, len(self.levels) - 1)
         restart = True  # the orbits grew by the generators just installed
         while i >= 0:
             lv = self.levels[i]
             orb = lv.orbit()
             restart = False
+            vec, rep = lv.schreier, lv._rep
             for gi, g in enumerate(lv.gens[: lv.scan]):
-                img = g.image_seq()
+                img, x = g.image_seq(), g._img
                 for a in orb:
                     b = img[a]
-                    if lv.schreier.get(b) == (gi, a):
+                    if vec.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
-                    sg = compose(compose(lv.rep(a), g), lv.rep(b, inv=True))
-                    if sg.is_identity():
+                    sg = _mul(_mul(rep(a), x), rep(b, True))
+                    if _is_id(sg):
                         continue
-                    residue = self.sift(sg, i + 1)
+                    residue = self._sift(sg, i + 1)
                     if residue is not None:
-                        i = self._install(residue, i)
+                        i = self._install(_wrap(residue), i)
                         restart = True
                         break
                 if restart:
@@ -520,12 +536,12 @@ def minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
     return _minimal_block_system(G, pair)
 
 
-def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
-    """minimal_block_system without its checks: G transitive and the pair two
-    distinct points."""
-    a, b = pair
-    n = G.degree
-    parent = list(range(n))
+def _merge_classes(G: PermGroup, pair: tuple[int, int], stop: int):
+    """Union-find refinement from the pair to the finest G-congruence
+    joining it: its find function, or None as soon as a class holds more
+    than `stop` points."""
+    parent = list(range(G.degree))
+    size = [1] * G.degree
 
     def find(x: int) -> int:
         root = x
@@ -536,15 +552,26 @@ def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         return root
 
     imgs = [g.image_seq() for g in G.generators]
-    queue = [(a, b)]
+    queue = [pair]
     while queue:
         x, y = queue.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
             continue
         parent[ry] = rx
+        size[rx] += size[ry]
+        if size[rx] > stop:
+            return None
         for img in imgs:
             queue.append((img[x], img[y]))
+    return find
+
+
+def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
+    """minimal_block_system without its checks: G transitive and the pair two
+    distinct points."""
+    n = G.degree
+    find = _merge_classes(G, pair, n)
     classes: dict[int, list[int]] = {}
     for x in range(n):
         classes.setdefault(find(x), []).append(x)
@@ -558,6 +585,13 @@ def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         for x in blk:
             block_of[x] = i
     return BlockSystem(degree=n, blocks=blocks, block_of=tuple(block_of))
+
+
+def _pair_spans_all(G: PermGroup, pair: tuple[int, int]) -> bool:
+    """_minimal_block_system(G, pair).num_blocks == 1, without building the
+    system: the refinement stops once a class holds more than half the
+    points, since a proper block of a transitive group holds at most half."""
+    return _merge_classes(G, pair, G.degree // 2) is None
 
 
 def is_primitive(G: PermGroup) -> bool:
@@ -582,11 +616,7 @@ def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
         return True
     if all(len(orb) == 1 for orb in suborbits):
         return False
-    return all(
-        _minimal_block_system(G, (point, orb[0])).num_blocks == 1
-        for orb in suborbits
-        if orb[0] != point
-    )
+    return all(_pair_spans_all(G, (point, orb[0])) for orb in suborbits if orb[0] != point)
 
 
 def elements(G: PermGroup) -> list[Permutation]:

@@ -72,10 +72,13 @@ class Permutation:
         return img if isinstance(img, bytes) else img.tolist()
 
     def __call__(self, point: int) -> int:
-        return int(self._img[point])
+        img = self._img
+        if not 0 <= point < len(img):
+            raise ValueError(f"point {point} out of range for degree {len(img)}")
+        return int(img[point])
 
     def is_identity(self) -> bool:
-        return _raw(self._img) == _identity_raw(len(self._img))
+        return _is_id(self._img)
 
     def order(self) -> int:
         return order_of(self)
@@ -132,7 +135,10 @@ def _frozen(arr):
 
 
 def _wrap(img) -> Permutation:
-    """Permutation around an image already in its stored form, unchecked."""
+    """Permutation around an image already in its stored form, unchecked;
+    an array is frozen in place first."""
+    if not isinstance(img, bytes):
+        _frozen(img)
     p = object.__new__(Permutation)
     p._img = img
     return p
@@ -157,24 +163,48 @@ def _identity_raw(degree: int) -> bytes:
 _PAD = tuple(bytes(range(n, 256)) for n in range(256))
 
 
+# Stored images, for code that multiplies many of them, such as the
+# stabilizer chain in groups: these take and return bytes or int64 arrays,
+# so that only this module tells the two apart, and build no Permutation.
+# An array they return may be writable; _wrap freezes it.
+
+
+def _mul(x, y):
+    """x followed by y: the image of compose."""
+    if isinstance(x, bytes):
+        return x.translate(y + _PAD[len(y)])
+    return y[x]
+
+
+def _inv(x):
+    """The image of the inverse."""
+    n = len(x)
+    if isinstance(x, bytes):
+        return bytes.maketrans(x, _identity(n))[:n]
+    inv = x.copy()
+    inv[x] = _identity(n)
+    return inv
+
+
+def _is_id(x) -> bool:
+    return _raw(x) == _identity_raw(len(x))
+
+
+def _at(x, point: int) -> int:
+    """The image of one point, as an int."""
+    return int(x[point])
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Product ab under the left-to-right convention: x^(ab) = (x^a)^b."""
     x, y = a._img, b._img
     if len(x) != len(y):
         raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
-    if isinstance(x, bytes):
-        return _wrap(x.translate(y + _PAD[len(y)]))
-    return _wrap(_frozen(y[x]))
+    return _wrap(_mul(x, y))
 
 
 def inverse(p: Permutation) -> Permutation:
-    img = p._img
-    n = len(img)
-    if isinstance(img, bytes):
-        return _wrap(bytes.maketrans(img, _identity(n))[:n])
-    inv = img.copy()
-    inv[img] = _identity(n)
-    return _wrap(_frozen(inv))
+    return _wrap(_inv(p._img))
 
 
 def order_of(p: Permutation) -> int:

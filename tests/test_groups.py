@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     brute_blocks,
@@ -55,6 +55,7 @@ from subdeg.groups import (
     is_transitive,
     minimal_block_system,
     orbit,
+    orbits,
     order,
     point_stabilizer,
     schreier_sims,
@@ -416,7 +417,7 @@ def _fresh_j1() -> PermGroup:
 
 def test_is_primitive_probes_once_per_suborbit(monkeypatch):
     G = _fresh_j1()
-    probes = _spy(monkeypatch, "_minimal_block_system")
+    probes = _spy(monkeypatch, "_pair_spans_all")
     assert is_primitive(G)
     stab = point_stabilizer(G, 0)
     probed = sorted(len(orbit(stab, pair[1])[0]) for _, pair in probes)
@@ -424,7 +425,7 @@ def test_is_primitive_probes_once_per_suborbit(monkeypatch):
 
 
 def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
-    probes = _spy(monkeypatch, "_minimal_block_system")
+    probes = _spy(monkeypatch, "_pair_spans_all")
     assert is_primitive(cyclic(997))
     assert not is_primitive(cyclic(998))
     assert probes == []
@@ -432,10 +433,46 @@ def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
 
 def test_is_primitive_prime_degree_needs_no_probe(monkeypatch):
     # dihedral(997) has 498 non-trivial suborbits, one probe each before
-    probes = _spy(monkeypatch, "_minimal_block_system")
+    probes = _spy(monkeypatch, "_pair_spans_all")
     assert is_primitive(dihedral(997))
     assert is_primitive(agl(1, 43))
     assert probes == []
+
+
+def _probe_agrees(G: PermGroup, pair) -> bool:
+    return subdeg.groups._pair_spans_all(G, pair) == (minimal_block_system(G, pair).num_blocks == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_probe_agrees_with_the_block_system(data):
+    # the probe stops once a class holds more than half the points; half
+    # the groups permute the blocks {x : x // d == i} of a divisor d of n
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+    def generator():
+        if data.draw(st.booleans()):
+            return Permutation(list(data.draw(st.permutations(range(n)))))
+        blocks = data.draw(st.permutations(range(n // d)))
+        inner = [data.draw(st.permutations(range(d))) for _ in range(n // d)]
+        return Permutation([blocks[x // d] * d + inner[x // d][x % d] for x in range(n)])
+
+    G = PermGroup(n, [generator() for _ in range(data.draw(st.integers(1, 3)))])
+    assume(is_transitive(G))
+    pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    assert _probe_agrees(G, tuple(pair))
+
+
+def test_pair_probe_agrees_on_the_builtin_corpus():
+    # the pairs is_primitive probes: the point 0 and a point of each suborbit
+    for _, (family, params) in subdeg.corpus.builtin_entries():
+        G = subdeg.corpus.FAMILY_BUILDERS[family](*params)
+        if not is_transitive(G) or G.degree < 2:
+            continue
+        for orb in orbits(point_stabilizer(G, 0)):
+            if orb[0] != 0:
+                assert _probe_agrees(G, (0, orb[0])), (family, params, orb[0])
 
 
 @pytest.mark.parametrize("p", [p for p in range(3, 51) if is_prime(p)])
@@ -480,7 +517,7 @@ def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
 
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
     G = _fresh_j1()
-    names = ("is_transitive", "point_stabilizer", "orbits", "_minimal_block_system")
+    names = ("is_transitive", "point_stabilizer", "orbits", "_pair_spans_all")
     calls = {name: _spy(monkeypatch, name) for name in names}
     assert analyze(G).primitive
     counts = {name: len(c) for name, c in calls.items()}
@@ -488,19 +525,20 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
         "is_transitive": 1,
         "point_stabilizer": 1,
         "orbits": 1,
-        "_minimal_block_system": 4,  # one probe per non-trivial suborbit
+        "_pair_spans_all": 4,  # one probe per non-trivial suborbit
     }
 
 
 def _count_sifts(monkeypatch) -> list:
+    # the image-level sift, which both Bsgs.sift and Bsgs._close reach
     calls = []
-    real = subdeg.groups.Bsgs.sift
+    real = subdeg.groups.Bsgs._sift
 
-    def spy(self, p, start=0):
+    def spy(self, x, start):
         calls.append(start)
-        return real(self, p, start)
+        return real(self, x, start)
 
-    monkeypatch.setattr(subdeg.groups.Bsgs, "sift", spy)
+    monkeypatch.setattr(subdeg.groups.Bsgs, "_sift", spy)
     return calls
 
 
@@ -558,6 +596,46 @@ def test_deep_schreier_tree_is_walked_without_recursion():
     assert contains(G, g2000)
     assert not contains(G, Permutation([1, 0, *range(2, 2003)]))
     assert order(point_stabilizer(G, 2002)) == 1
+
+
+def test_chain_hands_out_read_only_arrays_above_255():
+    # the chain multiplies writable arrays internally; what leaves it is frozen
+    n = 300
+    G = PermGroup(n, [Permutation([*range(1, n), 0]), Permutation([(-x) % n for x in range(n)])])
+    assert order(G) == 2 * n
+    perms = [lv.rep(x, inv) for lv in G.bsgs.levels for x in lv.orbit() for inv in (False, True)]
+    perms += point_stabilizer(G, 290).generators
+    residue = G.bsgs.sift(Permutation([1, 0, *range(2, n)]))
+    assert residue is not None
+    perms.append(residue)
+    for p in perms:
+        assert p.images.dtype == np.int64
+        assert not p.images.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_contains_matches_the_element_list(data):
+    # on both sides of 255, where the stored images change form; the
+    # generators move at most 6 points, so the element list stays small
+    n = data.draw(st.sampled_from([8, 300]))
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6, unique=True))
+
+    def on_support(pts):
+        img = list(range(n))
+        for x, y in zip(pts, data.draw(st.permutations(pts))):
+            img[x] = y
+        return Permutation(img)
+
+    gens = [on_support(support) for _ in range(data.draw(st.integers(1, 3)))]
+    G = PermGroup(n, gens)
+    elems = closure_elements(n, G.generators)
+    assert order(G) == len(elems)
+    members = set(elems)
+    extra = data.draw(st.integers(0, n - 1))
+    probes = [data.draw(st.sampled_from(elems)), on_support(support), on_support([*{*support, extra}])]
+    for p in probes:
+        assert contains(G, p) == (p in members)
 
 
 def test_base_prefix_keeps_the_first_of_each_point():

@@ -287,6 +287,16 @@ def test_images_are_read_only():
         p.images[0] = 2
 
 
+@pytest.mark.parametrize("n", [3, 300])
+def test_call_rejects_points_outside_the_degree(n):
+    # a negative point once wrapped around to the end of the images
+    p = Permutation([*range(1, n), 0])
+    assert p(n - 1) == 0
+    for point in (-1, -n, n):
+        with pytest.raises(ValueError, match=f"^point {point} out of range for degree {n}$"):
+            p(point)
+
+
 BOUNDARY_DEGREES = [1, 2, 254, 255, 256, 257, 300]
 
 

@@ -92,6 +92,9 @@ def test_bare_import_loads_no_submodule():
 def test_each_command_loads_only_what_it_runs(argv, lattice):
     loaded = _loaded_by(f"from subdeg.cli import main\nassert main({argv!r}) == 0")
     assert ("subdeg.lattice" in loaded) == lattice
+    # only the built-in sweep builds a group, and factorizations analyzes none
+    assert ("subdeg.constructions" in loaded) == (argv[0] == "verify-corpus")
+    assert ("subdeg.analysis" in loaded) == (argv[0] != "factorizations")
     assert "dataclasses" not in loaded
 
 
