@@ -369,85 +369,82 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
-def _claim(ends, lock, back: bool):
-    """The next unclaimed task index, from the front or from the back, or
-    None once every task is claimed; tasks[ends[0]:ends[1]] are unclaimed."""
-    with lock:
-        if ends[0] == ends[1]:
-            return None
-        if back:
-            ends[1] -= 1
-            return ends[1]
-        ends[0] += 1
-        return ends[0] - 1
-
-
 def _serve(out) -> None:
     """A helper process's part of a sweep, once its sys.path is set: read
     the tasks from stdin, then run each index that follows and write its
-    (index, result) to out. Its input ending or a task's error ends the
-    helper quietly: the caller then runs that task itself and raises it."""
+    pickled (index, result) to out behind a 4-byte big-endian length, so
+    that the caller's non-blocking reads can tell a whole frame from part
+    of one. Its input ending or a task's error ends the helper quietly: the
+    caller then runs that task itself and raises it."""
     import pickle
 
     try:
         tasks = pickle.load(sys.stdin.buffer)
         while True:
             i = pickle.load(sys.stdin.buffer)
-            pickle.dump((i, _analyze_task(tasks[i])), out)
+            frame = pickle.dumps((i, _analyze_task(tasks[i])))
+            out.write(len(frame).to_bytes(4, "big") + frame)
             out.flush()
     except Exception:
         pass
 
 
-def _help(helper, tasks, results, ends, lock) -> None:
-    """A reader thread's part of a sweep: send the helper process this
-    process's sys.path and the tasks, then claim tasks from the back for it
-    and store each result it sends back, until none is left to claim. It
-    keeps a second index queued, so that the helper does not idle while
-    this thread waits for the interpreter lock. A helper that dies, or
-    writes anything but its results, ends the thread quietly."""
+def _tend(helper, results, ends) -> bool:
+    """One turn of a helper, which never blocks: store each whole result
+    frame it has sent, claim indices for it from the back of the unclaimed
+    tasks[ends[0]:ends[1]] until two are in flight, and write what of its
+    pending input the pipe takes. helper is (process, pending input, bytes
+    received, indices in flight). False once the helper is to be dropped:
+    at end of file, or when it sends anything but its oldest index's frame."""
     import pickle
 
+    process, pending, received, sent = helper
     try:
-        with helper.stdin:
-            pickle.dump(sys.path, helper.stdin)
-            pickle.dump(tasks, helper.stdin)
-            sent = []
-            while True:
-                while len(sent) < 2 and (i := _claim(ends, lock, back=True)) is not None:
-                    pickle.dump(i, helper.stdin)
-                    sent.append(i)
-                helper.stdin.flush()
-                if not sent:
-                    break
-                i, result = pickle.load(helper.stdout)
-                if i != sent.pop(0):
-                    break
-                results[i] = result
-    except Exception:
+        try:
+            chunk = os.read(process.stdout.fileno(), 1 << 16)
+            if not chunk:  # end of file
+                return False
+            received += chunk
+        except BlockingIOError:  # nothing has arrived
+            pass
+        while len(received) >= 4 + (size := int.from_bytes(received[:4], "big")):
+            i, result = pickle.loads(received[4:4 + size])
+            if i != sent.pop(0):
+                return False
+            results[i] = result
+            del received[:4 + size]
+        while len(sent) < 2 and ends[0] < ends[1]:
+            ends[1] -= 1
+            sent.append(ends[1])
+            pending += pickle.dumps(ends[1])
+        if pending:
+            del pending[:os.write(process.stdin.fileno(), pending)]
+    except BlockingIOError:  # its input pipe is full
         pass
+    except Exception:
+        return False
+    return True
 
 
 def _sweep(tasks, workers: int) -> list:
-    """Each task's result, from the caller and workers - 1 helper processes.
-    The caller claims tasks from the front and each helper's reader thread
-    from the back, one at a time behind a lock. Once none is left, the
-    caller runs every task whose result has not arrived itself: it never
-    waits on a helper, so one that dies or never starts costs time but
-    drops no task. Every helper is killed and reaped, and its reader thread
-    joined, before this returns or raises."""
-    results = [None] * len(tasks)
-    helpers, readers = [], []
+    """Each task's result, from the caller and workers - 1 helper processes,
+    all handed out on the caller's one thread. The caller runs tasks from
+    the front, and before each gives every live helper a turn (_tend), which
+    claims for it from the back. Once none is left to claim, the caller runs
+    every task whose result has not arrived itself: it never waits on a
+    helper, so one that dies or never starts costs time but drops no task.
+    Every helper is killed and reaped before this returns or raises."""
+    results, helpers, ends = [None] * len(tasks), [], [0, len(tasks)]
     try:
         if workers > 1:
             # imported here so that `import subdeg` and a serial sweep do not pay for them
+            import pickle
             import subprocess
-            import threading
 
-            ends, lock = [0, len(tasks)], threading.Lock()
+            payload = pickle.dumps(sys.path) + pickle.dumps(tasks)
             for _ in range(workers - 1):
                 try:
-                    helper = subprocess.Popen(
+                    process = subprocess.Popen(
                         # the helper takes fd 1 for its results before anything it imports can write there
                         [sys.executable, "-c", "import os, pickle, sys; out = os.fdopen(os.dup(1), 'wb'); "
                                                "os.dup2(2, 1); sys.path[:] = pickle.load(sys.stdin.buffer); "
@@ -456,24 +453,26 @@ def _sweep(tasks, workers: int) -> list:
                     )
                 except OSError:  # no interpreter to start
                     break
-                helpers.append(helper)
-                reader = threading.Thread(target=_help, args=(helper, tasks, results, ends, lock), daemon=True)
-                reader.start()
-                readers.append(reader)
-            while (i := _claim(ends, lock, back=False)) is not None:
-                results[i] = _analyze_task(tasks[i])
-        # what a helper claimed and has not sent, or in a serial sweep every task;
-        # a reader may store a task's result while the caller computes it: the two are equal
-        for i, task in enumerate(tasks):
-            if results[i] is None:
-                results[i] = _analyze_task(task)
+                helpers.append((process, bytearray(payload), bytearray(), []))
+                os.set_blocking(process.stdin.fileno(), False)
+                os.set_blocking(process.stdout.fileno(), False)
+        live = helpers
+        while True:
+            live = [helper for helper in live if _tend(helper, results, ends)]
+            if ends[0] < ends[1]:
+                i = ends[0]
+                ends[0] += 1
+            elif None in results:
+                # a task a helper claimed and has not sent; should it send it
+                # later, its result equals the caller's
+                i = results.index(None)
+            else:
+                break
+            results[i] = _analyze_task(tasks[i])
     finally:
-        for helper in helpers:
-            helper.kill()
-        for reader in readers:
-            reader.join()
-        for helper in helpers:
-            with helper:  # closes its pipes and reaps it
+        for process, *_ in helpers:
+            process.kill()
+            with process:  # closes its pipes and reaps it
                 pass
     return results
 

@@ -533,7 +533,20 @@ def minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
         raise ValueError("seed pair must be two distinct points")
     if not is_transitive(G):
         raise ValueError("minimal_block_system needs a transitive group")
-    return _minimal_block_system(G, pair)
+    find = _merge_classes(G, pair, n)
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(find(x), []).append(x)
+    blocks = tuple(
+        sorted((tuple(v) for v in classes.values()), key=lambda blk: blk[0])
+    )
+    sizes = {len(blk) for blk in blocks}
+    assert len(sizes) == 1, "blocks of a transitive congruence must share a size"
+    block_of = [0] * n
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            block_of[x] = i
+    return BlockSystem(degree=n, blocks=blocks, block_of=tuple(block_of))
 
 
 def _merge_classes(G: PermGroup, pair: tuple[int, int], stop: int):
@@ -567,28 +580,8 @@ def _merge_classes(G: PermGroup, pair: tuple[int, int], stop: int):
     return find
 
 
-def _minimal_block_system(G: PermGroup, pair: tuple[int, int]) -> BlockSystem:
-    """minimal_block_system without its checks: G transitive and the pair two
-    distinct points."""
-    n = G.degree
-    find = _merge_classes(G, pair, n)
-    classes: dict[int, list[int]] = {}
-    for x in range(n):
-        classes.setdefault(find(x), []).append(x)
-    blocks = tuple(
-        sorted((tuple(v) for v in classes.values()), key=lambda blk: blk[0])
-    )
-    sizes = {len(blk) for blk in blocks}
-    assert len(sizes) == 1, "blocks of a transitive congruence must share a size"
-    block_of = [0] * n
-    for i, blk in enumerate(blocks):
-        for x in blk:
-            block_of[x] = i
-    return BlockSystem(degree=n, blocks=blocks, block_of=tuple(block_of))
-
-
 def _pair_spans_all(G: PermGroup, pair: tuple[int, int]) -> bool:
-    """_minimal_block_system(G, pair).num_blocks == 1, without building the
+    """minimal_block_system(G, pair).num_blocks == 1, without building the
     system: the refinement stops once a class holds more than half the
     points, since a proper block of a transitive group holds at most half."""
     return _merge_classes(G, pair, G.degree // 2) is None

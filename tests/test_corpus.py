@@ -69,6 +69,42 @@ def assert_none_left(procs, threads):
     assert set(threading.enumerate()) <= set(threads)
 
 
+def read_frames(data: bytes) -> list:
+    """The (index, result) pairs a helper wrote, each pickled behind its
+    4-byte big-endian length, with nothing left over."""
+    frames = []
+    while data:
+        size = int.from_bytes(data[:4], "big")
+        assert len(data) >= 4 + size
+        frames.append(pickle.loads(data[4:4 + size]))
+        data = data[4 + size:]
+    return frames
+
+
+def spy_on_turns(monkeypatch):
+    """The (helper, results, ends) of each helper's latest turn, keyed by its
+    process, by a spy on corpus._tend."""
+    real_tend, turns = corpus._tend, {}
+
+    def tend(helper, results, ends):
+        turns[helper[0]] = helper, results, ends
+        return real_tend(helper, results, ends)
+
+    monkeypatch.setattr(corpus, "_tend", tend)
+    return turns
+
+
+def tend_until(turns, ready):
+    """Give every helper seen a turn, as the caller would, until ready()."""
+
+    def tended():
+        for helper, results, ends in list(turns.values()):
+            corpus._tend(helper, results, ends)
+        return ready()
+
+    wait_until(tended)
+
+
 def wait_until(ready, timeout=120):
     deadline = time.monotonic() + timeout
     while not ready() and time.monotonic() < deadline:
@@ -470,13 +506,12 @@ class TestVerifyCorpus:
     def test_jobs_start_helpers_and_leave_none_running(self, tmp_path, monkeypatch, started):
         for n in range(3, 7):
             write_group(tmp_path / f"c{n}.json", cyclic(n))
-        real_help = corpus._help
 
-        def help(*args):
-            real_help(*args)
-            time.sleep(0.2)  # a reader that ends late is still joined
+        class Slow(subprocess.Popen):  # a helper still starting when the sweep ends is reaped
+            def __init__(self, args, **kwargs):
+                super().__init__([*args[:2], "import time; time.sleep(0.2)\n" + args[2]], **kwargs)
 
-        monkeypatch.setattr(corpus, "_help", help)
+        monkeypatch.setattr(subprocess, "Popen", Slow)
         threads = threading.enumerate()
         two = verify_corpus(directory=tmp_path, include_builtin=False, jobs=2)
         assert len(started) == min(2, usable_cores()) - 1
@@ -490,49 +525,47 @@ class TestVerifyCorpus:
         assert one_core.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
 
     def test_helpers_claim_each_task_once(self, monkeypatch, started):
-        # four helpers, more than the cores; the caller's first task waits
-        # until every reader has run out of tasks to claim
+        # four helpers, more than the cores; the caller's first task gives
+        # the helpers turns until they have sent every other task's result
         tasks = builtin_entries()
-        real_claim, real_help, real_analyze = corpus._claim, corpus._help, corpus._analyze_task
-        claims, done, calls = [], [], []
+        real_tend, real_analyze = corpus._tend, corpus._analyze_task
+        claims, calls = [], []
 
-        def claim(ends, lock, back):
-            i = real_claim(ends, lock, back)
-            if i is not None:
-                claims.append((threading.get_ident(), back, i))
-            return i
+        def tend(helper, results, ends):
+            front, back = ends
+            live = real_tend(helper, results, ends)
+            assert ends[0] == front  # a helper never claims from the front
+            claims.extend((helper[0], i) for i in range(back - 1, ends[1] - 1, -1))
+            return live
 
-        def help(*args):
-            real_help(*args)
-            done.append(args[0])
+        monkeypatch.setattr(corpus, "_tend", tend)
+        turns = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                wait_until(lambda: len(done) == 4)
+                _, results, _ = next(iter(turns.values()))
+                tend_until(turns, lambda: None not in results[1:])
             calls.append(task)
             return real_analyze(task)
 
-        monkeypatch.setattr(corpus, "_claim", claim)
-        monkeypatch.setattr(corpus, "_help", help)
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
         want = [real_analyze(t) for t in tasks]
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 5) == want
-        assert len(started) == 4
+        assert len(started) == 4 and set(turns) == set(started)
         assert_none_left(started, threads)
-        me = threading.get_ident()
-        assert sorted(i for _, _, i in claims) == list(range(len(tasks)))
-        assert [(back, i) for who, back, i in claims if who == me] == [(False, 0)]
-        assert all(back for who, back, _ in claims if who != me)
-        for reader in {who for who, _, _ in claims} - {me}:
-            mine = [i for who, _, i in claims if who == reader]
+        # the caller claimed index 0 from the front, and only it
+        assert next(iter(turns.values()))[2] == [1, 1]
+        assert sorted([0] + [i for _, i in claims]) == list(range(len(tasks)))
+        for process in started:
+            mine = [i for who, i in claims if who is process]
             assert mine == sorted(mine, reverse=True)
         # so every result but the first came from a helper, and equals the caller's
         assert calls == [tasks[0]]
 
     def test_a_stalled_helper_holds_back_at_most_two_tasks(self, tmp_path, monkeypatch):
         # one helper never reads its input; the other takes every task left,
-        # as it claims one at a time from the shared end
+        # as it is given two at a time from the far end
         (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
         (tmp_path / "hangs").chmod(0o755)
         procs = []
@@ -544,19 +577,17 @@ class TestVerifyCorpus:
 
         monkeypatch.setattr(subprocess, "Popen", Spy)
         tasks = builtin_entries()
-        real_help, real_analyze, done, calls = corpus._help, corpus._analyze_task, [], []
-
-        def help(*args):
-            real_help(*args)
-            done.append(args[0])
+        real_analyze, calls = corpus._analyze_task, []
+        turns = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                wait_until(lambda: procs[1:] and procs[1] in done)
+                # until nothing is left to claim and the working helper has nothing in flight
+                (_, _, _, sent), _, ends = turns[procs[1]]
+                tend_until(turns, lambda: ends[0] == ends[1] and not sent)
             calls.append(task)
             return real_analyze(task)
 
-        monkeypatch.setattr(corpus, "_help", help)
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 3) == [real_analyze(t) for t in tasks]
@@ -569,22 +600,18 @@ class TestVerifyCorpus:
         # is taken, not recomputed, and the caller runs every task the helper
         # did not send, each once
         tasks = builtin_entries()
-        real_help, real_analyze = corpus._help, corpus._analyze_task
-        shared, arrived, calls = [], [], []
-
-        def help(helper, tasks, results, *rest):
-            shared.append(results)
-            real_help(helper, tasks, results, *rest)
+        real_analyze, arrived, calls = corpus._analyze_task, [], []
+        turns = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                wait_until(lambda: shared and any(r is not None for r in shared[0]))
-                arrived.extend(t for t, r in zip(tasks, shared[0]) if r is not None)
+                _, results, _ = turns[started[0]]
+                tend_until(turns, lambda: any(r is not None for r in results))
+                arrived.extend(t for t, r in zip(tasks, results) if r is not None)
                 started[0].kill()
             calls.append(task)
             return real_analyze(task)
 
-        monkeypatch.setattr(corpus, "_help", help)
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
@@ -616,6 +643,39 @@ class TestVerifyCorpus:
         assert raised == []
         assert_none_left(started, threads)
 
+    def test_sweep_starts_no_thread(self, monkeypatch, started):
+        # the caller hands out every task on its own thread
+        real_start, begun = threading.Thread.start, []
+
+        def start(thread):
+            begun.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        tasks = builtin_entries()
+        assert corpus._sweep(tasks, 2) == [_analyze_task(t) for t in tasks]
+        assert len(started) == 1
+        assert begun == []
+
+    def test_helper_that_never_reads_a_large_task_list_blocks_nothing(self, tmp_path, monkeypatch, started):
+        # the task list pickles to more than a pipe holds, so writing it to
+        # a helper that never reads must not wait for the pipe to drain
+        (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
+        (tmp_path / "hangs").chmod(0o755)
+        tasks = [tmp_path / f"missing-{'x' * 80}-{k}.json" for k in range(2000)]
+        assert len(pickle.dumps(tasks)) > 1 << 16
+        want = [_analyze_task(t) for t in tasks]
+        assert all(d["skipped_checks"][0].startswith("load failed") for d, _ in want)
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "hangs"))
+        threads, out = threading.enumerate(), []
+        sweep = threading.Thread(target=lambda: out.append(corpus._sweep(tasks, 2)), daemon=True)
+        sweep.start()
+        sweep.join(60)
+        assert not sweep.is_alive()
+        assert out == [want]
+        assert len(started) == 1
+        assert_none_left(started, threads)
+
     def test_task_error_is_raised_by_the_caller(self, monkeypatch, started):
         tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
         tasks.insert(1, ("bad", ("no-such-family", ())))
@@ -624,9 +684,7 @@ class TestVerifyCorpus:
         outbox = io.BytesIO()
         monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=inbox))
         corpus._serve(outbox)
-        outbox.seek(0)
-        assert [pickle.load(outbox), pickle.load(outbox)] == [(i, _analyze_task(tasks[i])) for i in (3, 2)]
-        assert outbox.read() == b""
+        assert read_frames(outbox.getvalue()) == [(i, _analyze_task(tasks[i])) for i in (3, 2)]
         # the caller runs it and raises; the helper's results are not enough
         monkeypatch.setattr(corpus, "builtin_entries", lambda: tasks)
         threads = threading.enumerate()
@@ -651,7 +709,8 @@ class TestVerifyCorpus:
         # a copy of subdeg that tags each result with the process and file
         # that made it is put on sys.path in process only; without the
         # caller's sys.path a helper would import another subdeg or none.
-        # The caller's first task waits for a helper's first result.
+        # The caller's first task gives the helper turns until its first
+        # result arrives.
         copy = tmp_path / "copy"
         shutil.copytree(Path(corpus.__file__).parent, copy / "subdeg", ignore=shutil.ignore_patterns("__pycache__"))
         with open(copy / "subdeg" / "corpus.py", "a", encoding="utf-8") as f:
@@ -665,19 +724,20 @@ class TestVerifyCorpus:
 import json, os, sys, time
 sys.path.insert(0, {str(copy)!r})
 from subdeg import corpus
-real_help, real_analyze, shared = corpus._help, corpus._analyze_task, []
+real_tend, real_analyze, turns = corpus._tend, corpus._analyze_task, []
 
-def help(helper, tasks, results, *rest):
-    shared.append(results)
-    real_help(helper, tasks, results, *rest)
+def tend(helper, results, ends):
+    turns.append((helper, results, ends))
+    return real_tend(helper, results, ends)
 
 def analyze_task(task):
     deadline = time.monotonic() + 120
-    while not any(r is not None for rs in shared for r in rs) and time.monotonic() < deadline:
+    while not any(r is not None for _, rs, _ in turns for r in rs) and time.monotonic() < deadline:
+        real_tend(*turns[0])
         time.sleep(0.01)
     return real_analyze(task)
 
-corpus._help, corpus._analyze_task = help, analyze_task
+corpus._tend, corpus._analyze_task = tend, analyze_task
 r = corpus.verify_corpus(include_builtin=True, jobs=2)
 print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))
 """

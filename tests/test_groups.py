@@ -479,7 +479,7 @@ def test_pair_probe_agrees_on_the_builtin_corpus():
 def test_prime_degree_rule_agrees_with_the_probes(p):
     for G in (dihedral(p), agl(1, p)):
         probed = all(
-            subdeg.groups._minimal_block_system(G, (0, x)).num_blocks == 1 for x in range(1, p)
+            minimal_block_system(G, (0, x)).num_blocks == 1 for x in range(1, p)
         )
         assert is_primitive(G) == probed
 
