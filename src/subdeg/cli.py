@@ -136,19 +136,20 @@ def _cmd_construct(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    wrote = False
     if args.out:
-        corpus.write_group(args.out, G)
+        try:
+            corpus.write_group(args.out, G)
+        except OSError as e:
+            print(f"error: {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
-        wrote = True
-    rc = 0
     if args.do_analyze:
         report = corpus.analyze(G)
         _print_report(report)
-        rc = 1 if report.violates else 0
-    elif not wrote:
+        return 1 if report.violates else 0
+    if not args.out:
         print(corpus.group_to_json(G, G.label or args.family))
-    return rc
+    return 0
 
 
 def _cmd_verify_corpus(args) -> int:
@@ -179,7 +180,11 @@ def _cmd_verify_corpus(args) -> int:
     if result.violations:
         print("violations: " + " ".join(result.violations))
     if args.json_out:
-        Path(args.json_out).write_text(result.to_json(), encoding="utf-8")
+        try:
+            Path(args.json_out).write_text(result.to_json(), encoding="utf-8")
+        except OSError as e:
+            print(f"error: {args.json_out}: {e.strerror or e}", file=sys.stderr)
+            return 2
     return result.exit_code
 
 

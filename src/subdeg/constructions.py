@@ -213,6 +213,8 @@ def alternating(n: int) -> PermGroup:
     """Alt(n) natural: (0 1 2) plus an n-cycle (n odd) or (n-1)-cycle."""
     if n < 3:
         raise ValueError(f"alternating needs n >= 3, got {n}")
+    if n > groups.DEGREE_CAP:
+        raise CapExceeded("degree", n, groups.DEGREE_CAP)
     gens = [Permutation([1, 2, 0, *range(3, n)])]
     if n >= 4:
         if n % 2 == 1:
@@ -226,7 +228,7 @@ def alternating(n: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"symmetric needs n >= 2, got {n}")
-    gens = [] if n == 2 else list(alternating(n).generators)
+    gens = [] if n == 2 else list(alternating(n).generators)  # which checks the degree cap
     gens.append(Permutation([1, 0, *range(2, n)]))
     return _bounded(PermGroup(n, gens, label=f"sym({n})"), factorial(n))
 
@@ -372,7 +374,7 @@ def dihedral(n: int) -> PermGroup:
     reflection fixing point 0."""
     if n < 3:
         raise ValueError(f"dihedral needs n >= 3, got {n}")
-    rot = Permutation([*range(1, n), 0])
+    (rot,) = cyclic(n).generators  # which checks the degree cap
     refl = Permutation([-x % n for x in range(n)])
     return _bounded(PermGroup(n, [rot, refl], label=f"dihedral({n})"), 2 * n)
 
@@ -380,6 +382,8 @@ def dihedral(n: int) -> PermGroup:
 def cyclic(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"cyclic needs n >= 2, got {n}")
+    if n > groups.DEGREE_CAP:
+        raise CapExceeded("degree", n, groups.DEGREE_CAP)
     rot = Permutation([*range(1, n), 0])
     return _bounded(PermGroup(n, [rot], label=f"cyclic({n})"), n)
 

@@ -371,17 +371,16 @@ def _analyze_task(task) -> tuple[dict, bool]:
 
 def _serve(out) -> None:
     """A helper process's part of a sweep, once its sys.path is set: read
-    the tasks from stdin, then run each index that follows and write its
-    pickled (index, result) to out behind a 4-byte big-endian length, so
-    that the caller's non-blocking reads can tell a whole frame from part
-    of one. Its input ending or a task's error ends the helper quietly: the
-    caller then runs that task itself and raises it."""
+    the tasks and then its share of their indices from stdin, run the share
+    in order, and write each pickled (index, result) to out behind a 4-byte
+    big-endian length, so that the caller's non-blocking reads can tell a
+    whole frame from part of one. Its input ending or a task's error ends
+    the helper quietly: the caller then runs that task itself and raises it."""
     import pickle
 
     try:
         tasks = pickle.load(sys.stdin.buffer)
-        while True:
-            i = pickle.load(sys.stdin.buffer)
+        for i in pickle.load(sys.stdin.buffer):
             frame = pickle.dumps((i, _analyze_task(tasks[i])))
             out.write(len(frame).to_bytes(4, "big") + frame)
             out.flush()
@@ -389,16 +388,15 @@ def _serve(out) -> None:
         pass
 
 
-def _tend(helper, results, ends) -> bool:
+def _tend(helper, results) -> bool:
     """One turn of a helper, which never blocks: store each whole result
-    frame it has sent, claim indices for it from the back of the unclaimed
-    tasks[ends[0]:ends[1]] until two are in flight, and write what of its
-    pending input the pipe takes. helper is (process, pending input, bytes
-    received, indices in flight). False once the helper is to be dropped:
-    at end of file, or when it sends anything but its oldest index's frame."""
+    frame it has sent for a task the caller has not run, and write what of
+    its pending input the pipe takes. helper is (process, pending input,
+    bytes received, iterator over its share). False once the helper is to be
+    dropped: at end of file, or when it sends any frame but its share's next."""
     import pickle
 
-    process, pending, received, sent = helper
+    process, pending, received, share = helper
     try:
         try:
             chunk = os.read(process.stdout.fileno(), 1 << 16)
@@ -409,14 +407,11 @@ def _tend(helper, results, ends) -> bool:
             pass
         while len(received) >= 4 + (size := int.from_bytes(received[:4], "big")):
             i, result = pickle.loads(received[4:4 + size])
-            if i != sent.pop(0):
+            if i != next(share, None):
                 return False
-            results[i] = result
+            if results[i] is None:
+                results[i] = result
             del received[:4 + size]
-        while len(sent) < 2 and ends[0] < ends[1]:
-            ends[1] -= 1
-            sent.append(ends[1])
-            pending += pickle.dumps(ends[1])
         if pending:
             del pending[:os.write(process.stdin.fileno(), pending)]
     except BlockingIOError:  # its input pipe is full
@@ -428,13 +423,13 @@ def _tend(helper, results, ends) -> bool:
 
 def _sweep(tasks, workers: int) -> list:
     """Each task's result, from the caller and workers - 1 helper processes,
-    all handed out on the caller's one thread. The caller runs tasks from
-    the front, and before each gives every live helper a turn (_tend), which
-    claims for it from the back. Once none is left to claim, the caller runs
-    every task whose result has not arrived itself: it never waits on a
-    helper, so one that dies or never starts costs time but drops no task.
-    Every helper is killed and reaped before this returns or raises."""
-    results, helpers, ends = [None] * len(tasks), [], [0, len(tasks)]
+    on the caller's one thread. Helper k is sent its share once, at start:
+    indices len(tasks) - k, len(tasks) - k - (workers - 1), ... down to 0.
+    The caller runs the tasks from the front, each only if its result has
+    not arrived, and first gives every live helper a turn (_tend). It never
+    waits on a helper, so one that dies or never starts costs time but drops
+    no task. Every helper is killed and reaped before this returns or raises."""
+    results, helpers = [None] * len(tasks), []
     try:
         if workers > 1:
             # imported here so that `import subdeg` and a serial sweep do not pay for them
@@ -442,7 +437,8 @@ def _sweep(tasks, workers: int) -> list:
             import subprocess
 
             payload = pickle.dumps(sys.path) + pickle.dumps(tasks)
-            for _ in range(workers - 1):
+            for k in range(1, workers):
+                share = range(len(tasks) - k, -1, -(workers - 1))
                 try:
                     process = subprocess.Popen(
                         # the helper takes fd 1 for its results before anything it imports can write there
@@ -453,22 +449,14 @@ def _sweep(tasks, workers: int) -> list:
                     )
                 except OSError:  # no interpreter to start
                     break
-                helpers.append((process, bytearray(payload), bytearray(), []))
+                helpers.append((process, bytearray(payload + pickle.dumps(share)), bytearray(), iter(share)))
                 os.set_blocking(process.stdin.fileno(), False)
                 os.set_blocking(process.stdout.fileno(), False)
         live = helpers
-        while True:
-            live = [helper for helper in live if _tend(helper, results, ends)]
-            if ends[0] < ends[1]:
-                i = ends[0]
-                ends[0] += 1
-            elif None in results:
-                # a task a helper claimed and has not sent; should it send it
-                # later, its result equals the caller's
-                i = results.index(None)
-            else:
-                break
-            results[i] = _analyze_task(tasks[i])
+        for i, task in enumerate(tasks):
+            live = [helper for helper in live if _tend(helper, results)]
+            if results[i] is None:
+                results[i] = _analyze_task(task)
     finally:
         for process, *_ in helpers:
             process.kill()

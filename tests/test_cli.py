@@ -132,6 +132,23 @@ class TestConstruct:
         assert rc == 2
         assert capsys.readouterr().err == "error: k-subset degree 64684950 exceeds cap 100000\n"
 
+    @pytest.mark.parametrize("params", [["cyclic", "300000"], ["sym", "100001"]])
+    def test_natural_degree_over_the_cap(self, params, tmp_path, capsys):
+        # load_group would refuse the file, so none is written
+        dest = tmp_path / "c.json"
+        rc = main(["construct", *params, "--out", str(dest)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: degree {params[1]} exceeds cap 100000\n"
+        assert not dest.exists()
+
+    def test_unwritable_out_file(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        rc = main(["construct", "alt", "5", "--out", str(dest)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {dest}: No such file or directory\n"
+        assert captured.out == ""
+
 
 class TestVerifyCorpus:
     def test_directory_sweep(self, tmp_path, capsys):
@@ -159,6 +176,16 @@ class TestVerifyCorpus:
         rc = main(["verify-corpus", "--dir", str(tmp_path), "--json", str(dest)])
         assert rc == 0
         assert json.loads(dest.read_text())["total"] == 1
+
+    def test_unwritable_json_file(self, tmp_path, capsys):
+        # the summary is printed, then the write error exits 2, not 1
+        write_group(tmp_path / "c4.json", cyclic(4))
+        dest = tmp_path / "missing" / "report.json"
+        rc = main(["verify-corpus", "--dir", str(tmp_path), "--json", str(dest)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {dest}: No such file or directory\n"
+        assert "1 entries, 0 violations" in captured.out
 
     def test_missing_directory(self, tmp_path, capsys):
         rc = main(["verify-corpus", "--dir", str(tmp_path / "ghost")])

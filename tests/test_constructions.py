@@ -333,6 +333,26 @@ class TestControls:
         assert bs.blocks == ((0, 3), (1, 4), (2, 5))
 
 
+class TestDegreeCap:
+    @pytest.mark.parametrize("build", [alternating, symmetric, cyclic, dihedral])
+    def test_natural_degree_is_capped_before_allocation(self, build, monkeypatch):
+        # the cap load_group applies, so construct never writes a file it refuses
+        def refuse(*args):
+            raise AssertionError("a permutation built past the cap")
+
+        monkeypatch.setattr(subdeg.constructions, "Permutation", refuse)
+        with pytest.raises(CapExceeded) as exc:
+            build(300_000)
+        assert (exc.value.what, exc.value.value, exc.value.cap) == ("degree", 300_000, 100_000)
+
+    @pytest.mark.parametrize("build", [alternating, symmetric, cyclic, dihedral])
+    def test_cap_is_the_live_module_constant(self, build, monkeypatch):
+        monkeypatch.setattr(subdeg.groups, "DEGREE_CAP", 50)
+        assert build(50).degree == 50
+        with pytest.raises(CapExceeded, match="degree 51 exceeds cap 50"):
+            build(51)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "make",

@@ -82,24 +82,36 @@ def read_frames(data: bytes) -> list:
 
 
 def spy_on_turns(monkeypatch):
-    """The (helper, results, ends) of each helper's latest turn, keyed by its
-    process, by a spy on corpus._tend."""
-    real_tend, turns = corpus._tend, {}
+    """The (helper, results) of each helper's latest turn, keyed by its
+    process, and the (process, index) of every result a turn stores, in
+    order, by a spy on corpus._tend."""
+    real_tend, turns, stored = corpus._tend, {}, []
 
-    def tend(helper, results, ends):
-        turns[helper[0]] = helper, results, ends
-        return real_tend(helper, results, ends)
+    class Results:  # the caller's results, each store logged
+        def __init__(self, process, results):
+            self.process, self.results = process, results
+
+        def __getitem__(self, i):
+            return self.results[i]
+
+        def __setitem__(self, i, result):
+            stored.append((self.process, i))
+            self.results[i] = result
+
+    def tend(helper, results):
+        turns[helper[0]] = helper, results
+        return real_tend(helper, Results(helper[0], results))
 
     monkeypatch.setattr(corpus, "_tend", tend)
-    return turns
+    return turns, stored
 
 
 def tend_until(turns, ready):
     """Give every helper seen a turn, as the caller would, until ready()."""
 
     def tended():
-        for helper, results, ends in list(turns.values()):
-            corpus._tend(helper, results, ends)
+        for helper, results in list(turns.values()):
+            corpus._tend(helper, results)
         return ready()
 
     wait_until(tended)
@@ -524,26 +536,16 @@ class TestVerifyCorpus:
         assert started == []
         assert one_core.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
 
-    def test_helpers_claim_each_task_once(self, monkeypatch, started):
+    def test_helpers_send_their_own_shares_once(self, monkeypatch, started):
         # four helpers, more than the cores; the caller's first task gives
         # the helpers turns until they have sent every other task's result
         tasks = builtin_entries()
-        real_tend, real_analyze = corpus._tend, corpus._analyze_task
-        claims, calls = [], []
-
-        def tend(helper, results, ends):
-            front, back = ends
-            live = real_tend(helper, results, ends)
-            assert ends[0] == front  # a helper never claims from the front
-            claims.extend((helper[0], i) for i in range(back - 1, ends[1] - 1, -1))
-            return live
-
-        monkeypatch.setattr(corpus, "_tend", tend)
-        turns = spy_on_turns(monkeypatch)
+        real_analyze, calls = corpus._analyze_task, []
+        turns, stored = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                _, results, _ = next(iter(turns.values()))
+                _, results = next(iter(turns.values()))
                 tend_until(turns, lambda: None not in results[1:])
             calls.append(task)
             return real_analyze(task)
@@ -554,18 +556,20 @@ class TestVerifyCorpus:
         assert corpus._sweep(tasks, 5) == want
         assert len(started) == 4 and set(turns) == set(started)
         assert_none_left(started, threads)
-        # the caller claimed index 0 from the front, and only it
-        assert next(iter(turns.values()))[2] == [1, 1]
-        assert sorted([0] + [i for _, i in claims]) == list(range(len(tasks)))
-        for process in started:
-            mine = [i for who, i in claims if who is process]
-            assert mine == sorted(mine, reverse=True)
+        # helper k sends len(tasks) - k, len(tasks) - k - 4, ... in that
+        # order, and the four shares split the list
+        shares = [range(len(tasks) - k, -1, -4) for k in range(1, 5)]
+        assert sorted(i for share in shares for i in share) == list(range(len(tasks)))
+        for process, share in zip(started, shares):
+            mine = [i for who, i in stored if who is process]
+            assert mine == list(share[:len(mine)])
+        assert {i for _, i in stored} >= set(range(1, len(tasks)))
         # so every result but the first came from a helper, and equals the caller's
         assert calls == [tasks[0]]
 
-    def test_a_stalled_helper_holds_back_at_most_two_tasks(self, tmp_path, monkeypatch):
-        # one helper never reads its input; the other takes every task left,
-        # as it is given two at a time from the far end
+    def test_a_stalled_helper_holds_back_no_task(self, tmp_path, monkeypatch):
+        # one helper never reads its input; the caller runs its share, each
+        # task once, without waiting, while the other helper sends its own
         (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
         (tmp_path / "hangs").chmod(0o755)
         procs = []
@@ -577,14 +581,14 @@ class TestVerifyCorpus:
 
         monkeypatch.setattr(subprocess, "Popen", Spy)
         tasks = builtin_entries()
+        working = range(len(tasks) - 2, -1, -2)
         real_analyze, calls = corpus._analyze_task, []
-        turns = spy_on_turns(monkeypatch)
+        turns, stored = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                # until nothing is left to claim and the working helper has nothing in flight
-                (_, _, _, sent), _, ends = turns[procs[1]]
-                tend_until(turns, lambda: ends[0] == ends[1] and not sent)
+                _, results = turns[procs[1]]
+                tend_until(turns, lambda: all(results[i] is not None for i in working))
             calls.append(task)
             return real_analyze(task)
 
@@ -592,22 +596,22 @@ class TestVerifyCorpus:
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 3) == [real_analyze(t) for t in tasks]
         assert_none_left(procs, threads)
-        # the caller's first task, and the two the stalled helper claimed
-        assert calls[0] == tasks[0] and len(calls) <= 3 and len(set(calls)) == len(calls)
+        assert {who for who, _ in stored} == {procs[1]}
+        assert calls == [t for i, t in enumerate(tasks) if i not in working]
 
-    def test_caller_runs_what_a_dead_helper_claimed(self, monkeypatch, started):
+    def test_caller_runs_what_a_dead_helper_did_not_send(self, monkeypatch, started):
         # the helper is killed once its first result has arrived; that result
-        # is taken, not recomputed, and the caller runs every task the helper
-        # did not send, each once
+        # is taken, not recomputed, and the caller runs every task whose
+        # result has not arrived, each once
         tasks = builtin_entries()
         real_analyze, arrived, calls = corpus._analyze_task, [], []
-        turns = spy_on_turns(monkeypatch)
+        turns, stored = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                _, results, _ = turns[started[0]]
+                _, results = turns[started[0]]
                 tend_until(turns, lambda: any(r is not None for r in results))
-                arrived.extend(t for t, r in zip(tasks, results) if r is not None)
+                arrived.extend(i for i, r in enumerate(results) if r is not None)
                 started[0].kill()
             calls.append(task)
             return real_analyze(task)
@@ -617,8 +621,42 @@ class TestVerifyCorpus:
         assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
         assert started[0].returncode != 0
         assert_none_left(started, threads)
-        assert arrived and not set(arrived) & set(calls) and len(calls) == len(set(calls))
-        assert len(calls) >= len(tasks) - len(arrived) - 2
+        # frames written before the kill may arrive at later turns
+        sent = {i for _, i in stored}
+        assert arrived and set(arrived) <= sent
+        assert calls == [t for i, t in enumerate(tasks) if i not in sent]
+
+    def test_a_helper_runs_ahead_between_turns(self, tmp_path, monkeypatch, started):
+        # a helper works through its share without waiting for a turn:
+        # during the caller's first task, with no turn given, it writes at
+        # least three results, and one turn then stores them all. Every
+        # frame has the same size, as the tasks differ only in a two-digit
+        # number.
+        import fcntl
+        import termios
+
+        tasks = [tmp_path / f"missing-{k:02}.json" for k in range(20)]
+        frame = 4 + len(pickle.dumps((19, _analyze_task(tasks[19]))))
+        turns, _ = spy_on_turns(monkeypatch)
+        real_analyze, arrived = corpus._analyze_task, []
+
+        def waiting(fd):
+            return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+
+        def analyze_task(task):
+            if not arrived:
+                (helper, results), = turns.values()
+                wait_until(lambda: waiting(helper[0].stdout.fileno()) >= 3 * frame, timeout=30)
+                corpus._tend(helper, results)
+                arrived.append(sum(r is not None for r in results))
+            return real_analyze(task)
+
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        threads = threading.enumerate()
+        assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
+        assert len(started) == 1
+        assert_none_left(started, threads)
+        assert arrived[0] > 2
 
     @pytest.mark.parametrize("executable", ["missing", "exits", "hangs", "garbles"])
     def test_helper_that_never_starts_drops_no_task(self, tmp_path, monkeypatch, started, executable):
@@ -680,7 +718,7 @@ class TestVerifyCorpus:
         tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
         tasks.insert(1, ("bad", ("no-such-family", ())))
         # a helper stops quietly at the bad task
-        inbox = io.BytesIO(b"".join(pickle.dumps(x) for x in [tasks, 3, 2, 1, 0]))
+        inbox = io.BytesIO(pickle.dumps(tasks) + pickle.dumps(range(3, -1, -1)))
         outbox = io.BytesIO()
         monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=inbox))
         corpus._serve(outbox)
@@ -726,13 +764,13 @@ sys.path.insert(0, {str(copy)!r})
 from subdeg import corpus
 real_tend, real_analyze, turns = corpus._tend, corpus._analyze_task, []
 
-def tend(helper, results, ends):
-    turns.append((helper, results, ends))
-    return real_tend(helper, results, ends)
+def tend(helper, results):
+    turns.append((helper, results))
+    return real_tend(helper, results)
 
 def analyze_task(task):
     deadline = time.monotonic() + 120
-    while not any(r is not None for _, rs, _ in turns for r in rs) and time.monotonic() < deadline:
+    while not any(r is not None for _, rs in turns for r in rs) and time.monotonic() < deadline:
         real_tend(*turns[0])
         time.sleep(0.01)
     return real_analyze(task)
