@@ -15,6 +15,7 @@ from .groups import (
     point_stabilizer,
     sylow_subgroup_small,
 )
+from .numtheory import maximum_cliques
 from .perm import compose, inverse
 
 __all__ = [
@@ -82,32 +83,6 @@ def _suborbit_profile(degree: int, point: int, suborbits) -> SuborbitProfile:
     pairs = sorted(((orb[0], len(orb)) for orb in suborbits), key=lambda t: (t[1], t[0]))
     assert sum(length for _, length in pairs) == degree
     return SuborbitProfile(degree=degree, base_point=point, suborbits=tuple(pairs))
-
-
-def maximum_cliques(values) -> list[tuple[int, ...]]:
-    """All maximum cliques of the coprimality graph, each sorted ascending."""
-    verts = tuple(sorted(set(values)))
-    adj = {v: {u for u in verts if u != v and gcd(u, v) == 1} for v in verts}
-    best: list[tuple[int, ...]] = [()]
-
-    def extend(clique: list[int], candidates: list[int]) -> None:
-        nonlocal best
-        if not candidates:
-            size = len(clique)
-            if size > len(best[0]):
-                best = [tuple(clique)]
-            elif size == len(best[0]) and tuple(clique) not in best:
-                best.append(tuple(clique))
-            return
-        if len(clique) + len(candidates) < len(best[0]):
-            return  # cannot beat the current maximum
-        for i, v in enumerate(candidates):
-            if len(clique) + len(candidates) - i < len(best[0]):
-                break
-            extend(clique + [v], [u for u in candidates[i + 1 :] if u in adj[v]])
-
-    extend([], list(verts))
-    return sorted(best)
 
 
 def max_coprime_set(profile: SuborbitProfile) -> CoprimeClique:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import corpus
 from .groups import CapExceeded
+from .numtheory import maximum_cliques
 
 
 def positive_int(text: str) -> int:
@@ -37,10 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="emit the report as CSV")
 
     p = sub.add_parser("construct", help="build a group from a named family")
-    # the names of corpus.FAMILY_BUILDERS, which would load the constructions
-    p.add_argument(
-        "family", choices=["agl", "alt", "cyclic", "dihedral", "ksubsets", "partitions", "psl2", "sym"]
-    )
+    p.add_argument("family", choices=sorted(corpus.FAMILY_BUILDERS))
     p.add_argument("params", nargs="+", type=int, help="family parameters, e.g. 7 3")
     p.add_argument("--out", metavar="FILE", help="write the group file here")
     p.add_argument("--analyze", action="store_true", dest="do_analyze", help="also print the analysis report")
@@ -78,8 +77,6 @@ def _seq(values, empty: str) -> str:
 
 
 def _print_report(r: corpus.CoprimeReport) -> None:
-    from .analysis import maximum_cliques
-
     print(f"name: {r.name}")
     print(f"degree: {r.degree}")
     print(f"order: {r.order}")
@@ -154,9 +151,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify_corpus(args) -> int:
     try:
-        result = corpus.verify_corpus(
-            directory=args.dir, include_builtin=args.builtin or None, jobs=args.jobs
-        )
+        result = corpus.verify_corpus(directory=args.dir, include_builtin=args.builtin, jobs=args.jobs)
     except NotADirectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -225,7 +220,14 @@ def main(argv=None) -> int:
         "mu": _cmd_lattice,
         "factorizations": _cmd_lattice,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: an IO error. On devnull, fd 1 takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -277,7 +277,7 @@ def _partitions_into_blocks(points: tuple[int, ...], k: int):
 def partition_action(n: int, k: int) -> PermGroup:
     """Alt(n) on the partitions of {0..n-1} into n/k blocks of size k.
     Partition labels are sorted block tuples, ordered lexicographically."""
-    if n % k != 0 or not 1 < k < n:
+    if not 1 < k < n or n % k != 0:
         raise ValueError(f"need k | n and 1 < k < n, got k={k}, n={n}")
     degree = factorial(n) // (factorial(k) ** (n // k) * factorial(n // k))
     if degree > groups.DEGREE_CAP:

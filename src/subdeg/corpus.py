@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -239,13 +240,7 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
 
 
 def report_to_dict(r: CoprimeReport) -> dict:
-    out = {}
-    for field in REPORT_FIELDS:
-        v = getattr(r, field)
-        if isinstance(v, tuple):
-            v = list(v)
-        out[field] = v
-    return out
+    return {field: list(v) if isinstance(v, tuple) else v for field, v in zip(REPORT_FIELDS, r)}
 
 
 def _csv_cell(v) -> str:
@@ -272,30 +267,24 @@ def report_to_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _family_builders() -> dict:
-    """FAMILY_BUILDERS, which imports the constructions on first use: a
-    command that builds no group does not load them."""
-    builders = globals().get("FAMILY_BUILDERS")
-    if builders is None:
-        from . import constructions as c
+def _build(name: str, *params) -> PermGroup:
+    """constructions.<name>(*params). The module is imported on the first
+    call, so a command that builds no group does not load it."""
+    from . import constructions
 
-        builders = globals()["FAMILY_BUILDERS"] = {
-            "alt": c.alternating,
-            "sym": c.symmetric,
-            "ksubsets": c.ksubsets_action,
-            "partitions": c.partition_action,
-            "agl": c.agl,
-            "psl2": c.psl2,
-            "dihedral": c.dihedral,
-            "cyclic": c.cyclic,
-        }
-    return builders
+    return getattr(constructions, name)(*params)
 
 
-def __getattr__(name: str):
-    if name == "FAMILY_BUILDERS":
-        return _family_builders()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+FAMILY_BUILDERS = {
+    "alt": partial(_build, "alternating"),
+    "sym": partial(_build, "symmetric"),
+    "ksubsets": partial(_build, "ksubsets_action"),
+    "partitions": partial(_build, "partition_action"),
+    "agl": partial(_build, "agl"),
+    "psl2": partial(_build, "psl2"),
+    "dihedral": partial(_build, "dihedral"),
+    "cyclic": partial(_build, "cyclic"),
+}
 
 
 BUILTIN_CORPUS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -365,7 +354,7 @@ def _analyze_task(task) -> tuple[dict, bool]:
         report = analyze(G)
     else:
         name, (family, params) = task
-        report = analyze(_family_builders()[family](*params), name=name)
+        report = analyze(FAMILY_BUILDERS[family](*params), name=name)
     return report_to_dict(report), report.violates
 
 
@@ -465,25 +454,22 @@ def _sweep(tasks, workers: int) -> list:
     return results
 
 
-def verify_corpus(
-    directory=None, include_builtin: bool | None = None, jobs: int = 1
-) -> CorpusResult:
-    """Analyze a directory of group files and/or the built-in constructed
-    corpus. Unreadable files become entries with a load-failure note, never
-    a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
+def verify_corpus(directory=None, include_builtin: bool = False, jobs: int = 1) -> CorpusResult:
+    """Analyze a directory of group files, the built-in constructed corpus,
+    or both: the built-ins are swept when include_builtin is set or no
+    directory is given. Unreadable files become entries with a load-failure
+    note, never a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
     processes, never more than this process has usable cores; jobs below 1
     is a ValueError, and a directory that is not one a NotADirectoryError.
     The result is sorted by name and byte-stable across jobs."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if include_builtin is None:
-        include_builtin = directory is None
     tasks: list = []
     if directory is not None:
         if not Path(directory).is_dir():
             raise NotADirectoryError(f"{directory} is not a directory")
         tasks += sorted(Path(directory).glob("*.json"))
-    if include_builtin:
+    if include_builtin or directory is None:
         tasks += builtin_entries()
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     results = _sweep(tasks, min(jobs, len(tasks), cores))

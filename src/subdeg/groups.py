@@ -121,7 +121,8 @@ class _Level:
         self.point = point
         self.gens: list[Permutation] = []
         self.scan = 0  # Schreier generators come from gens[:scan]
-        self.orbit_gens = -1  # len(gens) when orbit_list and schreier were built
+        self.orbit_list, self.schreier = [point], {point: (-1, point)}
+        self.orbit_gens = 0  # len(gens) when orbit_list and schreier were built
         e = _identity(degree)
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
         self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
@@ -226,9 +227,14 @@ class Bsgs:
         return None if residue is None else _wrap(residue)
 
     def _sift(self, x, start: int):
-        """`sift` on the stored image x: the residue's image, or None."""
+        """`sift` on the stored image x: the residue's image, or None. Every
+        level it visits is current, so none is refreshed: a `_Level` starts
+        with its one-point orbit and Schreier vector; `_close` rebuilds a level
+        when it starts scanning it, sifts only into deeper levels, rebuilt
+        since their last new generator, and leaves every level current; and
+        `_random_residues` reads `chain.order`, which rebuilds every level,
+        after every install."""
         for lv in self.levels[start:]:
-            lv.orbit()
             delta = _at(x, lv.point)
             if delta == lv.point:
                 continue

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .groups import CapExceeded, PermGroup, elements, order
-from .numtheory import prime_factors as distinct_prime_factors
+from .numtheory import maximum_cliques, prime_factors as distinct_prime_factors
 from .perm import Permutation, compose, inverse
 
 __all__ = [
@@ -228,8 +228,6 @@ def mu(G: PermGroup, lattice: SubgroupLattice | None = None) -> int:
     """Largest number of proper subgroups with pairwise coprime indices,
     computed over maximal subgroups (equal indices can never be coprime,
     so the clique runs over distinct index values)."""
-    from .analysis import maximum_cliques
-
     if lattice is None:
         lattice = all_subgroups_small(G)
     indices = sorted({s.index for s in lattice.maximal()})

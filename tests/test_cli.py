@@ -1,6 +1,10 @@
 """End-to-end checks of the subdeg command-line entry point."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from subdeg import corpus
 from subdeg.cli import build_parser, main
 from subdeg.corpus import REPORT_FIELDS, write_group
 from subdeg.constructions import alternating, cyclic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -123,6 +129,11 @@ class TestConstruct:
         assert rc == 2
         assert capsys.readouterr().err.strip()
 
+    def test_partitions_into_blocks_of_zero(self, capsys):
+        rc = main(["construct", "partitions", "4", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need k | n and 1 < k < n, got k=0, n=4\n"
+
     def test_ksubsets_over_the_degree_cap(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("k-subsets enumerated past the cap")
@@ -191,6 +202,31 @@ class TestVerifyCorpus:
         rc = main(["verify-corpus", "--dir", str(tmp_path / "ghost")])
         assert rc == 2
         assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "cyclic", "100000"], ["analyze", "A5", "--json"], ["verify-corpus", "--json", "-"]],
+    ids=" ".join,
+)
+def test_closed_stdout_is_an_io_error(argv, a5_file):
+    # as in `subdeg construct cyclic 100000 | head -3`, with the reader gone
+    # before the command writes: exit 2, and no traceback
+    argv = [str(a5_file) if a == "A5" else a for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subdeg.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 class TestMu:

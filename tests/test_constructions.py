@@ -231,6 +231,8 @@ class TestPartitions:
             partition_action(6, 6)
         with pytest.raises(ValueError):
             partition_action(6, 1)
+        with pytest.raises(ValueError, match="1 < k < n"):
+            partition_action(4, 0)  # the range is checked before n % k
 
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setattr(subdeg.groups, "DEGREE_CAP", 1000)

@@ -502,6 +502,13 @@ class TestVerifyCorpus:
         res = verify_corpus(directory=tmp_path, include_builtin=False)
         assert [e["name"] for e in res.entries] == ["aaa", "zzz"]
 
+    def test_no_directory_sweeps_the_builtins(self):
+        # include_builtin=False only leaves out the built-ins next to a
+        # directory, so no call can sweep nothing and pass
+        res = verify_corpus(include_builtin=False)
+        assert [e["name"] for e in res.entries] == sorted(name for name, _ in builtin_entries())
+        assert res.total == 75
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         write_group(tmp_path / "a5.json", alternating(5))
         write_group(tmp_path / "d6.json", dihedral(6))
