@@ -1,4 +1,5 @@
 """Subgroup enumeration, mu, and coprime factorizations."""
+import hashlib
 from collections import Counter
 from itertools import combinations
 from math import gcd
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from subdeg.analysis import maximum_cliques
-from subdeg.constructions import agl, dihedral, psl2, symmetric
-from subdeg.groups import CapExceeded, PermGroup, order
+from subdeg.constructions import agl, alternating, cyclic, dihedral, psl2, symmetric
+from subdeg.groups import CapExceeded, PermGroup, elements, order
 from subdeg.lattice import (
     SUBGROUP_CAP,
     all_subgroups_small,
@@ -21,7 +22,7 @@ from subdeg.lattice import (
 )
 from subdeg.perm import Permutation, compose, inverse
 
-from conftest import closure_elements, direct_sum, make_group
+from conftest import brute_normalizer, closure_elements, direct_sum, make_group
 
 
 def sl25_on_vectors():
@@ -162,12 +163,15 @@ class TestAllSubgroups:
         if name == "A5":
             assert sorted(map(len, classes)) == sorted(A5_CLASS_SIZES)
 
-    @pytest.mark.parametrize("name,joins", [("A5", 57), ("PSL(2,7)", 153)])
+    @pytest.mark.parametrize("name,joins", [("A5", 28), ("PSL(2,7)", 67)])
     def test_joins_run_on_class_representatives(self, name, joins, monkeypatch):
         # joining from every subgroup instead of one per class takes 428 and 2392;
-        # trying each H-double-coset instead of each cyclic subgroup once, 93 and 291.
-        # The count follows the element order, which follows the chain: psl2(7)
-        # took 150 joins on its deterministic chain, 153 on its random one
+        # trying each H-double-coset instead of each cyclic subgroup once, 93 and 291;
+        # trying each cyclic subgroup once per double coset but not once per orbit
+        # of double cosets under N_G(H), 57 and 153. The counts include the joins
+        # that grow N_G(H). The count follows the element order, which follows the
+        # chain: psl2(7) took 150 joins on its deterministic chain, 153 on its
+        # random one, before normalizers
         from subdeg import lattice as lattice_mod
 
         calls = []
@@ -175,6 +179,41 @@ class TestAllSubgroups:
         monkeypatch.setattr(lattice_mod, "_join_closure", lambda *a: calls.append(1) or join(*a))
         all_subgroups_small(ORACLE_GROUPS[name])
         assert len(calls) == joins
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "AGL(2,3)"])
+    def test_normalizers_match_brute_force(self, name, monkeypatch):
+        # each class enters with its size s, so its representative H has
+        # |N_G(H)| = |G|/s; where N_G(H) is not G, _normalizer grows it from
+        # H, and H with what it returns generates it
+        from subdeg import lattice as lattice_mod
+
+        G = agl(2, 3) if name == "AGL(2,3)" else ORACLE_GROUPS[name]
+        entered, grown = [], []
+        enter, grow = lattice_mod._enter_class, lattice_mod._normalizer
+
+        def spy_enter(found, conjugations, H, gens):
+            entered.append((H, enter(found, conjugations, H, gens)))
+            return entered[-1][1]
+
+        def spy_grow(rows, inv, H, gens, size):
+            grown.append((H, gens, size, grow(rows, inv, H, gens, size)))
+            return grown[-1][3]
+
+        monkeypatch.setattr(lattice_mod, "_enter_class", spy_enter)
+        monkeypatch.setattr(lattice_mod, "_normalizer", spy_grow)
+        all_subgroups_small(G)
+        elems = elements(G)  # the lattice numbers elements in this order
+
+        def normalizer(H):
+            return frozenset(brute_normalizer(elems, [elems[i] for i in H]))
+
+        assert len(entered) > 2 and grown
+        for H, size in entered:
+            assert len(normalizer(H)) * size == len(elems)
+        for H, gens, size, ts in grown:
+            N = frozenset(closure_elements(G.degree, [elems[i] for i in (*gens, *ts)]))
+            assert N == normalizer(H)
+            assert len(N) == size
 
     @pytest.mark.parametrize("G,count", [(symmetric(5), 156), (psl2(7), 179)], ids=["S5", "PSL(2,7)"])
     def test_literature_subgroup_counts(self, G, count):
@@ -258,6 +297,44 @@ class TestAllSubgroups:
                 all_subgroups_small(G)
             assert e.value.what == "subgroup count"
             assert e.value.cap == 5
+
+
+def lattice_digest(lat) -> str:
+    """SHA-256 over a lattice in its order: per subgroup its order, index,
+    maximality, its generators' images and its elements' images, sorted."""
+    h = hashlib.sha256()
+    for s in lat.subgroups:
+        gens = [bytes(p.image_seq()) for p in s.generators]
+        elems = sorted(bytes(p.image_seq()) for p in s.element_set)
+        h.update(repr((s.order, s.index, s.is_maximal, gens, elems)).encode())
+    return h.hexdigest()
+
+
+LATTICE_DIGESTS = {
+    "S4": "9c26d7da0a411a3fb6257baf565267dcf352ef40ff2fac30b274cfaf18b7232c",
+    "S5": "cbd33ed77cf30f98df09259b0c24516d3ffc3e9421e3448ac993c2f972338b23",
+    "PSL(2,7)": "82ccdf54514036ddddf2e04eaa713d237243c11978b7997b5298a9dda222bc38",
+    "A6": "115bb0bfa190828bde4ba4cae27e3ebc232ee31d8a6c833ac6cec263c8fa41e4",
+    "AGL(2,3)": "f17570f84477c2397d90de7557ef9aa62a4f38031f644da22b26f5cc18c9fdc6",
+    "PSL(2,11)": "ae253c19f03372e1a7ce83d18ff686c09ed76e9152421993c09f76ac0145c2cc",
+    "A5": "d62cc2f1cce4fb9d3f0bdafb69082df14d64da08b077f0e44a8812f1f198e3ae",
+}
+LATTICE_GROUPS = {
+    "S4": lambda: symmetric(4),
+    "S5": lambda: symmetric(5),
+    "PSL(2,7)": lambda: psl2(7),
+    "A6": lambda: alternating(6),
+    "AGL(2,3)": lambda: agl(2, 3),
+    "PSL(2,11)": lambda: psl2(11),
+    "A5": lambda: ORACLE_GROUPS["A5"],
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_lattice_matches_the_pinned_digest(name):
+    # every subgroup, its order, index, maximality and recorded generators,
+    # in lattice order
+    assert lattice_digest(all_subgroups_small(LATTICE_GROUPS[name]())) == LATTICE_DIGESTS[name]
 
 
 def naive_lattice(G):
@@ -391,6 +468,23 @@ class TestMu:
         assert v.mu_value == 2
         assert v.bound == 2
         assert v.holds is True
+
+    @pytest.mark.parametrize(
+        "G,other",
+        [
+            (symmetric(4), cyclic(6)),
+            (symmetric(4), make_group(4, "(1,2,3)", "(2,3,4)")),
+            # two conjugate D4s in S4: same degree and order, other elements
+            (make_group(4, "(1,2,3,4)", "(1,3)"), make_group(4, "(1,3,2,4)", "(1,2)")),
+        ],
+        ids=["degree", "order", "group"],
+    )
+    def test_lattice_of_another_group(self, G, other):
+        lat = all_subgroups_small(other)
+        with pytest.raises(ValueError, match="not the subgroup lattice"):
+            mu(G, lat)
+        with pytest.raises(ValueError, match="not the subgroup lattice"):
+            coprime_factorizations(G, lat)
 
     def test_distinct_prime_factors(self):
         assert distinct_prime_factors(60) == (2, 3, 5)
