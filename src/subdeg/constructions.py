@@ -234,10 +234,13 @@ def symmetric(n: int) -> PermGroup:
 
 
 def _induced_action(gens, labels, apply_label, name: str, bound: int) -> PermGroup:
+    """The action of gens on labels; apply_label(img, label) maps a label
+    through a generator's image sequence."""
     index = {lab: i for i, lab in enumerate(labels)}
     out = []
     for g in gens:
-        out.append(Permutation([index[apply_label(g, lab)] for lab in labels]))
+        img = g.image_seq()
+        out.append(Permutation([index[apply_label(img, lab)] for lab in labels]))
     return _bounded(PermGroup(len(labels), out, label=name), bound)
 
 
@@ -253,7 +256,7 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
     return _induced_action(
         alternating(n).generators,
         labels,
-        lambda g, s: tuple(sorted(g(x) for x in s)),
+        lambda img, s: tuple(sorted(map(img.__getitem__, s))),
         f"ksubsets({n},{k})",
         alternating_order(n),
     )
@@ -285,8 +288,8 @@ def partition_action(n: int, k: int) -> PermGroup:
     labels = sorted(_partitions_into_blocks(tuple(range(n)), k))
     assert len(labels) == degree
 
-    def act(g, part):
-        return tuple(sorted(tuple(sorted(g(x) for x in block)) for block in part))
+    def act(img, part):
+        return tuple(sorted(tuple(sorted(map(img.__getitem__, block))) for block in part))
 
     name = f"partitions({n},{k})"
     return _induced_action(alternating(n).generators, labels, act, name, alternating_order(n))

@@ -107,7 +107,10 @@ class _Level:
     orbit with its Schreier vector, and the transversal, whose elements are
     built only when read (see `_rep`). The transversal memos hold stored
     images, which the chain multiplies directly; only `rep` wraps one in a
-    Permutation, for readers outside the chain. `Bsgs._close` forms
+    Permutation, for readers outside the chain. New generators either
+    restart the orbit from the base point (`orbit`, the deterministic run)
+    or grow it in place, keeping its tree and memos (`grow`, the random
+    run). `Bsgs._close` forms
     Schreier generators from `gens[:scan]`, which ends at the last
     generator that came from above; by Schreier's lemma the later ones,
     residues found at this level or deeper, add nothing (see
@@ -122,7 +125,7 @@ class _Level:
         self.gens: list[Permutation] = []
         self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_list, self.schreier = [point], {point: (-1, point)}
-        self.orbit_gens = 0  # len(gens) when orbit_list and schreier were built
+        self.orbit_gens = 0  # len(gens) when orbit_list and schreier were last built or grown
         e = _identity(degree)
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
         self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
@@ -139,9 +142,20 @@ class _Level:
             self.trans_inv = {self.point: e}
         return self.orbit_list
 
+    def grow(self) -> list[int]:
+        """The basic orbit, extended in place by the generators added since
+        the last build (see `_grow_orbit`). Every tree edge is kept, so each
+        memoized representative still carries the base point to its point,
+        and the memos are kept too."""
+        if self.orbit_gens != len(self.gens):
+            _grow_orbit(self.gens, self.orbit_gens, self.orbit_list, self.schreier)
+            self.orbit_gens = len(self.gens)
+        return self.orbit_list
+
     def rep(self, b: int, inv: bool = False) -> Permutation:
         """The transversal element carrying the base point to the orbit point
-        b, or its inverse. The orbit must be current (see `orbit`)."""
+        b, or its inverse. The orbit must be current (see `orbit` and
+        `grow`)."""
         return _wrap(self._rep(b, inv))
 
     def _rep(self, b: int, inv: bool = False):
@@ -232,8 +246,8 @@ class Bsgs:
         with its one-point orbit and Schreier vector; `_close` rebuilds a level
         when it starts scanning it, sifts only into deeper levels, rebuilt
         since their last new generator, and leaves every level current; and
-        `_random_residues` reads `chain.order`, which rebuilds every level,
-        after every install."""
+        `_random_residues` grows every level the residue joined after every
+        install."""
         for lv in self.levels[start:]:
             delta = _at(x, lv.point)
             if delta == lv.point:
@@ -313,8 +327,11 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     A group built in `constructions` carries a closed-form `_order_bound`
     >= |G|. Its chain sifts seeded random elements (`_random_residues`)
     until `order` reaches the bound, which by the argument above proves it
-    complete with no verification pass. If the bound is not reached, as
-    for a group acting with a kernel, the chain is completed by `_close`.
+    complete with no verification pass. The argument holds for any Schreier
+    tree, so these levels grow their orbits in place after each install,
+    where the deterministic run restarts them from the base point. If the
+    bound is not reached, as for a group acting with a kernel, the chain is
+    completed by `_close`.
 
     Every other group gets the deterministic run: each level forms
     Schreier generators only from G's generators and the residues found at
@@ -334,7 +351,9 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
     """Sift product-replacement elements of <gens> through the chain and
     install each non-trivial residue until the basic orbit lengths multiply
     to `bound`; True then. False once the product passes the bound or 30
-    sifts in a row come out trivial.
+    sifts in a row come out trivial. After each install the levels the
+    residue joined grow their orbits in place (`_Level.grow`) and keep their
+    transversal memos; no orbit is restarted from its base point.
 
     Product replacement (Celler, Leedham-Green, Murray, Niemeyer and
     O'Brien, 1995) keeps 10 slots, filled from gens in turn. A step
@@ -342,9 +361,15 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
     accumulator x by the result; 10 steps run before the first draw. The
     stream comes from `random.Random(0).random()` alone, whose output
     Python keeps fixed across versions."""
-    order = chain.order
-    if order == bound:
-        return True
+    def grown_order() -> int:
+        n = 1
+        for lv in chain.levels:
+            n *= len(lv.grow())
+        return n
+
+    order = grown_order()
+    if order == bound or not gens:  # a trivial group has nothing to draw
+        return order == bound
     rng = random.Random(0).random
     slots = [gens[k % len(gens)] for k in range(10)]
     x = Permutation.identity(chain.degree)
@@ -367,24 +392,36 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
             trivial += 1
         else:
             chain._install(residue)
-            order, trivial = chain.order, 0
+            order, trivial = grown_order(), 0
     return order == bound
 
 
 def _schreier_vector(gens, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
     """Breadth-first orbit of a point under gens, trying them in list order,
     with the Schreier vector mapping each orbit point to (index in gens,
-    predecessor); the point maps to (-1, point)."""
-    images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
-    orb = [point]
-    vec = {point: (-1, point)}
-    for a in orb:
+    predecessor); the point maps to (-1, point). This is `_grow_orbit` from
+    the one-point orbit, closed under no generator."""
+    orb, vec = [point], {point: (-1, point)}
+    _grow_orbit(gens, 0, orb, vec)
+    return orb, vec
+
+
+def _grow_orbit(gens, k: int, orb: list[int], vec: dict[int, tuple[int, int]]) -> None:
+    """Extend orb, an orbit closed under gens[:k] with its Schreier vector
+    vec, in place until it is closed under all of gens. The points already
+    in orb are tried only with gens[k:], each new point with every generator,
+    in list order; no existing tree edge changes. Every point is then tried
+    with every generator: the old ones took gens[:k] into orb already."""
+    images = [(gi, gens[gi].image_seq()) for gi in range(k, len(gens))]
+    old = len(orb)
+    for i, a in enumerate(orb):
+        if i == old and k:  # the first new point; read every generator's images
+            images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
         for gi, img in images:
             b = img[a]
             if b not in vec:
                 vec[b] = (gi, a)
                 orb.append(b)
-    return orb, vec
 
 
 def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:

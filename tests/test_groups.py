@@ -544,45 +544,60 @@ def _count_sifts(monkeypatch) -> list:
 
 def test_known_order_chain_stops_early(monkeypatch):
     # the random chain stops once its orbit lengths multiply to the known
-    # order: 6 draws, all from level 0, where the deterministic run that
+    # order: 5 draws, all from level 0, where the deterministic run that
     # stopped at the order sifted 481 Schreier generators, and the full
-    # run 3,930
+    # run 3,930. It took 6 draws while each install rebuilt the orbits from
+    # their base points; grown orbits keep other trees, so other residues
     G = partition_action(9, 3)
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 181440
-    assert sifts == [0] * 6
+    assert sifts == [0] * 5
 
 
 def test_symmetric_100_chain_is_random(monkeypatch):
-    # 138 draws, all from level 0: the chain is complete at 100! with no
-    # deterministic pass
+    # 157 draws, all from level 0: the chain is complete at 100! with no
+    # deterministic pass. It took 138 while each install rebuilt the orbits
+    # from their base points; grown orbits keep other trees, so other
+    # residues. The chain itself took 1.1-1.3 s CPU then and 0.07-0.13 s now
     G = symmetric(100)
     sifts = _count_sifts(monkeypatch)
     assert order(G) == factorial(100)
-    assert sifts == [0] * 138
+    assert sifts == [0] * 157
 
 
-def test_each_basic_orbit_is_built_once_per_generator_count(monkeypatch):
-    # one Schreier vector per level each time its generators grow: the
-    # random chain installs 7 strong generators on 4 levels; the
-    # deterministic run that stopped at the known order built 21
+def test_random_chain_restarts_no_level(monkeypatch):
+    # the random chain grows each level's orbit in place after an install
+    # and never rebuilds a Schreier vector from the base point; it built 15
+    # on partitions(9,3) when it did, and the deterministic run that stopped
+    # at the known order 21. The deterministic run still restarts its
+    # levels: 34 times on the bound-free copy of ksubsets(10,3)
     calls = []
     real = subdeg.groups._schreier_vector
     monkeypatch.setattr(subdeg.groups, "_schreier_vector", lambda *a: calls.append(1) or real(*a))
-    G = partition_action(9, 3)
-    assert order(G) == 181440
-    assert len(calls) == 15
+    for G in (partition_action(9, 3), ksubsets_action(10, 3), symmetric(100)):
+        assert order(G) == G._order_bound
+    assert calls == []
+    assert order(_bound_free_ksubsets()) == 1814400
+    assert len(calls) == 34
+
+
+def test_trivial_group_with_a_bound_out_of_reach_draws_nothing():
+    # no generator to fill the product-replacement slots from: the random
+    # path gives up at once and `_close` has nothing to do
+    G = PermGroup(2, [])
+    G._order_bound = 2
+    assert order(G) == 1
 
 
 def test_transversal_is_built_only_where_read():
     # built eagerly, the final levels would hold 317 entries beyond their
-    # base points and as many inverses. The draws read some, but the last
-    # residue opens the deepest level, so it joins every level, and each
-    # level empties its memos when it rebuilds its orbit
+    # base points and as many inverses. The draws read 64 of them, and the
+    # levels keep them as their orbits grow; they held 0 when each install
+    # rebuilt the orbits and emptied the memos
     G = partition_action(9, 3)
     assert order(G) == 181440
     held = sum(len(lv.trans) + len(lv.trans_inv) - 2 for lv in G.bsgs.levels)
-    assert held == 0
+    assert held == 64
 
 
 def test_deep_schreier_tree_is_walked_without_recursion():
@@ -703,14 +718,18 @@ def chain_digest(G: PermGroup) -> str:
 # the j1, dihedral(12) and bound-free entries were computed when each level
 # still indexed into one shared strong generator list; dihedral(12)'s
 # generators already reach its order, so it takes no random draw. The other
-# constructed groups' entries pin the seeded random chain
+# constructed groups' entries pin the seeded random chain. They moved when
+# its levels began to grow their orbits in place instead of rebuilding them
+# after each install: the trees differ, so the residues do. Before that they
+# were partitions(9,3) 014349ab…efcbb, agl(3,3) 1d51ba19…9db73, psl2(49)
+# ec0c4a4b…bd780, alt(9) 303dda32…ea062 and ksubsets(10,3) 5de4175a…d725a
 CHAIN_DIGESTS = {
     "j1": "f0129bebb55fa5e7095ab52027a66eacc1326edafb080eecbfe0a22e209869ab",
-    "partitions(9,3)": "014349ab0056cd7dbdeeed2974254fbdd7d19bd5bf636b2c8bcead12cb1efcbb",
-    "agl(3,3)": "1d51ba19615731e26dda3f006cce4c53ca1508352c2c3b802c4d0d0123c9db73",
-    "psl2(49)": "ec0c4a4b6b5a8c42b24f045bd705930811e6c0459d0af37e1ebc46a8804bd780",
-    "alt(9)": "303dda322907c2dbf9feec194fe5ed8378299faf0c8b7ca0453d3682f54ea062",
-    "ksubsets(10,3)": "5de4175a01c1e714ffef661553a5f1b2d558e6caf386c49d10ec040ca3dd725a",
+    "partitions(9,3)": "38a63e2cc043e607821939959d53fb7bad306d3e0a888e8a6137345a56857550",
+    "agl(3,3)": "985d5faa8f306da9c2577b9a7230a2120522a0e160684bb2698b2cc7ae775e0c",
+    "psl2(49)": "e23ca7b9e9d267a247cee367895f4a6226dc31969221a5b06f570d4ed0917771",
+    "alt(9)": "99b7d1009d4953cdd61e1394cd34f60f5d92964ce1e82698eb4db4a638ad8d68",
+    "ksubsets(10,3)": "0831bfcbfe2440c33cc106e8d999865730e3ccd1679f194f5d1565ba1e15652d",
     "dihedral(12)": "648d9059a2f11e6cce9aca9a6df6ebd6bd2f5a5f416fc976f703ebaca738ba78",
     # computed with every level scanning all of its generators; the
     # deterministic chain of the same generators as ksubsets(10,3)
@@ -801,6 +820,46 @@ def test_prefix_scan_builds_the_full_scan_chain(data):
         G = PermGroup(built.degree, built.generators)
         assert order(built) == full_order(built)
     assert chain_digest(G) == chain_digest(_full_scan_copy(G))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_chain_with_grown_orbits_is_sound(data):
+    # the random path: a small constructed group, or drawn generators given
+    # their exact order or twice it as the bound (the second is never
+    # reached, so `_close` completes the chain after the draws)
+    if data.draw(st.booleans()):
+        G = data.draw(st.sampled_from(SMALL_CONSTRUCTED))()
+    else:
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        gens = [Permutation(list(data.draw(st.permutations(range(n))))) for _ in range(k)]
+        G = PermGroup(n, gens)
+        G._order_bound = len(closure_elements(n, G.generators)) * data.draw(st.sampled_from([1, 2]))
+    ref = PermGroup(G.degree, G.generators)  # the deterministic chain
+    chain = G.bsgs
+    for lv in chain.levels:
+        b = lv.point
+        for x, u in lv.trans.items():
+            assert u[b] == x
+        for x, u in lv.trans_inv.items():
+            assert u[x] == b
+        for x, (gi, pred) in lv.schreier.items():
+            assert x == b or lv.gens[gi](pred) == x
+        assert set(lv.orbit_list) == set(lv.schreier)
+        want = next(o for o in brute_orbits(lv.gens, G.degree) if b in o)
+        assert sorted(lv.orbit_list) == list(want)
+        assert all(lv.rep(x)(b) == x and lv.rep(x, inv=True)(x) == b for x in lv.orbit_list)
+    assert chain.order == order(ref) == len(closure_elements(G.degree, G.generators))
+    swap = Permutation([1, 0, *range(2, G.degree)])
+    letters = G.generators or (Permutation.identity(G.degree),)
+    for _ in range(5):
+        w = Permutation.identity(G.degree)
+        for g in data.draw(st.lists(st.sampled_from(letters), max_size=6)):
+            w = compose(w, g)
+        assert chain.sift(w) is None and ref.bsgs.sift(w) is None
+        t = compose(w, swap)
+        assert (chain.sift(t) is None) == (ref.bsgs.sift(t) is None)
 
 
 def test_coset_action_builds_one_chain_for_the_subgroup(monkeypatch):
