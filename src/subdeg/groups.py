@@ -5,9 +5,11 @@ Two runs over the same generators produce identical chains. Base points
 are chosen as the smallest moved point and orbits explored breadth-first
 with generators in list order. A group with a proven order bound draws
 its random elements from a fixed seed; every other group gets the
-deterministic Schreier-Sims, with no randomization. The chain memoizes
-and multiplies stored images (see perm), and wraps in a Permutation only
-the residues it installs or returns and the representatives it hands out.
+deterministic Schreier-Sims, with no randomization. Either way a level
+grows its basic orbit in place when it gains generators, and keeps its
+Schreier tree and transversal memos. The chain memoizes and multiplies
+stored images (see perm), and wraps in a Permutation only the residues
+it installs or returns and the representatives it hands out.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .numtheory import is_prime
-from .perm import Permutation, _at, _identity, _inv, _is_id, _mul, _wrap, compose, inverse
+from .perm import Permutation, _at, _identity, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
 
 __all__ = [
     "PermGroup",
@@ -107,14 +109,12 @@ class _Level:
     orbit with its Schreier vector, and the transversal, whose elements are
     built only when read (see `_rep`). The transversal memos hold stored
     images, which the chain multiplies directly; only `rep` wraps one in a
-    Permutation, for readers outside the chain. New generators either
-    restart the orbit from the base point (`orbit`, the deterministic run)
-    or grow it in place, keeping its tree and memos (`grow`, the random
-    run). `Bsgs._close` forms
-    Schreier generators from `gens[:scan]`, which ends at the last
-    generator that came from above; by Schreier's lemma the later ones,
-    residues found at this level or deeper, add nothing (see
-    `Bsgs._install`)."""
+    Permutation, for readers outside the chain. New generators grow the
+    orbit in place, keeping the tree and the memos (`orbit`), in both the
+    random and the deterministic run. `Bsgs._close` forms Schreier
+    generators from `gens[:scan]`, which ends at the last generator that
+    came from above; by Schreier's lemma the later ones, residues found at
+    this level or deeper, add nothing (see `Bsgs._install`)."""
 
     __slots__ = (
         "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv"
@@ -125,26 +125,14 @@ class _Level:
         self.gens: list[Permutation] = []
         self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_list, self.schreier = [point], {point: (-1, point)}
-        self.orbit_gens = 0  # len(gens) when orbit_list and schreier were last built or grown
+        self.orbit_gens = 0  # len(gens) when orbit_list and schreier were last grown
         e = _identity(degree)
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
         self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
 
     def orbit(self) -> list[int]:
-        """The basic orbit, with its Schreier vector rebuilt, and the
-        transversal memos emptied, only when generators were added since
-        the last build."""
-        if self.orbit_gens != len(self.gens):
-            self.orbit_list, self.schreier = _schreier_vector(self.gens, self.point)
-            self.orbit_gens = len(self.gens)
-            e = self.trans[self.point]
-            self.trans = {self.point: e}
-            self.trans_inv = {self.point: e}
-        return self.orbit_list
-
-    def grow(self) -> list[int]:
         """The basic orbit, extended in place by the generators added since
-        the last build (see `_grow_orbit`). Every tree edge is kept, so each
+        the last call (see `_grow_orbit`). Every tree edge is kept, so each
         memoized representative still carries the base point to its point,
         and the memos are kept too."""
         if self.orbit_gens != len(self.gens):
@@ -154,8 +142,7 @@ class _Level:
 
     def rep(self, b: int, inv: bool = False) -> Permutation:
         """The transversal element carrying the base point to the orbit point
-        b, or its inverse. The orbit must be current (see `orbit` and
-        `grow`)."""
+        b, or its inverse. The orbit must be current (see `orbit`)."""
         return _wrap(self._rep(b, inv))
 
     def _rep(self, b: int, inv: bool = False):
@@ -243,11 +230,10 @@ class Bsgs:
     def _sift(self, x, start: int):
         """`sift` on the stored image x: the residue's image, or None. Every
         level it visits is current, so none is refreshed: a `_Level` starts
-        with its one-point orbit and Schreier vector; `_close` rebuilds a level
-        when it starts scanning it, sifts only into deeper levels, rebuilt
+        with its one-point orbit and Schreier vector; `_close` grows a level
+        when it starts scanning it, sifts only into deeper levels, grown
         since their last new generator, and leaves every level current; and
-        `_random_residues` grows every level the residue joined after every
-        install."""
+        `_random_residues` grows every level after every install."""
         for lv in self.levels[start:]:
             delta = _at(x, lv.point)
             if delta == lv.point:
@@ -266,9 +252,17 @@ class Bsgs:
         generators would have sifted to the identity. The residues, and
         their order, are those of a scan over every generator. Schreier
         generators are formed and sifted as stored images; only a residue
-        to install becomes a Permutation."""
+        to install becomes a Permutation.
+
+        A Schreier generator that sifts to the identity from level i + 1 is
+        recorded, by its level and full image bytes, and not sifted again
+        when level i is rescanned after an install. While level i is scanned
+        every deeper level is complete, so the element lies in <S_(i+1)>;
+        S_(i+1) only grows, and the deeper levels are complete again at the
+        rescan, so it would sift to the identity again. The residues, and
+        their order, are unchanged."""
         i = min(from_level, len(self.levels) - 1)
-        restart = True  # the orbits grew by the generators just installed
+        known = set()  # (level, image bytes) of each Schreier generator that sifted trivially
         while i >= 0:
             lv = self.levels[i]
             orb = lv.orbit()
@@ -283,11 +277,16 @@ class Bsgs:
                     sg = _mul(_mul(rep(a), x), rep(b, True))
                     if _is_id(sg):
                         continue
+                    key = (i, _raw(sg))
+                    if key in known:
+                        continue
                     residue = self._sift(sg, i + 1)
-                    if residue is not None:
-                        i = self._install(_wrap(residue), i)
-                        restart = True
-                        break
+                    if residue is None:
+                        known.add(key)
+                        continue
+                    i = self._install(_wrap(residue), i)
+                    restart = True
+                    break
                 if restart:
                     break
             if not restart:
@@ -327,17 +326,16 @@ def schreier_sims(G: PermGroup, base_prefix=()) -> Bsgs:
     A group built in `constructions` carries a closed-form `_order_bound`
     >= |G|. Its chain sifts seeded random elements (`_random_residues`)
     until `order` reaches the bound, which by the argument above proves it
-    complete with no verification pass. The argument holds for any Schreier
-    tree, so these levels grow their orbits in place after each install,
-    where the deterministic run restarts them from the base point. If the
-    bound is not reached, as for a group acting with a kernel, the chain is
-    completed by `_close`.
+    complete with no verification pass. If the bound is not reached, as for
+    a group acting with a kernel, the chain is completed by `_close`.
 
     Every other group gets the deterministic run: each level forms
     Schreier generators only from G's generators and the residues found at
     levels above it, the ones that can enlarge its group (Schreier's lemma;
     see `Bsgs._install`). The chain is the one a scan of every generator
-    builds, from fewer sifts (see `Bsgs._close`)."""
+    builds, from fewer sifts (see `Bsgs._close`). Both runs grow each
+    level's orbit in place after an install (`_Level.orbit`); the argument
+    above holds for any Schreier tree."""
     chain = Bsgs(G.degree, base_prefix)
     for g in G.generators:
         chain._install(g)
@@ -351,9 +349,8 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
     """Sift product-replacement elements of <gens> through the chain and
     install each non-trivial residue until the basic orbit lengths multiply
     to `bound`; True then. False once the product passes the bound or 30
-    sifts in a row come out trivial. After each install the levels the
-    residue joined grow their orbits in place (`_Level.grow`) and keep their
-    transversal memos; no orbit is restarted from its base point.
+    sifts in a row come out trivial. Reading `chain.order` after each
+    install grows the levels the residue joined (`_Level.orbit`).
 
     Product replacement (Celler, Leedham-Green, Murray, Niemeyer and
     O'Brien, 1995) keeps 10 slots, filled from gens in turn. A step
@@ -361,13 +358,7 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
     accumulator x by the result; 10 steps run before the first draw. The
     stream comes from `random.Random(0).random()` alone, whose output
     Python keeps fixed across versions."""
-    def grown_order() -> int:
-        n = 1
-        for lv in chain.levels:
-            n *= len(lv.grow())
-        return n
-
-    order = grown_order()
+    order = chain.order
     if order == bound or not gens:  # a trivial group has nothing to draw
         return order == bound
     rng = random.Random(0).random
@@ -392,18 +383,8 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
             trivial += 1
         else:
             chain._install(residue)
-            order, trivial = grown_order(), 0
+            order, trivial = chain.order, 0
     return order == bound
-
-
-def _schreier_vector(gens, point: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Breadth-first orbit of a point under gens, trying them in list order,
-    with the Schreier vector mapping each orbit point to (index in gens,
-    predecessor); the point maps to (-1, point). This is `_grow_orbit` from
-    the one-point orbit, closed under no generator."""
-    orb, vec = [point], {point: (-1, point)}
-    _grow_orbit(gens, 0, orb, vec)
-    return orb, vec
 
 
 def _grow_orbit(gens, k: int, orb: list[int], vec: dict[int, tuple[int, int]]) -> None:
@@ -425,11 +406,13 @@ def _grow_orbit(gens, k: int, orb: list[int], vec: dict[int, tuple[int, int]]) -
 
 
 def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """Orbit of a point (breadth-first discovery order) and its Schreier
-    vector mapping each orbit point to (generator index, predecessor)."""
+    """Orbit of a point (breadth-first discovery order, generators in list
+    order) and its Schreier vector mapping each orbit point to (generator
+    index, predecessor); the point maps to (-1, point)."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    orb, vec = _schreier_vector(G.generators, point)
+    orb, vec = [point], {point: (-1, point)}
+    _grow_orbit(G.generators, 0, orb, vec)
     return tuple(orb), vec
 
 

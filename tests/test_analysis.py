@@ -78,8 +78,11 @@ class TestSubdegrees:
             subdegrees(make_group(5, "(1,2,3)"))
 
     def test_point_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            subdegrees(make_group(3, "(1,2,3)"), point=3)
+        # point == degree on an intransitive group too, where a check that
+        # let the point through would fail for intransitivity instead
+        for G in (make_group(3, "(1,2,3)"), make_group(3, "(1,2)")):
+            with pytest.raises(ValueError, match="^point 3 out of range for degree 3$"):
+                subdegrees(G, point=3)
 
 
 class TestCliques:
@@ -162,6 +165,15 @@ class TestCommonDivisorGraph:
         g = common_divisor_graph(prof)
         assert g.edges == ((4, 12), (4, 18), (12, 18))
         assert max_coprime_set(prof).size == 1
+
+    def test_j1_profile_leaves_the_coprime_pair_unjoined(self):
+        # J1 on 266 points: 11 and 12 are coprime, so no edge joins them
+        prof = SuborbitProfile(
+            degree=266, base_point=0, suborbits=((0, 1), (1, 11), (12, 12), (24, 110), (134, 132))
+        )
+        g = common_divisor_graph(prof)
+        assert g.edges == ((11, 110), (11, 132), (12, 110), (12, 132), (110, 132))
+        assert max_coprime_set(prof).values == (11, 12)
 
 
 class TestSylowDivisibility:

@@ -306,11 +306,16 @@ class TestAnalyze:
             assert getattr(r, f) is None
         assert any("transitive" in s for s in r.skipped_checks)
 
-    @pytest.mark.parametrize("transitive", [True, False], ids=["transitive", "intransitive"])
-    def test_point_out_of_range_is_rejected(self, transitive):
+    @pytest.mark.parametrize(
+        "transitive,point",
+        [(True, 7), (False, 7), (False, 3)],
+        ids=["transitive", "intransitive", "intransitive-point-at-degree"],
+    )
+    def test_point_out_of_range_is_rejected(self, transitive, point):
+        # at point == degree an intransitive group would otherwise get a report
         G = make_group(3, "(1,2,3)" if transitive else "(1,2)")
-        with pytest.raises(ValueError, match="point 7 out of range for degree 3"):
-            analyze(G, 7)
+        with pytest.raises(ValueError, match=f"^point {point} out of range for degree 3$"):
+            analyze(G, point)
 
     def test_base_point_invariance(self):
         A5 = make_group(5, "(1,2,3)", "(3,4,5)")

@@ -179,6 +179,8 @@ def test_elements_matches_closure_and_cap(monkeypatch):
         elements(G)
     assert exc.value.value == 60
     assert exc.value.cap == 30
+    monkeypatch.setattr(subdeg.groups, "ELEMENTS_CAP", 60)
+    assert len(elements(G)) == 60  # an order equal to the cap is listed
 
 
 def test_point_stabilizer_a5():
@@ -199,6 +201,8 @@ def test_point_stabilizer_intransitive_point():
     assert all(g(3) == 3 for g in elements(stab))
     # a point fixed by the whole group stabilizes nothing away
     assert order(point_stabilizer(G, 5)) == 6
+    with pytest.raises(ValueError, match="^point 6 out of range for degree 6$"):
+        point_stabilizer(G, 6)
 
 
 def test_orbit_stabilizer_identity():
@@ -286,6 +290,11 @@ def test_minimal_block_system_errors():
         minimal_block_system(c6(), (2, 2))
     with pytest.raises(ValueError, match="range"):
         minimal_block_system(c6(), (0, 6))
+    # either point equal to the degree, on an intransitive group, where a
+    # pair let through would fail for intransitivity instead
+    for pair in ((6, 0), (0, 6)):
+        with pytest.raises(ValueError, match="^seed pair out of range$"):
+            minimal_block_system(make_group(6, "(1,2,3)", "(4,5)"), pair)
 
 
 def test_is_primitive():
@@ -565,20 +574,39 @@ def test_symmetric_100_chain_is_random(monkeypatch):
     assert sifts == [0] * 157
 
 
-def test_random_chain_restarts_no_level(monkeypatch):
-    # the random chain grows each level's orbit in place after an install
-    # and never rebuilds a Schreier vector from the base point; it built 15
-    # on partitions(9,3) when it did, and the deterministic run that stopped
-    # at the known order 21. The deterministic run still restarts its
-    # levels: 34 times on the bound-free copy of ksubsets(10,3)
-    calls = []
-    real = subdeg.groups._schreier_vector
-    monkeypatch.setattr(subdeg.groups, "_schreier_vector", lambda *a: calls.append(1) or real(*a))
-    for G in (partition_action(9, 3), ksubsets_action(10, 3), symmetric(100)):
-        assert order(G) == G._order_bound
-    assert calls == []
-    assert order(_bound_free_ksubsets()) == 1814400
-    assert len(calls) == 34
+def test_no_level_drops_a_tree_edge_or_a_memo(monkeypatch):
+    # both chains grow each level's orbit in place after an install and keep
+    # every Schreier tree edge and transversal memo. The deterministic chain
+    # used to rebuild a level's Schreier vector from its base point and empty
+    # its memos whenever the level gained generators: 34 times on the
+    # bound-free ksubsets(10,3); the random chain did so 15 times on
+    # partitions(9,3) before it grew its orbits
+    kept = {}  # level -> its edges and memos when last seen
+    grown = []
+    real = subdeg.groups._Level.orbit
+
+    def check(lv):
+        edges, trans, trans_inv = kept.get(lv, ({}, {}, {}))
+        assert all(lv.schreier.get(x) == e for x, e in edges.items())
+        for old, new in ((trans, lv.trans), (trans_inv, lv.trans_inv)):
+            assert all(new.get(x) is u for x, u in old.items())
+        kept[lv] = (dict(lv.schreier), dict(lv.trans), dict(lv.trans_inv))
+
+    def spy(self):
+        check(self)
+        if self.orbit_gens != len(self.gens) and len(self.trans) > 1:
+            grown.append(self)  # a grow with memos to keep
+        out = real(self)
+        check(self)
+        return out
+
+    monkeypatch.setattr(subdeg.groups._Level, "orbit", spy)
+    for G in (_fresh_j1(), _bound_free_ksubsets(), partition_action(9, 3)):
+        grown.clear()
+        order(G)
+        for lv in G.bsgs.levels:
+            check(lv)
+        assert grown
 
 
 def test_trivial_group_with_a_bound_out_of_reach_draws_nothing():
@@ -665,11 +693,15 @@ def test_base_prefix_keeps_the_first_of_each_point():
 
 
 def test_file_loaded_group_keeps_the_full_verification(monkeypatch):
-    # a work bound: a scan of every generator at every level sifts 1,865
+    # a work bound: a scan of every generator at every level sifts 550. It
+    # was 664 (1,865 for the full scan) while each install rebuilt the
+    # levels' orbits and each rescan sifted again the Schreier generators
+    # already known to be members; grown orbits keep the tree, and
+    # `_close` skips the known members
     G = _fresh_j1()
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 175560
-    assert len(sifts) == 664
+    assert len(sifts) == 183
 
 
 def _bound_free_ksubsets() -> PermGroup:
@@ -678,14 +710,28 @@ def _bound_free_ksubsets() -> PermGroup:
 
 
 def test_levels_form_schreier_generators_from_a_prefix(monkeypatch):
-    # a scan of every generator at every level sifts 2,089; here level 0
-    # scans 2 of its 15 generators and level 1 8 of its 13
+    # a scan of every generator at every level sifts 815; here level 0
+    # scans 2 of its 18 generators and level 1 all 16 of its own. It was
+    # 564 sifts (2,089 for the full scan), with level 0 scanning 2 of 15 and
+    # level 1 8 of 13, while each install rebuilt the levels' orbits and
+    # each rescan sifted the known members again; the other trees give
+    # other residues
     G = _bound_free_ksubsets()
     sifts = _count_sifts(monkeypatch)
     assert order(G) == 1814400
-    assert len(sifts) == 564
+    assert len(sifts) == 198
     scanned = [(lv.scan, len(lv.gens)) for lv in G.bsgs.levels]
-    assert scanned[:2] == [(2, 15), (8, 13)]
+    assert scanned[:2] == [(2, 18), (16, 16)]
+
+
+def test_rescans_skip_schreier_generators_known_to_be_members(monkeypatch):
+    # a work bound: bound-free S40 from (1,2) and a 40-cycle. Re-sifting the
+    # members that each rescan meets again takes 365,529 sifts on the same
+    # chain; 146,965 while each install rebuilt the levels' orbits
+    G = PermGroup(40, [Permutation([1, 0, *range(2, 40)]), Permutation([*range(1, 40), 0])])
+    sifts = _count_sifts(monkeypatch)
+    assert order(G) == factorial(40)
+    assert len(sifts) == 9323
 
 
 def chain_digest(G: PermGroup) -> str:
@@ -715,25 +761,27 @@ def chain_digest(G: PermGroup) -> str:
     return h.hexdigest()
 
 
-# the j1, dihedral(12) and bound-free entries were computed when each level
-# still indexed into one shared strong generator list; dihedral(12)'s
-# generators already reach its order, so it takes no random draw. The other
+# the dihedral(12) entry was computed when each level still indexed into
+# one shared strong generator list; dihedral(12)'s generators already reach
+# its order, so it takes no random draw. The other
 # constructed groups' entries pin the seeded random chain. They moved when
 # its levels began to grow their orbits in place instead of rebuilding them
 # after each install: the trees differ, so the residues do. Before that they
 # were partitions(9,3) 014349ab…efcbb, agl(3,3) 1d51ba19…9db73, psl2(49)
-# ec0c4a4b…bd780, alt(9) 303dda32…ea062 and ksubsets(10,3) 5de4175a…d725a
+# ec0c4a4b…bd780, alt(9) 303dda32…ea062 and ksubsets(10,3) 5de4175a…d725a.
+# The j1 and bound-free entries pin the deterministic chain. They moved
+# when it too began to grow its orbits in place; they were f0129beb…869ab
+# and f32e5f52…55014. Skipping known members on a rescan moves neither
 CHAIN_DIGESTS = {
-    "j1": "f0129bebb55fa5e7095ab52027a66eacc1326edafb080eecbfe0a22e209869ab",
+    "j1": "f1b9d9f17b6b26ee34fe9e47b1558aee8c6819cb33a3cd8184469c1af359ae94",
     "partitions(9,3)": "38a63e2cc043e607821939959d53fb7bad306d3e0a888e8a6137345a56857550",
     "agl(3,3)": "985d5faa8f306da9c2577b9a7230a2120522a0e160684bb2698b2cc7ae775e0c",
     "psl2(49)": "e23ca7b9e9d267a247cee367895f4a6226dc31969221a5b06f570d4ed0917771",
     "alt(9)": "99b7d1009d4953cdd61e1394cd34f60f5d92964ce1e82698eb4db4a638ad8d68",
     "ksubsets(10,3)": "0831bfcbfe2440c33cc106e8d999865730e3ccd1679f194f5d1565ba1e15652d",
     "dihedral(12)": "648d9059a2f11e6cce9aca9a6df6ebd6bd2f5a5f416fc976f703ebaca738ba78",
-    # computed with every level scanning all of its generators; the
-    # deterministic chain of the same generators as ksubsets(10,3)
-    "ksubsets(10,3) bound-free": "f32e5f52099752dbdfa96d57c1dbb718ef8c76a323fc6e54d055bbdd12055014",
+    # the deterministic chain of the same generators as ksubsets(10,3)
+    "ksubsets(10,3) bound-free": "c73e4d2f03201ab009a5c6473a43eaceebc462aadd42494016d68f0219304865",
 }
 CHAIN_GROUPS = {
     "j1": lambda: load_group(fixture_path("j1_266.json")),

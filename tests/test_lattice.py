@@ -317,7 +317,9 @@ def lattice_digest(lat, generators: bool = True) -> str:
 # PSL(2,7) and PSL(2,11) moved when the random chain began to grow its
 # orbits in place: psl2 groups list their elements in another order, so each
 # class records other generators. They were 82ccdf54…2bc38 and
-# ae253c19…5c2cc; the generator-free digests below did not move
+# ae253c19…5c2cc; the generator-free digests below did not move. A5, read
+# from a file, moved when the deterministic chain grew its orbits in place
+# too: it was d62cc2f1…8e3ae
 LATTICE_DIGESTS = {
     "S4": "9c26d7da0a411a3fb6257baf565267dcf352ef40ff2fac30b274cfaf18b7232c",
     "S5": "cbd33ed77cf30f98df09259b0c24516d3ffc3e9421e3448ac993c2f972338b23",
@@ -325,7 +327,7 @@ LATTICE_DIGESTS = {
     "A6": "115bb0bfa190828bde4ba4cae27e3ebc232ee31d8a6c833ac6cec263c8fa41e4",
     "AGL(2,3)": "f17570f84477c2397d90de7557ef9aa62a4f38031f644da22b26f5cc18c9fdc6",
     "PSL(2,11)": "e3d97da0729e3d6a66a10aa5fce5f5eaf7a6ceef9d44dbdd19cddd41eafe2738",
-    "A5": "d62cc2f1cce4fb9d3f0bdafb69082df14d64da08b077f0e44a8812f1f198e3ae",
+    "A5": "8724e147737ef858e45b3d9b7c719dc1c4bc97b28e3768ba76b74dcaf1721378",
 }
 # computed before the random chain grew its orbits in place: every subgroup,
 # its order, index and maximality, in lattice order, with no generators
