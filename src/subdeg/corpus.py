@@ -358,99 +358,79 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
-def _serve(out) -> None:
-    """A helper process's part of a sweep, once its sys.path is set: read
-    the tasks and then its share of their indices from stdin, run the share
-    in order, and write each pickled (index, result) to out behind a 4-byte
-    big-endian length, so that the caller's non-blocking reads can tell a
-    whole frame from part of one. Its input ending or a task's error ends
-    the helper quietly: the caller then runs that task itself and raises it."""
+def _serve(work, k: int, stride: int, caller: int) -> None:
+    """Helper k's part of a sweep, once its sys.path is set: run the tasks
+    pickled in work/tasks at indices len(tasks) - k, len(tasks) - k - stride,
+    ... down to 0, and leave each pickled result in work/<index>. A result
+    is written to work/<index>.part and then renamed, so no result file is
+    ever seen half-written. The helper stops before its next task once its
+    parent is no longer the process whose pid is caller, and at a task's
+    error, which the caller meets again when it runs that task itself."""
+    import pickle
+
+    work = Path(work)
+    tasks = pickle.loads((work / "tasks").read_bytes())
+    for i in range(len(tasks) - k, -1, -stride):
+        if os.getppid() != caller:
+            return
+        result = pickle.dumps(_analyze_task(tasks[i]))
+        (work / f"{i}.part").write_bytes(result)
+        (work / f"{i}.part").replace(work / str(i))
+
+
+def _taken(path):
+    """The result a helper left in path, or None if it left none whole."""
     import pickle
 
     try:
-        tasks = pickle.load(sys.stdin.buffer)
-        for i in pickle.load(sys.stdin.buffer):
-            frame = pickle.dumps((i, _analyze_task(tasks[i])))
-            out.write(len(frame).to_bytes(4, "big") + frame)
-            out.flush()
-    except Exception:
-        pass
-
-
-def _tend(helper, results) -> bool:
-    """One turn of a helper, which never blocks: store each whole result
-    frame it has sent for a task the caller has not run, and write what of
-    its pending input the pipe takes. helper is (process, pending input,
-    bytes received, iterator over its share). False once the helper is to be
-    dropped: at end of file, or when it sends any frame but its share's next."""
-    import pickle
-
-    process, pending, received, share = helper
-    try:
-        try:
-            chunk = os.read(process.stdout.fileno(), 1 << 16)
-            if not chunk:  # end of file
-                return False
-            received += chunk
-        except BlockingIOError:  # nothing has arrived
-            pass
-        while len(received) >= 4 + (size := int.from_bytes(received[:4], "big")):
-            i, result = pickle.loads(received[4:4 + size])
-            if i != next(share, None):
-                return False
-            if results[i] is None:
-                results[i] = result
-            del received[:4 + size]
-        if pending:
-            del pending[:os.write(process.stdin.fileno(), pending)]
-    except BlockingIOError:  # its input pipe is full
-        pass
-    except Exception:
-        return False
-    return True
+        return pickle.loads(path.read_bytes())
+    except (OSError, EOFError, pickle.UnpicklingError):  # not there (yet), or cut short
+        return None
 
 
 def _sweep(tasks, workers: int) -> list:
     """Each task's result, from the caller and workers - 1 helper processes,
-    on the caller's one thread. Helper k is sent its share once, at start:
-    indices len(tasks) - k, len(tasks) - k - (workers - 1), ... down to 0.
-    The caller runs the tasks from the front, each only if its result has
-    not arrived, and first gives every live helper a turn (_tend). It never
-    waits on a helper, so one that dies or never starts costs time but drops
-    no task. Every helper is killed and reaped before this returns or raises."""
-    results, helpers = [None] * len(tasks), []
+    on the caller's one thread. The caller makes a private work directory
+    and writes its sys.path and the task list there once; helper k runs its
+    share from the far end (_serve) and leaves each result there as a file.
+    The caller runs the tasks from the front, and runs one only if no whole
+    result file is there for it. It never waits on a helper, so one that
+    dies, hangs or never starts costs time but drops no task. If the
+    directory cannot be made, the caller runs every task itself. Every
+    helper is killed and reaped, and the directory removed, before this
+    returns or raises."""
+    results, helpers, work = [], [], None
     try:
         if workers > 1:
             # imported here so that `import subdeg` and a serial sweep do not pay for them
             import pickle
+            import shutil
             import subprocess
+            import tempfile
 
-            payload = pickle.dumps(sys.path) + pickle.dumps(tasks)
-            for k in range(1, workers):
-                share = range(len(tasks) - k, -1, -(workers - 1))
-                try:
-                    process = subprocess.Popen(
-                        # the helper takes fd 1 for its results before anything it imports can write there
-                        [sys.executable, "-c", "import os, pickle, sys; out = os.fdopen(os.dup(1), 'wb'); "
-                                               "os.dup2(2, 1); sys.path[:] = pickle.load(sys.stdin.buffer); "
-                                               f"from {__name__} import _serve; _serve(out)"],
-                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                    )
-                except OSError:  # no interpreter to start
-                    break
-                helpers.append((process, bytearray(payload + pickle.dumps(share)), bytearray(), iter(share)))
-                os.set_blocking(process.stdin.fileno(), False)
-                os.set_blocking(process.stdout.fileno(), False)
-        live = helpers
-        for i, task in enumerate(tasks):
-            live = [helper for helper in live if _tend(helper, results)]
-            if results[i] is None:
-                results[i] = _analyze_task(task)
-    finally:
-        for process, *_ in helpers:
-            process.kill()
-            with process:  # closes its pipes and reaps it
+            try:
+                work = Path(tempfile.mkdtemp(prefix="subdeg-sweep-"))
+                (work / "path").write_bytes(pickle.dumps(sys.path))
+                (work / "tasks").write_bytes(pickle.dumps(tasks))
+                for k in range(1, workers):
+                    helpers.append(subprocess.Popen(
+                        [sys.executable, "-c", "import pathlib, pickle, sys; "
+                         "sys.path[:] = pickle.loads(pathlib.Path(sys.argv[1], 'path').read_bytes()); "
+                         f"from {__name__} import _serve; _serve(sys.argv[1], *map(int, sys.argv[2:]))",
+                         str(work), str(k), str(workers - 1), str(os.getpid())],
+                        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                    ))
+            except OSError:  # no work directory, or no interpreter to start
                 pass
+        for i, task in enumerate(tasks):
+            result = _taken(work / str(i)) if work else None
+            results.append(result or _analyze_task(task))
+    finally:
+        for process in helpers:
+            process.kill()
+            process.wait()
+        if work:
+            shutil.rmtree(work, ignore_errors=True)
     return results
 
 
@@ -459,7 +439,9 @@ def verify_corpus(directory=None, include_builtin: bool = False, jobs: int = 1) 
     or both: the built-ins are swept when include_builtin is set or no
     directory is given. Unreadable files become entries with a load-failure
     note, never a crash. jobs = N > 1 runs the caller plus up to N - 1 helper
-    processes, never more than this process has usable cores; jobs below 1
+    processes, never more than this process has usable cores; the helpers
+    leave their results as files in a private temporary directory (made by
+    tempfile, so under TMPDIR if set) that the sweep removes. jobs below 1
     is a ValueError, and a directory that is not one a NotADirectoryError.
     The result is sorted by name and byte-stable across jobs."""
     if jobs < 1:

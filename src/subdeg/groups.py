@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .numtheory import is_prime
-from .perm import Permutation, _at, _identity, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
+from .perm import Permutation, _identity, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
 
 __all__ = [
     "PermGroup",
@@ -220,11 +220,10 @@ class Bsgs:
                 lv.scan = len(lv.gens)
         return i
 
-    def sift(self, p: Permutation, start: int = 0) -> Permutation | None:
-        """Residue of p reduced through the levels from `start`; None when p
-        sifts to the identity, which from level 0 of a complete chain means
-        p is a member."""
-        residue = self._sift(p._img, start)
+    def sift(self, p: Permutation) -> Permutation | None:
+        """Residue of p reduced through every level; None when p sifts to
+        the identity, which in a complete chain means p is a member."""
+        residue = self._sift(p._img, 0)
         return None if residue is None else _wrap(residue)
 
     def _sift(self, x, start: int):
@@ -235,7 +234,7 @@ class Bsgs:
         since their last new generator, and leaves every level current; and
         `_random_residues` grows every level after every install."""
         for lv in self.levels[start:]:
-            delta = _at(x, lv.point)
+            delta = int(x[lv.point])
             if delta == lv.point:
                 continue
             if delta not in lv.schreier:

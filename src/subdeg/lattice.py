@@ -13,7 +13,6 @@ all_subgroups_small).
 """
 from __future__ import annotations
 
-from array import array
 from itertools import combinations
 from math import gcd
 from operator import itemgetter
@@ -258,9 +257,11 @@ def all_subgroups_small(G: PermGroup, cap: int = SUBGROUP_CAP) -> SubgroupLattic
                     if c[y] not in covered:
                         stack.append(c[y])
 
-    # subgroups sort by order, then by their elements' int64 image bytes,
-    # compared through each element's rank under that key
-    keys = [array("q", [*p.image_seq()]).tobytes() for p in elems]
+    # subgroups sort by order, then by their elements' stored image bytes,
+    # compared through each element's rank under that key. Up to degree 255
+    # an image is one byte per point, which orders as the int64 little-endian
+    # bytes [x, 0, ..., 0] of each point would; above it, the bytes are those.
+    keys = [_raw(p._img) for p in elems]
     rank = [0] * n
     for k, i in enumerate(sorted(range(n), key=keys.__getitem__)):
         rank[i] = k

@@ -190,11 +190,6 @@ def _is_id(x) -> bool:
     return _raw(x) == _identity_raw(len(x))
 
 
-def _at(x, point: int) -> int:
-    """The image of one point, as an int."""
-    return int(x[point])
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Product ab under the left-to-right convention: x^(ab) = (x^a)^b."""
     x, y = a._img, b._img

@@ -373,6 +373,14 @@ class TestDeterminism:
             assert x == y
 
 
+def alternating_under_sym_bound(n: int) -> PermGroup:
+    """Alt(n) with the bound n!, twice its order: out of reach, so the random
+    draws end on 30 trivial ones and `_close` completes the chain."""
+    G = alternating(n)
+    G._order_bound = factorial(n)
+    return G
+
+
 EDGE_BUILDS = [
     (alternating, (3,)),
     (alternating, (4,)),
@@ -382,6 +390,7 @@ EDGE_BUILDS = [
     (dihedral, (3,)),
     (agl, (1, 2)),
     (partition_action, (4, 2)),
+    (alternating_under_sym_bound, (6,)),
 ]
 
 
@@ -409,20 +418,31 @@ class TestOrderBound:
         assert bound is not None
         full = PermGroup(G.degree, G.generators)
         assert full._order_bound is None
-        starts = []
-        sift = Bsgs.sift
-        monkeypatch.setattr(Bsgs, "sift", lambda c, p, start=0: starts.append(start) or sift(c, p, start))
+        sifts = []  # (start level, sifted to the identity) of each sift
+        real_sift = Bsgs._sift
+
+        def spy(c, x, start):
+            residue = real_sift(c, x, start)
+            sifts.append((start, residue is None))
+            return residue
+
+        monkeypatch.setattr(Bsgs, "_sift", spy)
         chain = G.bsgs
         monkeypatch.undo()
         assert chain.order == order(full)
         # the random draws sift from level 0 and `_close` from deeper levels:
         # none of the latter unless the bound is out of reach, and then only
-        # after exactly 30 trivial draws
+        # after the draws have ended on 30 trivial ones
+        starts = [start for start, _ in sifts]
+        draws = next((k for k, start in enumerate(starts) if start), len(starts))
         from_gens = Bsgs(G.degree)
         for g in G.generators:
             from_gens._install(g)
         if chain.order < bound:
-            assert starts[:30] == [0] * 30 and 0 not in starts[30:]
+            assert draws >= 30 and all(trivial for _, trivial in sifts[draws - 30:draws])
+            assert 0 not in starts[draws:]
+            if build is alternating_under_sym_bound:
+                assert starts[draws:]
         elif from_gens.order == bound:
             assert starts == []
         else:

@@ -1,5 +1,4 @@
 """Group-file IO, report shape, and the corpus driver."""
-import io
 import json
 import os
 import pickle
@@ -7,11 +6,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -63,58 +62,44 @@ def started(monkeypatch):
 
 
 def assert_none_left(procs, threads):
-    """Every helper in procs is reaped with its pipes closed, and no thread
+    """Every helper in procs is reaped and was given no pipe, and no thread
     started since threads were listed outlives the sweep."""
-    assert all(p.returncode is not None and p.stdin.closed and p.stdout.closed for p in procs)
+    assert all(p.returncode is not None and p.stdin is None and p.stdout is None for p in procs)
     assert set(threading.enumerate()) <= set(threads)
 
 
-def read_frames(data: bytes) -> list:
-    """The (index, result) pairs a helper wrote, each pickled behind its
-    4-byte big-endian length, with nothing left over."""
-    frames = []
-    while data:
-        size = int.from_bytes(data[:4], "big")
-        assert len(data) >= 4 + size
-        frames.append(pickle.loads(data[4:4 + size]))
-        data = data[4 + size:]
-    return frames
+@pytest.fixture
+def scratch(tmp_path, monkeypatch):
+    """A fresh directory that tempfile, and so a sweep, makes its work
+    directory in."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    return tmp_path / "tmp"
 
 
-def spy_on_turns(monkeypatch):
-    """The (helper, results) of each helper's latest turn, keyed by its
-    process, and the (process, index) of every result a turn stores, in
-    order, by a spy on corpus._tend."""
-    real_tend, turns, stored = corpus._tend, {}, []
-
-    class Results:  # the caller's results, each store logged
-        def __init__(self, process, results):
-            self.process, self.results = process, results
-
-        def __getitem__(self, i):
-            return self.results[i]
-
-        def __setitem__(self, i, result):
-            stored.append((self.process, i))
-            self.results[i] = result
-
-    def tend(helper, results):
-        turns[helper[0]] = helper, results
-        return real_tend(helper, Results(helper[0], results))
-
-    monkeypatch.setattr(corpus, "_tend", tend)
-    return turns, stored
+def finished(scratch) -> set:
+    """The indices of the whole result files in the sweep's work directory."""
+    return {int(f.name) for f in scratch.glob("*/*") if f.name.isdigit()}
 
 
-def tend_until(turns, ready):
-    """Give every helper seen a turn, as the caller would, until ready()."""
+def serve(work, tasks, k, stride, caller=None):
+    """Run helper k's part of a sweep in process, with tasks written to
+    work as the caller writes them; the result files it leaves, in the
+    order it renames them into place, and the error it stopped at, if any."""
+    (work / "tasks").write_bytes(pickle.dumps(tasks))
+    real_replace, written = Path.replace, []
 
-    def tended():
-        for helper, results in list(turns.values()):
-            corpus._tend(helper, results)
-        return ready()
+    def replace(part, target):
+        written.append(int(Path(target).name))
+        return real_replace(part, target)
 
-    wait_until(tended)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Path, "replace", replace)
+        try:
+            corpus._serve(str(work), k, stride, os.getppid() if caller is None else caller)
+        except Exception as e:
+            return written, e
+    return written, None
 
 
 def wait_until(ready, timeout=120):
@@ -533,7 +518,7 @@ class TestVerifyCorpus:
 
         class Slow(subprocess.Popen):  # a helper still starting when the sweep ends is reaped
             def __init__(self, args, **kwargs):
-                super().__init__([*args[:2], "import time; time.sleep(0.2)\n" + args[2]], **kwargs)
+                super().__init__([*args[:2], "import time; time.sleep(0.2)\n" + args[2], *args[3:]], **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", Slow)
         threads = threading.enumerate()
@@ -548,40 +533,40 @@ class TestVerifyCorpus:
         assert started == []
         assert one_core.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
 
-    def test_helpers_send_their_own_shares_once(self, monkeypatch, started):
-        # four helpers, more than the cores; the caller's first task gives
-        # the helpers turns until they have sent every other task's result
+    def test_helpers_send_their_own_shares_once(self, tmp_path, monkeypatch, started, scratch):
+        # in process, helper k of four writes exactly its share's result
+        # files, in share order: len(tasks) - k, len(tasks) - k - 4, ...
         tasks = builtin_entries()
+        want = [_analyze_task(t) for t in tasks]
+        shares = [range(len(tasks) - k, -1, -4) for k in range(1, 5)]
+        assert sorted(i for share in shares for i in share) == list(range(len(tasks)))
+        for k, share in enumerate(shares, 1):
+            work = tmp_path / f"helper-{k}"
+            work.mkdir()
+            assert serve(work, tasks, k, 4) == (list(share), None)
+            assert sorted(f.name for f in work.iterdir()) == sorted(["tasks", *map(str, share)])
+            assert all(pickle.loads((work / str(i)).read_bytes()) == want[i] for i in share)
+        # as processes, more than the cores, the four helpers leave every
+        # result but the first during the caller's first task, and the
+        # caller takes them all
         real_analyze, calls = corpus._analyze_task, []
-        turns, stored = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                _, results = next(iter(turns.values()))
-                tend_until(turns, lambda: None not in results[1:])
+                wait_until(lambda: finished(scratch) >= set(range(1, len(tasks))))
             calls.append(task)
             return real_analyze(task)
 
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
-        want = [real_analyze(t) for t in tasks]
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 5) == want
-        assert len(started) == 4 and set(turns) == set(started)
+        assert len(started) == 4
         assert_none_left(started, threads)
-        # helper k sends len(tasks) - k, len(tasks) - k - 4, ... in that
-        # order, and the four shares split the list
-        shares = [range(len(tasks) - k, -1, -4) for k in range(1, 5)]
-        assert sorted(i for share in shares for i in share) == list(range(len(tasks)))
-        for process, share in zip(started, shares):
-            mine = [i for who, i in stored if who is process]
-            assert mine == list(share[:len(mine)])
-        assert {i for _, i in stored} >= set(range(1, len(tasks)))
-        # so every result but the first came from a helper, and equals the caller's
         assert calls == [tasks[0]]
 
-    def test_a_stalled_helper_holds_back_no_task(self, tmp_path, monkeypatch):
-        # one helper never reads its input; the caller runs its share, each
-        # task once, without waiting, while the other helper sends its own
+    def test_a_stalled_helper_holds_back_no_task(self, tmp_path, monkeypatch, scratch):
+        # one helper never runs; the caller runs its share, each task once,
+        # without waiting, and takes every file the other helper leaves
         (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
         (tmp_path / "hangs").chmod(0o755)
         procs = []
@@ -595,12 +580,10 @@ class TestVerifyCorpus:
         tasks = builtin_entries()
         working = range(len(tasks) - 2, -1, -2)
         real_analyze, calls = corpus._analyze_task, []
-        turns, stored = spy_on_turns(monkeypatch)
 
         def analyze_task(task):
             if not calls:
-                _, results = turns[procs[1]]
-                tend_until(turns, lambda: all(results[i] is not None for i in working))
+                wait_until(lambda: finished(scratch) >= set(working))
             calls.append(task)
             return real_analyze(task)
 
@@ -608,23 +591,21 @@ class TestVerifyCorpus:
         threads = threading.enumerate()
         assert corpus._sweep(tasks, 3) == [real_analyze(t) for t in tasks]
         assert_none_left(procs, threads)
-        assert {who for who, _ in stored} == {procs[1]}
         assert calls == [t for i, t in enumerate(tasks) if i not in working]
 
-    def test_caller_runs_what_a_dead_helper_did_not_send(self, monkeypatch, started):
-        # the helper is killed once its first result has arrived; that result
-        # is taken, not recomputed, and the caller runs every task whose
-        # result has not arrived, each once
+    def test_caller_runs_what_a_dead_helper_did_not_send(self, monkeypatch, started, scratch):
+        # the helper is killed once it has left its first result; the files
+        # it left are taken, not recomputed, and the caller runs every other
+        # task, each once
         tasks = builtin_entries()
-        real_analyze, arrived, calls = corpus._analyze_task, [], []
-        turns, stored = spy_on_turns(monkeypatch)
+        real_analyze, left, calls = corpus._analyze_task, set(), []
 
         def analyze_task(task):
             if not calls:
-                _, results = turns[started[0]]
-                tend_until(turns, lambda: any(r is not None for r in results))
-                arrived.extend(i for i, r in enumerate(results) if r is not None)
+                wait_until(lambda: finished(scratch))
                 started[0].kill()
+                started[0].wait()
+                left.update(finished(scratch))
             calls.append(task)
             return real_analyze(task)
 
@@ -633,34 +614,20 @@ class TestVerifyCorpus:
         assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
         assert started[0].returncode != 0
         assert_none_left(started, threads)
-        # frames written before the kill may arrive at later turns
-        sent = {i for _, i in stored}
-        assert arrived and set(arrived) <= sent
-        assert calls == [t for i, t in enumerate(tasks) if i not in sent]
+        assert left and calls == [t for i, t in enumerate(tasks) if i not in left]
 
-    def test_a_helper_runs_ahead_between_turns(self, tmp_path, monkeypatch, started):
-        # a helper works through its share without waiting for a turn:
-        # during the caller's first task, with no turn given, it writes at
-        # least three results, and one turn then stores them all. Every
-        # frame has the same size, as the tasks differ only in a two-digit
-        # number.
-        import fcntl
-        import termios
-
+    def test_a_helper_runs_ahead_between_turns(self, tmp_path, monkeypatch, started, scratch):
+        # a helper works through its share on its own: during the caller's
+        # first task it leaves at least three results, and the caller runs
+        # none of them
         tasks = [tmp_path / f"missing-{k:02}.json" for k in range(20)]
-        frame = 4 + len(pickle.dumps((19, _analyze_task(tasks[19]))))
-        turns, _ = spy_on_turns(monkeypatch)
-        real_analyze, arrived = corpus._analyze_task, []
-
-        def waiting(fd):
-            return int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)), sys.byteorder)
+        real_analyze, ahead, calls = corpus._analyze_task, set(), []
 
         def analyze_task(task):
-            if not arrived:
-                (helper, results), = turns.values()
-                wait_until(lambda: waiting(helper[0].stdout.fileno()) >= 3 * frame, timeout=30)
-                corpus._tend(helper, results)
-                arrived.append(sum(r is not None for r in results))
+            if not calls:
+                wait_until(lambda: len(finished(scratch)) >= 3, timeout=30)
+                ahead.update(finished(scratch))
+            calls.append(task)
             return real_analyze(task)
 
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
@@ -668,13 +635,13 @@ class TestVerifyCorpus:
         assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
         assert len(started) == 1
         assert_none_left(started, threads)
-        assert arrived[0] > 2
+        assert len(ahead) > 2 and not ahead & {tasks.index(t) for t in calls[1:]}
 
     @pytest.mark.parametrize("executable", ["missing", "exits", "hangs", "garbles"])
     def test_helper_that_never_starts_drops_no_task(self, tmp_path, monkeypatch, started, executable):
         # the caller never waits on a helper, even one that never reads its
-        # tasks; one that writes something before its results, here a pickled
-        # 5, is dropped without a traceback
+        # tasks; what one writes to its stdout, here a pickled 5, reaches
+        # nothing and raises no traceback
         for name, body in [("exits", "exit 3"), ("hangs", "exec sleep 600"),
                            ("garbles", f"printf 'I5\\n.'\nexec {sys.executable} \"$@\"")]:
             (tmp_path / name).write_text(f"#!/bin/sh\n{body}\n", encoding="utf-8")
@@ -708,8 +675,8 @@ class TestVerifyCorpus:
         assert begun == []
 
     def test_helper_that_never_reads_a_large_task_list_blocks_nothing(self, tmp_path, monkeypatch, started):
-        # the task list pickles to more than a pipe holds, so writing it to
-        # a helper that never reads must not wait for the pipe to drain
+        # a task list larger than a pipe holds is written once, to a file,
+        # so a helper that never reads it holds nothing up
         (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
         (tmp_path / "hangs").chmod(0o755)
         tasks = [tmp_path / f"missing-{'x' * 80}-{k}.json" for k in range(2000)]
@@ -726,15 +693,16 @@ class TestVerifyCorpus:
         assert len(started) == 1
         assert_none_left(started, threads)
 
-    def test_task_error_is_raised_by_the_caller(self, monkeypatch, started):
+    def test_task_error_is_raised_by_the_caller(self, tmp_path, monkeypatch, started):
         tasks = [e for e in builtin_entries() if e[0].startswith("cyclic")][:3]
         tasks.insert(1, ("bad", ("no-such-family", ())))
-        # a helper stops quietly at the bad task
-        inbox = io.BytesIO(pickle.dumps(tasks) + pickle.dumps(range(3, -1, -1)))
-        outbox = io.BytesIO()
-        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=inbox))
-        corpus._serve(outbox)
-        assert read_frames(outbox.getvalue()) == [(i, _analyze_task(tasks[i])) for i in (3, 2)]
+        # a helper stops at the bad task, after the files of the tasks before it
+        written, error = serve(tmp_path, tasks, 1, 1)
+        assert written == [3, 2] and isinstance(error, KeyError)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["2", "3", "tasks"]
+        assert [pickle.loads((tmp_path / str(i)).read_bytes()) for i in (3, 2)] == [
+            _analyze_task(tasks[i]) for i in (3, 2)
+        ]
         # the caller runs it and raises; the helper's results are not enough
         monkeypatch.setattr(corpus, "builtin_entries", lambda: tasks)
         threads = threading.enumerate()
@@ -754,13 +722,82 @@ class TestVerifyCorpus:
         assert len(started) == min(2, usable_cores()) - 1
         assert_none_left(started, threads)
 
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_work_directory_is_removed(self, monkeypatch, started, scratch, raises):
+        # the sweep's one work directory is there while the caller runs its
+        # first task, and gone once the sweep returns or raises
+        tasks = builtin_entries()
+        real_analyze, seen = corpus._analyze_task, []
+
+        def analyze_task(task):
+            seen.append(len(list(scratch.iterdir())))
+            if raises:
+                raise RuntimeError("a task fails in the caller")
+            return real_analyze(task)
+
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        threads = threading.enumerate()
+        if raises:
+            with pytest.raises(RuntimeError, match="a task fails"):
+                corpus._sweep(tasks, 2)
+        else:
+            assert corpus._sweep(tasks, 2) == [real_analyze(t) for t in tasks]
+        assert seen[0] == 1 and len(started) == 1
+        assert_none_left(started, threads)
+        assert list(scratch.iterdir()) == []
+
+    def test_stray_and_truncated_files_are_not_taken(self, tmp_path, monkeypatch, started, scratch):
+        # the helper never runs; during the caller's first task a whole
+        # result file, a .part file and a truncated result file appear. The
+        # caller takes the whole file only, and runs the other two tasks.
+        (tmp_path / "hangs").write_text("#!/bin/sh\nexec sleep 600\n", encoding="utf-8")
+        (tmp_path / "hangs").chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "hangs"))
+        tasks = builtin_entries()[:4]
+        want = [_analyze_task(t) for t in tasks]
+        planted = pickle.dumps(({"name": "planted"}, False))
+        real_analyze, calls = corpus._analyze_task, []
+
+        def analyze_task(task):
+            if not calls:
+                work, = scratch.iterdir()
+                (work / "1").write_bytes(planted)
+                (work / "2.part").write_bytes(planted)
+                (work / "3").write_bytes(planted[:len(planted) // 2])
+            calls.append(task)
+            return real_analyze(task)
+
+        monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
+        threads = threading.enumerate()
+        assert corpus._sweep(tasks, 2) == [want[0], pickle.loads(planted), want[2], want[3]]
+        assert calls == [tasks[0], tasks[2], tasks[3]]
+        assert len(started) == 1
+        assert_none_left(started, threads)
+        assert list(scratch.iterdir()) == []
+
+    def test_helper_whose_parent_is_not_the_caller_writes_nothing(self, tmp_path):
+        # as after the caller has died: the helper stops before its first task
+        assert serve(tmp_path, builtin_entries(), 1, 1, caller=os.getpid()) == ([], None)
+        assert [f.name for f in tmp_path.iterdir()] == ["tasks"]
+
+    @pytest.mark.parametrize("temp", ["missing", "a-file"])
+    def test_no_work_directory_runs_the_sweep_serially(self, tmp_path, monkeypatch, started, temp):
+        # mkdtemp cannot make a directory under a missing path or a file;
+        # the caller then starts no helper and runs every task itself
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / temp))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        two = verify_corpus(include_builtin=True, jobs=2)
+        assert started == []
+        assert two.to_json() == verify_corpus(include_builtin=True, jobs=1).to_json()
+        assert [f.name for f in tmp_path.iterdir()] == ["a-file"]
+
     @pytest.mark.skipif(usable_cores() < 2, reason="a helper needs a second usable core")
-    def test_helper_imports_the_callers_subdeg(self, tmp_path):
+    def test_helper_imports_the_callers_subdeg(self, tmp_path, scratch):
         # a copy of subdeg that tags each result with the process and file
         # that made it is put on sys.path in process only; without the
         # caller's sys.path a helper would import another subdeg or none.
-        # The caller's first task gives the helper turns until its first
-        # result arrives.
+        # The caller's first task waits for the helper's first result file.
         copy = tmp_path / "copy"
         shutil.copytree(Path(corpus.__file__).parent, copy / "subdeg", ignore=shutil.ignore_patterns("__pycache__"))
         with open(copy / "subdeg" / "corpus.py", "a", encoding="utf-8") as f:
@@ -771,23 +808,20 @@ class TestVerifyCorpus:
                 "    return {**report, 'pid': os.getpid(), 'file': __file__}, violates\n"
             )
         script = f"""
-import json, os, sys, time
+import json, os, sys, tempfile, time
+from pathlib import Path
 sys.path.insert(0, {str(copy)!r})
+tempfile.tempdir = {str(scratch)!r}
 from subdeg import corpus
-real_tend, real_analyze, turns = corpus._tend, corpus._analyze_task, []
-
-def tend(helper, results):
-    turns.append((helper, results))
-    return real_tend(helper, results)
+real_analyze = corpus._analyze_task
 
 def analyze_task(task):
     deadline = time.monotonic() + 120
-    while not any(r is not None for _, rs in turns for r in rs) and time.monotonic() < deadline:
-        real_tend(*turns[0])
+    while not any(f.name.isdigit() for f in Path(tempfile.tempdir).glob('*/*')) and time.monotonic() < deadline:
         time.sleep(0.01)
     return real_analyze(task)
 
-corpus._tend, corpus._analyze_task = tend, analyze_task
+corpus._analyze_task = analyze_task
 r = corpus.verify_corpus(include_builtin=True, jobs=2)
 print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))
 """
@@ -799,6 +833,7 @@ print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))
         caller, made = json.loads(proc.stdout)
         assert {f for _, f in made} == {str(copy / "subdeg" / "corpus.py")}
         assert len({pid for pid, _ in made}) == 2 and caller in {pid for pid, _ in made}
+        assert list(scratch.iterdir()) == []
 
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1
