@@ -358,6 +358,10 @@ def _analyze_task(task) -> tuple[dict, bool]:
     return report_to_dict(report), report.violates
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in a sweep's caller so that its cleanup runs."""
+
+
 def _serve(work, k: int, stride: int, caller: int) -> None:
     """Helper k's part of a sweep, once its sys.path is set: run the tasks
     pickled in work/tasks at indices len(tasks) - k, len(tasks) - k - stride,
@@ -398,16 +402,36 @@ def _sweep(tasks, workers: int) -> list:
     dies, hangs or never starts costs time but drops no task. If the
     directory cannot be made, the caller runs every task itself. Every
     helper is killed and reaped, and the directory removed, before this
-    returns or raises."""
-    results, helpers, work = [], [], None
+    returns or raises.
+
+    SIGTERM's default action would end the process without that cleanup.
+    So while helpers may run, a main-thread caller that left SIGTERM at its
+    default raises it as _Terminated instead; once the cleanup is done, the
+    default is restored and the signal sent again, so the process still
+    dies by it. A SIGTERM that comes during the cleanup waits for its end."""
+    results, helpers, work, previous, terminated, cleaning = [], [], None, None, False, False
+
+    def on_sigterm(signum, frame):
+        nonlocal terminated
+        terminated = True
+        if not cleaning:
+            raise _Terminated
+
     try:
         if workers > 1:
             # imported here so that `import subdeg` and a serial sweep do not pay for them
             import pickle
             import shutil
+            import signal
             import subprocess
             import tempfile
+            import threading
 
+            # only the main thread may set a handler; an ignored SIGTERM or
+            # one the caller handles does not skip the cleanup
+            if (threading.current_thread() is threading.main_thread()
+                    and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL):
+                previous = signal.signal(signal.SIGTERM, on_sigterm)
             try:
                 work = Path(tempfile.mkdtemp(prefix="subdeg-sweep-"))
                 (work / "path").write_bytes(pickle.dumps(sys.path))
@@ -426,11 +450,16 @@ def _sweep(tasks, workers: int) -> list:
             result = _taken(work / str(i)) if work else None
             results.append(result or _analyze_task(task))
     finally:
+        cleaning = True
         for process in helpers:
             process.kill()
             process.wait()
         if work:
             shutil.rmtree(work, ignore_errors=True)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+            if terminated:
+                signal.raise_signal(signal.SIGTERM)
     return results
 
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -725,7 +726,8 @@ class TestVerifyCorpus:
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
     def test_work_directory_is_removed(self, monkeypatch, started, scratch, raises):
         # the sweep's one work directory is there while the caller runs its
-        # first task, and gone once the sweep returns or raises
+        # first task, and gone once the sweep returns or raises, which also
+        # puts back the SIGTERM handler it found
         tasks = builtin_entries()
         real_analyze, seen = corpus._analyze_task, []
 
@@ -736,7 +738,7 @@ class TestVerifyCorpus:
             return real_analyze(task)
 
         monkeypatch.setattr(corpus, "_analyze_task", analyze_task)
-        threads = threading.enumerate()
+        threads, handler = threading.enumerate(), signal.getsignal(signal.SIGTERM)
         if raises:
             with pytest.raises(RuntimeError, match="a task fails"):
                 corpus._sweep(tasks, 2)
@@ -745,6 +747,7 @@ class TestVerifyCorpus:
         assert seen[0] == 1 and len(started) == 1
         assert_none_left(started, threads)
         assert list(scratch.iterdir()) == []
+        assert signal.getsignal(signal.SIGTERM) is handler
 
     def test_stray_and_truncated_files_are_not_taken(self, tmp_path, monkeypatch, started, scratch):
         # the helper never runs; during the caller's first task a whole
@@ -834,6 +837,42 @@ print(json.dumps([os.getpid(), [[e['pid'], e['file']] for e in r.entries]]))
         assert {f for _, f in made} == {str(copy / "subdeg" / "corpus.py")}
         assert len({pid for pid, _ in made}) == 2 and caller in {pid for pid, _ in made}
         assert list(scratch.iterdir()) == []
+
+    @pytest.mark.skipif(usable_cores() < 2, reason="a helper needs a second usable core")
+    def test_sigterm_removes_the_work_directory_and_still_kills(self, tmp_path):
+        # the caller's first task marks that the sweep has begun and then
+        # sleeps; SIGTERM then ends the process by signal, as its default
+        # action does, but only after the helpers are reaped and the work
+        # directory is gone. The child leads its own process group, which
+        # its helpers join, so a helper still running is found by killpg
+        temp, ready = tmp_path / "tmp", tmp_path / "ready"
+        temp.mkdir()
+        script = (
+            "import sys, time\n"
+            "from subdeg import cli, corpus\n"
+            "def first_task(task):\n"
+            "    open(sys.argv[1], 'w').close()\n"
+            "    time.sleep(120)\n"
+            "corpus._analyze_task = first_task\n"
+            "cli.main(['verify-corpus', '--builtin', '--jobs', '2'])\n"
+        )
+        env = dict(os.environ, TMPDIR=str(temp))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(corpus.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(ready)], env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            wait_until(ready.exists)
+            assert [f.name[:13] for f in temp.iterdir()] == ["subdeg-sweep-"]
+            proc.send_signal(signal.SIGTERM)
+            stderr = proc.communicate(timeout=60)[1]
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == -signal.SIGTERM, stderr.decode(errors="replace")[-2000:]
+        assert list(temp.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
     def test_violation_drives_exit_code(self):
         assert CorpusResult(entries=(), violations=("fake",)).exit_code == 1

@@ -1,4 +1,5 @@
 """Subgroup enumeration, mu, and coprime factorizations."""
+import gc
 import hashlib
 from collections import Counter
 from itertools import combinations
@@ -234,6 +235,21 @@ class TestAllSubgroups:
         assert len(lat) == len(divisors) * (p + 1) - p + 1
         assert len(lat.maximal()) == len(primes) + p
 
+    @pytest.mark.parametrize("k,count", [(4, 67), (5, 374), (6, 2825)])
+    def test_elementary_abelian_closed_form_counts(self, k, count, monkeypatch):
+        # C2^k has sum over d of the Gaussian binomials [k d]_2 subgroups,
+        # each normal and so its own class, and 2^k - 1 maximal ones, all of
+        # index 2
+        from subdeg import lattice as lattice_mod
+
+        sizes, enter = [], lattice_mod._enter_class
+        monkeypatch.setattr(lattice_mod, "_enter_class", lambda *a: sizes.append(enter(*a)) or sizes[-1])
+        G = make_group(2 * k, *(f"({2 * i + 1},{2 * i + 2})" for i in range(k)))
+        lat = all_subgroups_small(G)
+        assert len(lat) == count
+        assert set(sizes) == {1} and len(sizes) == count
+        assert sorted(s.index for s in lat.maximal()) == [2] * (2**k - 1)
+
     def test_lagrange_and_ordering(self):
         lat = all_subgroups_small(make_group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"))
         orders = [s.order for s in lat.subgroups]
@@ -363,6 +379,42 @@ def test_lattice_without_generators_matches_the_pinned_digest(name):
     # the subgroups and their order do not depend on the chain that lists G
     lat = all_subgroups_small(LATTICE_GROUPS[name]())
     assert lattice_digest(lat, generators=False) == LATTICE_DIGESTS_WITHOUT_GENERATORS[name]
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic garbage collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_lattice_pauses_the_collector_and_restores_it(enabled, collector, monkeypatch):
+    # off while the joins run, and as the caller left it after the call
+    # returns or raises, at the order cap or at the subgroup count guard
+    from subdeg import lattice as lattice_mod
+
+    (gc.enable if enabled else gc.disable)()
+    during, join = [], lattice_mod._join_closure
+    monkeypatch.setattr(lattice_mod, "_join_closure", lambda *a: during.append(gc.isenabled()) or join(*a))
+    all_subgroups_small(ORACLE_GROUPS["S4"])
+    assert during and not any(during)
+    assert gc.isenabled() is enabled
+    with pytest.raises(CapExceeded, match="group order"):
+        all_subgroups_small(ORACLE_GROUPS["A5"], cap=59)
+    assert gc.isenabled() is enabled
+    monkeypatch.setattr(lattice_mod, "SUBGROUP_COUNT_GUARD", 5)
+    with pytest.raises(CapExceeded, match="subgroup count"):
+        all_subgroups_small(ORACLE_GROUPS["C2^3"])
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_lattice_with_the_collector_off_matches_the_pinned_digest(name, collector):
+    gc.disable()
+    assert lattice_digest(all_subgroups_small(LATTICE_GROUPS[name]())) == LATTICE_DIGESTS[name]
+    assert not gc.isenabled()
 
 
 def naive_lattice(G):
