@@ -9,7 +9,7 @@ hands its formula to Schreier-Sims as an upper bound on the order.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 from . import groups
 from .groups import CapExceeded, PermGroup
@@ -121,29 +121,45 @@ class FiniteField:
         raise AssertionError("no irreducible polynomial found")  # impossible
 
     def _mul_poly(self, a: int, b: int) -> int:
+        """a * b in an extension field, reduced by the rows of _reduce."""
+        p, f = self.p, self.f
         da, db = self._decode(a), self._decode(b)
-        prod = [0] * (2 * self.f - 1)
+        prod = [0] * (2 * f - 1)
         for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                prod[i + j] = (prod[i + j] + ca * cb) % self.p
-        return self._encode(self._poly_divmod(prod, list(self.modulus)))
+            if ca:
+                for j, cb in enumerate(db):
+                    prod[i + j] += ca * cb
+        low = prod[:f]
+        for c, row in zip(prod[f:], self._reduce):
+            if c:
+                for j, r in enumerate(row):
+                    low[j] += c * r
+        return self._encode([c % p for c in low])
 
     def _build_tables(self):
         """The first beta whose powers cycle through q-1 elements, with
-        those powers as the exp table and its inverse as the log table."""
-        q = self.q
-        for beta in range(1, q):
+        those powers as the exp table and its inverse as the log table. A
+        prime field multiplies integers mod p; an extension field skips the
+        constants 1..p-1, whose orders divide p-1 < q-1."""
+        q, p, f = self.q, self.p, self.f
+        if f == 1:
+            beta = _primitive_root(p) if p > 2 else 1
             exp = [1]
-            acc = self._mul_poly(1, beta)
-            while acc != 1:
-                exp.append(acc)
-                acc = self._mul_poly(acc, beta)
-            if len(exp) == q - 1:
-                break
+            while len(exp) < q - 1:
+                exp.append(exp[-1] * beta % p)
         else:
-            raise AssertionError("no primitive element found")  # impossible
+            # _reduce[i] holds the digits of x^(f+i) modulo the modulus
+            self._reduce = [self._poly_divmod([0] * (f + i) + [1], self.modulus) for i in range(f - 1)]
+            for beta in range(p, q):
+                exp = [1]
+                acc = beta
+                while acc != 1:
+                    exp.append(acc)
+                    acc = self._mul_poly(acc, beta)
+                if len(exp) == q - 1:
+                    break
+            else:
+                raise AssertionError("no primitive element found")  # impossible
         log = [0] * q
         for i, a in enumerate(exp):
             log[a] = i
@@ -163,9 +179,6 @@ class FiniteField:
         """a(p - 1), that is a itself in characteristic 2."""
         return a if self.p == 2 else self.mul(a, self.p - 1)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -175,6 +188,23 @@ class FiniteField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         return self._exp[(-self._log[a]) % (self.q - 1)]
+
+    def _affine_logs(self, u: int, v: int) -> list[int]:
+        """log(u*x + v) for every x in encoding order, -1 where it is 0: one
+        Zech table read per point instead of a mul and an add."""
+        log, zech, m = self._log, self._zech, self.q - 1
+        lv = log[v] if v else -1
+        if u == 0:
+            return [lv] * self.q
+        lu = log[u]
+        steps = [(lu + lx) % m for lx in log[1:]]  # log(u*x) for x = 1..q-1
+        if lv < 0:
+            return [-1, *steps]
+        out = [lv]
+        for k in steps:
+            z = zech[(lv - k) % m]
+            out.append(-1 if z < 0 else (k + z) % m)
+        return out
 
 
 class ProjectiveLine:
@@ -190,15 +220,14 @@ class ProjectiveLine:
         acting on row vectors: finite x maps to (ax+c)/(bx+d)."""
         F = self.field
         (a, b), (c, d) = matrix
-        det = F.sub(F.mul(a, d), F.mul(b, c))
-        if det == 0:
+        if F.mul(a, d) == F.mul(b, c):
             raise ValueError("matrix is singular")
-        images = [0] * self.size
-        for x in range(F.q):
-            num = F.add(F.mul(x, a), c)
-            den = F.add(F.mul(x, b), d)
-            images[x] = self.infinity if den == 0 else F.mul(num, F.inv(den))
-        images[self.infinity] = self.infinity if b == 0 else F.mul(a, F.inv(b))
+        exp, m = F._exp, F.q - 1
+        images = [
+            self.infinity if lden < 0 else 0 if lnum < 0 else exp[(lnum - lden) % m]
+            for lnum, lden in zip(F._affine_logs(a, c), F._affine_logs(b, d))
+        ]
+        images.append(self.infinity if b == 0 else F.mul(a, F.inv(b)))
         return Permutation(images)
 
 
@@ -233,15 +262,21 @@ def symmetric(n: int) -> PermGroup:
     return _bounded(PermGroup(n, gens, label=f"sym({n})"), factorial(n))
 
 
-def _induced_action(gens, labels, apply_label, name: str, bound: int) -> PermGroup:
-    """The action of gens on labels; apply_label(img, label) maps a label
-    through a generator's image sequence."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    out = []
-    for g in gens:
-        img = g.image_seq()
-        out.append(Permutation([index[apply_label(img, lab)] for lab in labels]))
-    return _bounded(PermGroup(len(labels), out, label=name), bound)
+def _capped_count(steps, cap: int) -> int:
+    """The product 1 * num/den * .. over the (num, den) steps, each a whole
+    number, stopped once it passes cap**2; the steps never shrink it, so a
+    stop leaves a lower bound on the count (see CapExceeded)."""
+    count = 1
+    for num, den in steps:
+        count = count * num // den
+        if count > cap * cap:
+            break
+    return count
+
+
+def _subset_images(img, subsets, index) -> list[int]:
+    """The index of each subset's image under a generator's image sequence."""
+    return [index[tuple(sorted(map(img.__getitem__, s)))] for s in subsets]
 
 
 def ksubsets_action(n: int, k: int) -> PermGroup:
@@ -249,50 +284,56 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
     lexicographically. k is restricted to 1 <= k < n/2."""
     if not 1 <= k or not 2 * k < n:
         raise ValueError(f"need 1 <= k < n/2, got k={k}, n={n}")
-    degree = comb(n, k)
+    # C(n,k) = prod (n-k+i)/i over i = 1..k
+    degree = _capped_count(((n - k + i, i) for i in range(1, k + 1)), groups.DEGREE_CAP)
     if degree > groups.DEGREE_CAP:
         raise CapExceeded("k-subset degree", degree, groups.DEGREE_CAP)
     labels = list(combinations(range(n), k))
-    return _induced_action(
-        alternating(n).generators,
-        labels,
-        lambda img, s: tuple(sorted(map(img.__getitem__, s))),
-        f"ksubsets({n},{k})",
-        alternating_order(n),
-    )
+    index = {lab: i for i, lab in enumerate(labels)}
+    gens = [Permutation(_subset_images(g.image_seq(), labels, index)) for g in alternating(n).generators]
+    return _bounded(PermGroup(degree, gens, label=f"ksubsets({n},{k})"), alternating_order(n))
 
 
-def _partitions_into_blocks(points: tuple[int, ...], k: int):
-    """All partitions of the point tuple into blocks of size k, each emitted
-    as a sorted tuple of sorted tuples."""
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    rest = points[1:]
-    for partners in combinations(rest, k - 1):
-        block = (first,) + partners
-        remaining = tuple(x for x in rest if x not in partners)
-        for sub in _partitions_into_blocks(remaining, k):
-            yield (block,) + sub
+def _partitions_into_blocks(n: int, k: int, index) -> list[tuple[int, ...]]:
+    """Every partition of 0..n-1 into blocks of size k, as the tuple of its
+    blocks' indices in `index`, which numbers the k-subsets in lexicographic
+    order. A partition grows one block at a time, the next block holding the
+    least point left and its partners in combinations order, so the list
+    comes out in lexicographic order of the sorted block tuples."""
+    parts = [((), tuple(range(n)))]  # (block indices so far, points left)
+    for _ in range(n // k):
+        parts = [
+            (done + (index[(left[0], *partners)],), tuple(x for x in left[1:] if x not in partners))
+            for done, left in parts
+            for partners in combinations(left[1:], k - 1)
+        ]
+    return [done for done, _ in parts]
 
 
 def partition_action(n: int, k: int) -> PermGroup:
     """Alt(n) on the partitions of {0..n-1} into n/k blocks of size k.
-    Partition labels are sorted block tuples, ordered lexicographically."""
+    Partition labels are sorted block tuples, ordered lexicographically.
+    A generator maps each k-subset once; a partition is the frozenset of
+    its blocks' indices among the k-subsets, looked up after mapping each."""
     if not 1 < k < n or n % k != 0:
         raise ValueError(f"need k | n and 1 < k < n, got k={k}, n={n}")
-    degree = factorial(n) // (factorial(k) ** (n // k) * factorial(n // k))
+    # the first point's block, C(n-1,k-1) choices, times the partitions of
+    # the rest; the last block is forced
+    steps = ((n - j * k + i, i) for j in range(1, n // k) for i in range(1, k))
+    degree = _capped_count(steps, groups.DEGREE_CAP)
     if degree > groups.DEGREE_CAP:
         raise CapExceeded("partition degree", degree, groups.DEGREE_CAP)
-    labels = sorted(_partitions_into_blocks(tuple(range(n)), k))
+    blocks = list(combinations(range(n), k))
+    index = {b: i for i, b in enumerate(blocks)}
+    labels = list(map(frozenset, _partitions_into_blocks(n, k, index)))
     assert len(labels) == degree
-
-    def act(img, part):
-        return tuple(sorted(tuple(sorted(map(img.__getitem__, block))) for block in part))
-
+    label_index = {lab: i for i, lab in enumerate(labels)}
+    gens = []
+    for g in alternating(n).generators:
+        moved = _subset_images(g.image_seq(), blocks, index)
+        gens.append(Permutation([label_index[frozenset(map(moved.__getitem__, lab))] for lab in labels]))
     name = f"partitions({n},{k})"
-    return _induced_action(alternating(n).generators, labels, act, name, alternating_order(n))
+    return _bounded(PermGroup(degree, gens, label=name), alternating_order(n))
 
 
 def _primitive_root(p: int) -> int:
@@ -307,49 +348,35 @@ def agl(d: int, p: int) -> PermGroup:
     """AGL(d,p) on the p^d vectors over GF(p), a vector encoded as the
     little-endian base-p value of its coordinates. Generators: translations
     by the unit vectors, the elementary transvections, and diag(beta,1,..,1)
-    for beta the smallest primitive root mod p."""
+    for beta the smallest primitive root mod p. The degree is checked
+    against the cap before p is tested for primality."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if not is_prime(p):
+    if p < 2:
         raise ValueError(f"{p} is not prime")
-    degree = p**d
+    degree = _capped_count(((p, 1) for _ in range(d)), AGL_DEGREE_CAP)
     if degree > AGL_DEGREE_CAP:
         raise CapExceeded("degree", degree, AGL_DEGREE_CAP)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
-    vectors = list(product(range(p), repeat=d))  # tuple (v0,..,v_{d-1}), v0 least significant
-    encode = {v: sum(c * p**i for i, c in enumerate(v)) for v in vectors}
+    points = range(degree)
+    weights = [p**i for i in range(d)]
+    digits = [[v // w % p for v in points] for w in weights]  # digits[i][v]: coordinate i of v
 
-    def perm_from(fn) -> Permutation:
-        images = [0] * degree
-        for v, i in encode.items():
-            images[i] = encode[fn(v)]
-        return Permutation(images)
+    def shift(axis: int, new_digits) -> Permutation:
+        """v with coordinate `axis` replaced by new_digits[v]."""
+        w = weights[axis]
+        return Permutation([v + w * (c - old) for v, c, old in zip(points, new_digits, digits[axis])])
 
-    gens = []
-    for axis in range(d):
-        gens.append(
-            perm_from(
-                lambda v, a=axis: tuple(
-                    (c + 1) % p if i == a else c for i, c in enumerate(v)
-                )
-            )
-        )
-    for i_src in range(d):
-        for j_dst in range(d):
-            if i_src == j_dst:
-                continue
-            gens.append(
-                perm_from(
-                    lambda v, i=i_src, j=j_dst: tuple(
-                        (c + v[i]) % p if idx == j else c for idx, c in enumerate(v)
-                    )
-                )
-            )
+    gens = [shift(a, [(c + 1) % p for c in digits[a]]) for a in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if i != j:  # add coordinate i to coordinate j
+                gens.append(shift(j, [(ci + cj) % p for ci, cj in zip(digits[i], digits[j])]))
     if p > 2:
         beta = _primitive_root(p)
-        gens.append(
-            perm_from(lambda v: ((v[0] * beta) % p,) + v[1:])
-        )
+        gens.append(shift(0, [c * beta % p for c in digits[0]]))
     return _bounded(PermGroup(degree, gens, label=f"agl({d},{p})"), agl_order(d, p))
 
 

@@ -47,7 +47,10 @@ DEGREE_CAP = 100_000  # points of a coset, k-subset or partition action, or a gr
 
 
 class CapExceeded(ValueError):
-    """A configured size bound was exceeded; carries the value and the cap."""
+    """A configured size bound was exceeded; carries the value and the cap.
+    A constructor's degree count stops once it passes cap**2, before any work
+    that grows with the parameters (`constructions._capped_count`); `value`
+    is then that partial count, a lower bound on the degree."""
 
     def __init__(self, what: str, value: int, cap: int):
         self.what = what
@@ -417,14 +420,24 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
 
 def orbits(G: PermGroup) -> list[tuple[int, ...]]:
     """Every orbit, each in breadth-first order from its smallest point,
-    listed by that point."""
-    seen: set[int] = set()
+    listed by that point, as `orbit` lists them. One pass reads each
+    generator's images once and keeps no Schreier vector; building those
+    through `_grow_orbit`, as `orbit` and `_Level.orbit` must, cost several
+    times as much on the trivial group of degree 431."""
+    images = [g.image_seq() for g in G.generators]
+    seen = bytearray(G.degree)
     out = []
     for start in range(G.degree):
-        if start not in seen:
-            orb = orbit(G, start)[0]
-            seen.update(orb)
-            out.append(orb)
+        if not seen[start]:
+            seen[start] = 1
+            orb = [start]
+            for a in orb:
+                for img in images:
+                    b = img[a]
+                    if not seen[b]:
+                        seen[b] = 1
+                        orb.append(b)
+            out.append(tuple(orb))
     return out
 
 

@@ -205,6 +205,34 @@ class TestVerifyCorpus:
 
 
 @pytest.mark.parametrize(
+    "params",
+    [
+        "ksubsets 10000000 4000000",
+        "ksubsets 3000 1400",
+        "partitions 2000000 2",
+        "partitions 100000 2",
+        "agl 100000000 3",
+        "agl 100000 3",
+        "agl 1 1000000000000000003",  # a prime: trial division alone would run for minutes
+    ],
+)
+def test_oversized_construct_is_refused_before_the_work(params):
+    # the degree is bounded before any count, enumeration or primality test
+    # that grows with the parameters, so the cap message comes at once, and
+    # its value is small enough to print
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subdeg.cli", "construct", *params.split()],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: [a-z -]*degree \d+ exceeds cap \d+\n", proc.stderr), proc.stderr
+    assert len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize(
     "argv",
     [["construct", "cyclic", "100000"], ["analyze", "A5", "--json"], ["verify-corpus", "--json", "-"]],
     ids=" ".join,

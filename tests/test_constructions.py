@@ -372,6 +372,43 @@ class TestDeterminism:
         for x, y in zip(a.generators, b.generators):
             assert x == y
 
+    # SHA-256 over each group's label, degree and generator images, recorded
+    # before the images were built from tables: every generator keeps its bytes
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            pytest.param(
+                lambda: [FAMILY_BUILDERS[fam](*params) for _, (fam, params) in builtin_entries()],
+                "0a094b00d54e0683442a68b2031120aee4d498257d62d1baeda5e29ed88f1c77",
+                id="builtin",
+            ),
+            pytest.param(  # every prime power 4 <= q <= 1024, degrees up to 1025
+                lambda: [psl2(q) for q in range(4, 1025) if len(prime_factors(q)) == 1],
+                "20e7515cb043969f34c3e58d4c3d52b1fe6dd298613cf7057bf3f27489c0a7c5",
+                id="psl2-to-1024",
+            ),
+            pytest.param(
+                lambda: [partition_action(*nk) for nk in PINNED_PARTITIONS]
+                + [agl(*dp) for dp in PINNED_AGL]
+                + [ksubsets_action(*nk) for nk in PINNED_KSUBSETS],
+                "46fd04b328cb6daac7a32d262cef9b1181c31047715a42de725baa65deeaebc2",
+                id="families",
+            ),
+        ],
+    )
+    def test_generators_match_the_pinned_digest(self, build, digest):
+        h = hashlib.sha256()
+        for G in build():
+            h.update(f"{G.label} {G.degree} {len(G.generators)}\n".encode())
+            for g in G.generators:
+                h.update(repr(list(g.image_seq())).encode())
+        assert h.hexdigest() == digest
+
+
+PINNED_PARTITIONS = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5), (12, 4)]
+PINNED_AGL = [(1, 2), (1, 3), (1, 101), (2, 11), (3, 5), (5, 3), (6, 2), (10, 2), (1, 9973), (4, 7)]
+PINNED_KSUBSETS = [(3, 1), (5, 2), (11, 4), (13, 6), (20, 3), (30, 2), (17, 8)]
+
 
 def alternating_under_sym_bound(n: int) -> PermGroup:
     """Alt(n) with the bound n!, twice its order: out of reach, so the random

@@ -102,27 +102,36 @@ def test_trivial_group():
     assert not is_transitive(G)
 
 
-def test_orbit_and_schreier_vector():
-    G = make_group(6, "(1,2,3)", "(4,5)")
-    orb, vec = orbit(G, 0)
-    assert sorted(orb) == [0, 1, 2]
-    assert set(vec) == {0, 1, 2}
-    # walking the vector reconstructs a word mapping the seed to each point
-    for pt in orb:
-        x = pt
-        word = []
-        while vec[x][0] != -1:
-            gi, prev = vec[x]
-            word.append(gi)
-            x = prev
-        g = Permutation.identity(6)
-        for gi in reversed(word):
-            g = compose(g, G.generators[gi])
-        assert g(0) == pt
+ORBIT_GROUPS = {
+    "two-orbits-and-a-fixed-point": lambda: make_group(6, "(1,2,3)", "(4,5)"),
+    "trivial-431": lambda: PermGroup(431, []),  # 431 singleton orbits
+    "j1-point-stabilizer": lambda: point_stabilizer(_fresh_j1(), 0),  # degree 266
+    # each generator fixes points another moves, and 4, 5, 6, 9, 12 are fixed by all
+    "generators-fix-points": lambda: make_group(12, "(1,2,3)(7,8)", "(2,3)", "(10,11)"),
+}
 
-    orb2, _ = orbit(G, 3)
-    assert sorted(orb2) == [3, 4]
-    assert orbit(G, 5)[0] == (5,)
+
+def test_orbit_and_schreier_vector():
+    for name, make in ORBIT_GROUPS.items():
+        G = make()
+        listed = orbits(G)
+        assert listed == [orbit(G, orb[0])[0] for orb in listed], name
+        assert [set(o) for o in listed] == [set(o) for o in brute_orbits(G.generators, G.degree)], name
+        for orb in listed:
+            _, vec = orbit(G, orb[0])
+            assert set(vec) == set(orb)
+            # walking the vector reconstructs a word mapping the seed to each point
+            for pt in orb:
+                x = pt
+                word = []
+                while vec[x][0] != -1:
+                    gi, prev = vec[x]
+                    word.append(gi)
+                    x = prev
+                g = Permutation.identity(G.degree)
+                for gi in reversed(word):
+                    g = compose(g, G.generators[gi])
+                assert g(orb[0]) == pt
 
 
 def test_bsgs_invariants():
