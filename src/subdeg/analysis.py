@@ -15,7 +15,7 @@ from .groups import (
     point_stabilizer,
     sylow_subgroup_small,
 )
-from .numtheory import maximum_cliques
+from .numtheory import is_prime, maximum_cliques
 from .perm import compose, inverse
 
 __all__ = [
@@ -171,10 +171,16 @@ def sylow_divisibility_check(G: PermGroup, point: int, p: int) -> SylowDivisibil
     both Sylow in G_b, so P^(gh) = P for some h in G_b. That makes gh an
     element of N carrying a to b, so N is transitive on Fix(P) and fixes a
     point exactly when |Fix(P)| = 1. P is trivial exactly when it has no
-    generators, since identity generators are stripped."""
+    generators, since identity generators are stripped.
+
+    When the prime p divides the degree n = |G : G_a|, no Sylow p-subgroup
+    lies in a point stabilizer, so |Fix(P)| = 0 and P is not built."""
     profile = subdegrees(G, point)
-    P = sylow_subgroup_small(G, p)
-    hypothesis = bool(P.generators) and len(fixed_points(P)) == 1
+    if G.degree % p == 0 and is_prime(p):
+        hypothesis = False
+    else:
+        P = sylow_subgroup_small(G, p)  # raises when p is not prime
+        hypothesis = bool(P.generators) and len(fixed_points(P)) == 1
     conclusion = all(d % p == 0 for d in profile.subdegrees if d > 1) if hypothesis else None
     return SylowDivisibilityVerdict(
         prime=p,

@@ -1,8 +1,8 @@
 """Group files, analysis reports, the built-in corpus, and the sweep driver.
 
-File format: one JSON object per file with name, degree, generators, and
-optional metadata. Generators are 1-based cycle strings or 1-based image
-lists. metadata.expected_order (a decimal string) is verified at load time.
+File format: one JSON object per file with name, degree, generators and
+optional metadata (an object or null). Generators are 1-based cycle strings or
+image lists. metadata.expected_order (ASCII digits or an integer) is verified on load.
 """
 from __future__ import annotations
 
@@ -88,21 +88,22 @@ def group_from_dict(data: dict, path="<data>") -> PermGroup:
         raise _fail(path, "'generators' must be a non-empty list")
     gens = [_generator_from_entry(e, degree, i, path) for i, e in enumerate(gens_raw)]
     G = PermGroup(degree, gens, label=name)
-    meta = data.get("metadata") or {}
-    if not isinstance(meta, dict):
+    meta = data.get("metadata")  # absent and null both mean none
+    if meta is not None and not isinstance(meta, dict):
         raise _fail(path, "'metadata' must be an object")
-    expected = meta.get("expected_order")
+    expected = None if meta is None else meta.get("expected_order")
     if expected is not None:
-        try:
-            if not (isinstance(expected, str) or _is_int(expected)):
-                raise TypeError  # int() would also take true and 60.5
-            want = int(expected)
-        except (TypeError, ValueError):
-            if not (isinstance(expected, str) and expected.isascii() and expected.isdigit()):
-                raise _fail(path, f"metadata.expected_order {expected!r} is not a decimal integer")
-            from decimal import Decimal
+        if _is_int(expected):
+            want = expected
+        elif isinstance(expected, str) and expected.isascii() and expected.isdigit():
+            try:
+                want = int(expected)
+            except ValueError:  # past the 4,300 digits int() converts
+                from decimal import Decimal
 
-            want = Decimal(expected)  # exact past the 4,300 digits int() converts
+                want = Decimal(expected)
+        else:
+            raise _fail(path, f"metadata.expected_order {expected!r} is not a decimal integer")
         got = order(G)
         if got != want:
             raise _fail(

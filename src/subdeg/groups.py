@@ -134,13 +134,25 @@ class _Level:
         self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
 
     def orbit(self) -> list[int]:
-        """The basic orbit, extended in place by the generators added since
-        the last call (see `_grow_orbit`). Every tree edge is kept, so each
-        memoized representative still carries the base point to its point,
-        and the memos are kept too."""
-        if self.orbit_gens != len(self.gens):
-            _grow_orbit(self.gens, self.orbit_gens, self.orbit_list, self.schreier)
-            self.orbit_gens = len(self.gens)
+        """The basic orbit, grown in place: old points try only the generators
+        added since the last call (the others took them into the orbit
+        already), new points every generator, in list order. No tree edge
+        changes, so the memos stay valid. The one walk that builds a Schreier
+        tree; `orbits` is the walk without one."""
+        gens, k = self.gens, self.orbit_gens
+        if k != len(gens):
+            orb, vec = self.orbit_list, self.schreier
+            images = [(gi, gens[gi].image_seq()) for gi in range(k, len(gens))]
+            old = len(orb)
+            for i, a in enumerate(orb):
+                if i == old and k:  # the first new point; read every generator's images
+                    images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
+                for gi, img in images:
+                    b = img[a]
+                    if b not in vec:
+                        vec[b] = (gi, a)
+                        orb.append(b)
+            self.orbit_gens = len(gens)
         return self.orbit_list
 
     def rep(self, b: int, inv: bool = False) -> Permutation:
@@ -389,41 +401,23 @@ def _random_residues(chain: Bsgs, gens, bound: int) -> bool:
     return order == bound
 
 
-def _grow_orbit(gens, k: int, orb: list[int], vec: dict[int, tuple[int, int]]) -> None:
-    """Extend orb, an orbit closed under gens[:k] with its Schreier vector
-    vec, in place until it is closed under all of gens. The points already
-    in orb are tried only with gens[k:], each new point with every generator,
-    in list order; no existing tree edge changes. Every point is then tried
-    with every generator: the old ones took gens[:k] into orb already."""
-    images = [(gi, gens[gi].image_seq()) for gi in range(k, len(gens))]
-    old = len(orb)
-    for i, a in enumerate(orb):
-        if i == old and k:  # the first new point; read every generator's images
-            images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
-        for gi, img in images:
-            b = img[a]
-            if b not in vec:
-                vec[b] = (gi, a)
-                orb.append(b)
-
-
 def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
     """Orbit of a point (breadth-first discovery order, generators in list
     order) and its Schreier vector mapping each orbit point to (generator
-    index, predecessor); the point maps to (-1, point)."""
+    index, predecessor), the point to (-1, point); grown as `_Level.orbit`."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    orb, vec = [point], {point: (-1, point)}
-    _grow_orbit(G.generators, 0, orb, vec)
-    return tuple(orb), vec
+    lv = _Level(point, G.degree)
+    lv.gens.extend(G.generators)
+    return tuple(lv.orbit()), lv.schreier
 
 
 def orbits(G: PermGroup) -> list[tuple[int, ...]]:
     """Every orbit, each in breadth-first order from its smallest point,
     listed by that point, as `orbit` lists them. One pass reads each
-    generator's images once and keeps no Schreier vector; building those
-    through `_grow_orbit`, as `orbit` and `_Level.orbit` must, cost several
-    times as much on the trivial group of degree 431."""
+    generator's images once and builds no tree, which only a transversal
+    needs (`_Level.orbit`): a tree per orbit cost several times as much on
+    the trivial group of degree 431."""
     images = [g.image_seq() for g in G.generators]
     seen = bytearray(G.degree)
     out = []
@@ -459,7 +453,7 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 
 def is_transitive(G: PermGroup) -> bool:
-    return len(orbit(G, 0)[0]) == G.degree
+    return len(orbits(G)) == 1
 
 
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
@@ -488,52 +482,46 @@ def fixed_points(H: PermGroup) -> tuple[int, ...]:
 
 
 def _canonical_coset_rep(chain: Bsgs, g: Permutation) -> Permutation:
-    """Lexicographically least element of the right coset H*g, where H is the
-    group of `chain`.
-
-    Requires the chain base to list, in increasing order, every point H
-    moves; then the greedy choice per level (minimize the image of the base
-    point over its fundamental orbit) yields the lex-least image array."""
+    """The element of the right coset H*g with the least images of the base
+    points of `chain`, a complete chain of H, in base order. The elements of
+    H*g with the least images of the earlier base points form a coset H'*c,
+    H' their stabilizer in H, and carry the next base point b onto the image
+    under c of b's basic orbit; so a greedy choice per level finds the least
+    images. Base images determine an element of H, and so one of H*g: the
+    element is unique."""
     cur = g
     for lv in chain.levels:
-        orb = lv.orbit()
-        if len(orb) > 1:
-            best = min(orb, key=cur.image_seq().__getitem__)
-            if best != lv.point:
-                cur = compose(lv.rep(best), cur)
+        best = min(lv.orbit(), key=cur.image_seq().__getitem__)
+        if best != lv.point:
+            cur = compose(lv.rep(best), cur)
     return cur
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> tuple[PermGroup, tuple[Permutation, ...]]:
     """Action of G on the right cosets of H, with the coset transversal.
 
-    Coset i corresponds to H*transversal[i]; coset 0 is H itself. Errors
-    when H is not a subgroup of G or the index exceeds DEGREE_CAP.
+    Coset i corresponds to H*transversal[i]; coset 0 is H itself. Cosets are
+    numbered breadth-first from H, so the action does not depend on the
+    representatives: each the least-base-image element on H's own chain
+    (`_canonical_coset_rep`). Errors when H is not a subgroup of G or the
+    index exceeds DEGREE_CAP.
     """
     if H.degree != G.degree:
         raise ValueError("degree mismatch between group and subgroup")
     if not is_subgroup(H, G):
         raise ValueError("H is not a subgroup of G")
-    fixed = set(fixed_points(H))
-    prefix = tuple(x for x in range(G.degree) if x not in fixed)
-    chain = schreier_sims(H, base_prefix=prefix)
+    chain = H.bsgs
     index = order(G) // chain.order
     if index > DEGREE_CAP:
         raise CapExceeded("coset index", index, DEGREE_CAP)
-    r0 = _canonical_coset_rep(chain, Permutation.identity(G.degree))
-    reps = [r0]
-    lookup = {r0: 0}
+    reps = [_canonical_coset_rep(chain, Permutation.identity(G.degree))]
+    lookup = {reps[0]: 0}
     images = [[] for _ in G.generators]
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        qi += 1
+    for r in reps:  # grows while it is walked
         for gi, s in enumerate(G.generators):
             rep = _canonical_coset_rep(chain, compose(r, s))
-            j = lookup.get(rep)
-            if j is None:
-                j = len(reps)
-                lookup[rep] = j
+            j = lookup.setdefault(rep, len(reps))
+            if j == len(reps):
                 reps.append(rep)
             images[gi].append(j)
     assert len(reps) == index, "coset enumeration disagrees with the index"
@@ -667,7 +655,8 @@ def sylow_subgroup_small(G: PermGroup, p: int) -> PermGroup:
     while P is not Sylow: P is then a proper subgroup of a Sylow subgroup S,
     normalizers grow in p-groups, so N_S(P)/P is a non-trivial p-subgroup
     of N_G(P)/P, and by Cauchy it holds a coset gP of order p. Returns the
-    adjoined elements as generators. Cap-gated by element enumeration."""
+    adjoined elements as generators and the chain they grew, closed after
+    each, as P's own. Cap-gated by element enumeration."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n, p_part = order(G), 1
@@ -692,4 +681,6 @@ def sylow_subgroup_small(G: PermGroup, p: int) -> PermGroup:
         else:
             raise AssertionError("no element extends a non-Sylow p-subgroup")
     label = f"Sylow_{p}({G.label})" if G.label else f"Sylow_{p}"
-    return PermGroup(G.degree, gens, label=label)
+    P = PermGroup(G.degree, gens, label=label)
+    P._bsgs = chain
+    return P

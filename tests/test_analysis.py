@@ -1,4 +1,6 @@
 """Suborbit profiles, coprime cliques, and the divisibility checks."""
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +198,25 @@ class TestSylowDivisibility:
         v = sylow_divisibility_check(G, 0, 7)
         assert v.hypothesis_holds is False
         assert v.conclusion_holds is None
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [(lambda: alternating(10), 5), (lambda: alternating(10), 2), (lambda: agl(3, 3), 3)],
+        ids=["alt(10)-5", "alt(10)-2", "agl(3,3)-3"],
+    )
+    def test_prime_dividing_the_degree_builds_no_sylow_subgroup(self, build, p):
+        # p | n = |G : G_a| keeps every Sylow p-subgroup out of the point
+        # stabilizers; listing these groups would pass ELEMENTS_CAP
+        G = build()
+        order(G)  # the bound is on the check, not on building G's chain
+        t = time.process_time()
+        v = sylow_divisibility_check(G, 0, p)
+        assert time.process_time() - t < 0.1
+        assert (v.hypothesis_holds, v.conclusion_holds) == (False, None)
+
+    def test_non_prime_dividing_the_degree_is_an_error(self):
+        with pytest.raises(ValueError, match="6 is not prime"):
+            sylow_divisibility_check(make_group(6, "(1,2,3,4,5,6)"), 0, 6)
 
     def test_trivial_sylow_subgroup_on_one_point(self):
         # a trivial P fixes every point; on one point that is exactly one

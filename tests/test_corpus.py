@@ -193,11 +193,17 @@ class TestLoadGroup:
             {"name": "x", "degree": 3, "generators": []},
             {"name": "x", "degree": 3},
             {"name": "x", "degree": 3, "generators": ["()"], "metadata": 5},
+            # falsy non-objects are not "no metadata"; only absent or null is
+            {"name": "x", "degree": 3, "generators": ["()"], "metadata": []},
+            {"name": "x", "degree": 3, "generators": ["()"], "metadata": 0},
+            {"name": "x", "degree": 3, "generators": ["()"], "metadata": False},
+            {"name": "x", "degree": 3, "generators": ["()"], "metadata": ""},
             [1, 2, 3],
         ]
         for data in bad:
             with pytest.raises(GroupFileError):
                 group_from_dict(data)
+        assert order(group_from_dict({"name": "x", "degree": 3, "generators": ["()"], "metadata": None})) == 1
 
     def test_boolean_degree_rejected(self, tmp_path):
         p = write_json(tmp_path / "b.json", {"name": "b", "degree": True, "generators": ["()"]})
@@ -227,7 +233,8 @@ class TestLoadGroup:
                 load_group(p)
 
     def test_expected_order_must_be_an_integer(self):
-        for bad in (True, 60.5, [60]):
+        # int() would take each string below as 60; only ASCII digits are decimal
+        for bad in (True, 60.5, [60], "6_0", " 60 ", "+60", "\u0666\u0660"):
             data = {"name": "x", "degree": 1, "generators": ["()"], "metadata": {"expected_order": bad}}
             with pytest.raises(GroupFileError, match="is not a decimal integer"):
                 group_from_dict(data)

@@ -534,6 +534,8 @@ def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
 
 
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
+    # one orbits walk on G, inside is_transitive, and one on the point
+    # stabilizer, which gives both the subdegrees and the probes
     G = _fresh_j1()
     names = ("is_transitive", "point_stabilizer", "orbits", "_pair_spans_all")
     calls = {name: _spy(monkeypatch, name) for name in names}
@@ -542,9 +544,11 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
     assert counts == {
         "is_transitive": 1,
         "point_stabilizer": 1,
-        "orbits": 1,
+        "orbits": 2,
         "_pair_spans_all": 4,  # one probe per non-trivial suborbit
     }
+    on_g, on_stab = (args[0] for args in calls["orbits"])
+    assert on_g is G and on_stab.label == f"{G.label}.stab(0)"
 
 
 def _count_sifts(monkeypatch) -> list:
@@ -926,3 +930,54 @@ def test_coset_action_builds_one_chain_for_the_subgroup(monkeypatch):
     K, _ = coset_action(G, H)
     assert order(K) == 60 and K.degree == 10
     assert sum(1 for args in chains if args[0] is H) == 1
+    # the representatives come from H's own cached chain, which order(H)
+    # then reuses; no chain on every point H moves is built beside it
+    assert order(H) == 6
+    assert [args[0] for args in chains] == [G, H, K]
+
+
+def test_sylow_subgroup_keeps_the_chain_it_grew(monkeypatch):
+    G = a5()
+    order(G)
+    chains = _spy(monkeypatch, "schreier_sims")
+    P = sylow_subgroup_small(G, 2)
+    assert order(P) == 4 and chains == []
+    assert order(PermGroup(5, P.generators)) == 4
+
+
+def _scatter(small, spots, n: int) -> Permutation:
+    """The permutation of 0..n-1 that moves spots[i] to spots[small[i]] and
+    fixes every point not in spots."""
+    img = list(range(n))
+    for i, x in enumerate(small):
+        img[spots[i]] = spots[x]
+    return Permutation(img)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([8, 300]))
+def test_canonical_coset_rep_is_the_least_base_image_element(data, n):
+    # on H's own chain each right coset H*g gets one representative, its
+    # element with the least base images, and different cosets different
+    # ones; degree 8 stores images as bytes and degree 300 as numpy arrays.
+    # G, generated by the letters, permutes six scattered points
+    spots = data.draw(st.permutations(range(n)))[:6]
+    e = Permutation.identity(n)
+    smalls = data.draw(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+    letters = [_scatter(s, spots, n) for s in smalls]
+
+    def word(gens):
+        w = e
+        for x in data.draw(st.lists(st.sampled_from(gens or (e,)), max_size=6)):
+            w = compose(w, x)
+        return w
+
+    H = PermGroup(n, [word(letters) for _ in range(data.draw(st.integers(0, 2)))])
+    rep = lambda g: subdeg.groups._canonical_coset_rep(H.bsgs, g)
+    g, g2, h = word(letters), word(letters), word(H.generators)
+    assert rep(compose(h, g)) == rep(g)
+    assert contains(H, compose(rep(g), inverse(g)))
+    assert (rep(g2) == rep(g)) == contains(H, compose(g2, inverse(g)))
+    base = H.bsgs.base
+    least = min(tuple(compose(x, g)(b) for b in base) for x in elements(H))
+    assert tuple(rep(g)(b) for b in base) == least
