@@ -14,10 +14,11 @@ it installs or returns and the representatives it hands out.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from .numtheory import is_prime
-from .perm import Permutation, _identity, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
+from .perm import Permutation, _identity, _identity_raw, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
 
 __all__ = [
     "PermGroup",
@@ -109,21 +110,25 @@ class PermGroup:
 class _Level:
     """One level of the stabilizer chain: a base point, the strong
     generators fixing the earlier base points, in install order, the basic
-    orbit with its Schreier vector, and the transversal, whose elements are
-    built only when read (see `_rep`). The transversal memos hold stored
-    images, which the chain multiplies directly; only `rep` wraps one in a
-    Permutation, for readers outside the chain. New generators grow the
-    orbit in place, keeping the tree and the memos (`orbit`), in both the
-    random and the deterministic run. `Bsgs._close` forms Schreier
-    generators from `gens[:scan]`, which ends at the last generator that
-    came from above; by Schreier's lemma the later ones, residues found at
-    this level or deeper, add nothing (see `Bsgs._install`)."""
+    orbit with its Schreier vector, and the transversal, whose elements and
+    their inverses are built only when read (see `_rep`). The transversal
+    memos hold stored images, which the chain multiplies directly; only
+    `rep` wraps one in a Permutation, for readers outside the chain. New
+    generators grow the orbit in place, keeping the tree and the memos
+    (`orbit`), in both the random and the deterministic run. `Bsgs._close`
+    forms Schreier generators from `gens[:scan]`, which ends at the last
+    generator that came from above; by Schreier's lemma the later ones,
+    residues found at this level or deeper, add nothing (see
+    `Bsgs._install`). `inverses` maps id(g) to the image of g's inverse for
+    each generator whose inverse a walk has read; the chain's levels share
+    one such dict, so a generator is inverted once per chain."""
 
     __slots__ = (
-        "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv"
+        "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv",
+        "inverses",
     )
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, inverses: dict):
         self.point = point
         self.gens: list[Permutation] = []
         self.scan = 0  # Schreier generators come from gens[:scan]
@@ -132,13 +137,14 @@ class _Level:
         e = _identity(degree)
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
         self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
+        self.inverses = inverses
 
     def orbit(self) -> list[int]:
         """The basic orbit, grown in place: old points try only the generators
         added since the last call (the others took them into the orbit
         already), new points every generator, in list order. No tree edge
         changes, so the memos stay valid. The one walk that builds a Schreier
-        tree; `orbits` is the walk without one."""
+        tree; `_orbit_walk` is the walk without one."""
         gens, k = self.gens, self.orbit_gens
         if k != len(gens):
             orb, vec = self.orbit_list, self.schreier
@@ -163,20 +169,31 @@ class _Level:
     def _rep(self, b: int, inv: bool = False):
         """The stored image of rep(b, inv). The first read walks the Schreier
         vector, without recursion, up to a point already built and memoizes
-        every point on the path."""
-        if inv:
-            u = self.trans_inv.get(b)
-            if u is None:
-                u = self.trans_inv[b] = _inv(self._rep(b))
+        every point on the path, in the memo it reads: u_c = u_p g for the
+        edge from p to c by the generator g, and u_c^-1 = g^-1 u_p^-1, so
+        an inverse is built from its parent's inverse, never by inverting
+        u_c, and reading it builds no forward representative."""
+        trans = self.trans_inv if inv else self.trans
+        u = trans.get(b)
+        if u is not None:
             return u
-        trans, vec, gens = self.trans, self.schreier, self.gens
+        vec, gens = self.schreier, self.gens
         path = []
         while b not in trans:
             path.append(b)
             b = vec[b][1]
         u = trans[b]
-        for c in reversed(path):
-            u = trans[c] = _mul(u, gens[vec[c][0]]._img)
+        if inv:
+            inverses = self.inverses
+            for c in reversed(path):
+                g = gens[vec[c][0]]
+                g_inv = inverses.get(id(g))
+                if g_inv is None:
+                    g_inv = inverses[id(g)] = _inv(g._img)
+                u = trans[c] = _mul(g_inv, u)
+        else:
+            for c in reversed(path):
+                u = trans[c] = _mul(u, gens[vec[c][0]]._img)
         return u
 
 
@@ -190,10 +207,11 @@ class Bsgs:
     def __init__(self, degree: int, base_prefix=()):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._inverses: dict = {}  # shared by the levels; see _Level
         for pt in dict.fromkeys(base_prefix):
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
-            self.levels.append(_Level(pt, degree))
+            self.levels.append(_Level(pt, degree, self._inverses))
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -227,7 +245,7 @@ class Bsgs:
                 i = l
                 break
         if i is None:
-            self.levels.append(_Level(g.min_moved(), self.degree))
+            self.levels.append(_Level(g.min_moved(), self.degree, self._inverses))
             i = len(self.levels) - 1
         for l, lv in enumerate(self.levels[: i + 1]):
             lv.gens.append(g)
@@ -265,44 +283,64 @@ class Bsgs:
         yields no residue, level i is closed too and the skipped Schreier
         generators would have sifted to the identity. The residues, and
         their order, are those of a scan over every generator. Schreier
-        generators are formed and sifted as stored images; only a residue
-        to install becomes a Permutation.
+        generators are formed and sifted as stored images, whose bytes are
+        read once, for both the identity test and the record below; only a
+        residue to install becomes a Permutation.
 
         A Schreier generator that sifts to the identity from level i + 1 is
         recorded, by its level and full image bytes, and not sifted again
         when level i is rescanned after an install. While level i is scanned
         every deeper level is complete, so the element lies in <S_(i+1)>;
         S_(i+1) only grows, and the deeper levels are complete again at the
-        rescan, so it would sift to the identity again. The residues, and
-        their order, are unchanged."""
+        rescan, so it would sift to the identity again.
+
+        A rescan also forms none of those again. `taken` records, per level
+        and generator, how many orbit points the scans of this call have
+        taken; a rescan starts each generator there, at the pair whose
+        residue was just installed. The pairs before it were tree edges,
+        identities or recorded members, and stay so: the tree, the orbit's
+        order and the memos only grow. Every pair a full rescan would sift
+        is sifted, in the same order, so the residues, and their order, are
+        unchanged."""
         i = min(from_level, len(self.levels) - 1)
         known = set()  # (level, image bytes) of each Schreier generator that sifted trivially
+        taken: dict[int, list[int]] = {}  # level -> orbit points taken per generator of gens[:scan]
+        identity = _identity_raw(self.degree)
         while i >= 0:
             lv = self.levels[i]
             orb = lv.orbit()
-            restart = False
             vec, rep = lv.schreier, lv._rep
-            for gi, g in enumerate(lv.gens[: lv.scan]):
+            done = taken.setdefault(i, [])
+            done += [0] * (lv.scan - len(done))
+            restart = False
+            for gi in range(lv.scan):
+                if done[gi] == len(orb):
+                    continue
+                g = lv.gens[gi]
                 img, x = g.image_seq(), g._img
-                for a in orb:
+                for pos in range(done[gi], len(orb)):
+                    a = orb[pos]
                     b = img[a]
                     if vec.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
                     sg = _mul(_mul(rep(a), x), rep(b, True))
-                    if _is_id(sg):
+                    raw = _raw(sg)
+                    if raw == identity:
                         continue
-                    key = (i, _raw(sg))
+                    key = (i, raw)
                     if key in known:
                         continue
                     residue = self._sift(sg, i + 1)
                     if residue is None:
                         known.add(key)
                         continue
+                    done[gi] = pos
                     i = self._install(_wrap(residue), i)
                     restart = True
                     break
                 if restart:
                     break
+                done[gi] = len(orb)
             if not restart:
                 i -= 1
 
@@ -407,20 +445,25 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
     index, predecessor), the point to (-1, point); grown as `_Level.orbit`."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    lv = _Level(point, G.degree)
+    lv = _Level(point, G.degree, {})
     lv.gens.extend(G.generators)
     return tuple(lv.orbit()), lv.schreier
 
 
 def orbits(G: PermGroup) -> list[tuple[int, ...]]:
     """Every orbit, each in breadth-first order from its smallest point,
-    listed by that point, as `orbit` lists them. One pass reads each
-    generator's images once and builds no tree, which only a transversal
-    needs (`_Level.orbit`): a tree per orbit cost several times as much on
-    the trivial group of degree 431."""
+    listed by that point, as `orbit` lists them (`_orbit_walk`)."""
+    return list(_orbit_walk(G))
+
+
+def _orbit_walk(G: PermGroup):
+    """Yield the orbits that `orbits` lists, one at a time, so a caller can
+    stop after the first. One pass reads each generator's images once and
+    builds no tree, which only a transversal needs (`_Level.orbit`): a tree
+    per orbit cost several times as much on the trivial group of degree
+    431."""
     images = [g.image_seq() for g in G.generators]
     seen = bytearray(G.degree)
-    out = []
     for start in range(G.degree):
         if not seen[start]:
             seen[start] = 1
@@ -431,8 +474,7 @@ def orbits(G: PermGroup) -> list[tuple[int, ...]]:
                     if not seen[b]:
                         seen[b] = 1
                         orb.append(b)
-            out.append(tuple(orb))
-    return out
+            yield tuple(orb)
 
 
 def order(G: PermGroup) -> int:
@@ -453,7 +495,8 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 
 def is_transitive(G: PermGroup) -> bool:
-    return len(orbits(G)) == 1
+    """One orbit: the walk stops after the orbit of 0."""
+    return len(next(_orbit_walk(G))) == G.degree
 
 
 def point_stabilizer(G: PermGroup, point: int) -> PermGroup:
@@ -620,9 +663,11 @@ def is_primitive(G: PermGroup) -> bool:
 
     The minimal block containing a point and x depends only on the suborbit
     of x (Atkinson, Math. Comp. 29, 1975), so one probe per non-trivial
-    suborbit suffices. The suborbits at any point serve; these are at 0. A
-    block's size divides the degree, so a prime degree needs no probe, and a
-    regular group (trivial stabilizer) of composite degree is imprimitive."""
+    suborbit suffices, and suborbit lengths rule most of them out (see
+    `_is_primitive_at`). The suborbits at any point serve; these are at 0.
+    A block's size divides the degree, so a prime degree needs no probe, and
+    a regular group (trivial stabilizer) of composite degree is
+    imprimitive."""
     if not is_transitive(G):
         return False
     return _is_primitive_at(G, 0, orbits(point_stabilizer(G, 0)))
@@ -630,12 +675,44 @@ def is_primitive(G: PermGroup) -> bool:
 
 def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
     """is_primitive for a transitive G, given the orbits of the stabilizer of
-    point: one unchecked probe per suborbit other than (point,)."""
-    if is_prime(G.degree):
+    point: one unchecked probe per suborbit other than (point,) that could
+    lie in a proper block.
+
+    A block B containing point is fixed by its stabilizer, since Bg meets B
+    at point for every g in it; so B is {point} together with whole
+    suborbits, and |B| divides the degree n. A proper block through a
+    suborbit of length l therefore has a size d | n, 1 < d <= n/2, equal to
+    1 + l plus a sum of other suborbit lengths. One bitset subset sum of the
+    lengths, one copy of l left out, answers this once per distinct l; a
+    suborbit whose length reaches no such d is not probed, since its probe
+    could only answer "spans all"."""
+    n = G.degree
+    if is_prime(n):
         return True
-    if all(len(orb) == 1 for orb in suborbits):
+    lengths = Counter(len(orb) for orb in suborbits if orb[0] != point)
+    if set(lengths) <= {1}:
         return False
-    return all(_pair_spans_all(G, (point, orb[0])) for orb in suborbits if orb[0] != point)
+    half = n // 2
+    mask = (1 << (half + 1)) - 1
+    sizes = sum(1 << d for d in range(2, half + 1) if n % d == 0)
+    open_lengths = set()
+    for l in lengths:
+        sums = 1  # bit s set: some sub-multiset of the other lengths sums to s
+        for m, k in lengths.items():
+            k -= m == l
+            chunk = 1
+            while k > 0:  # k copies of m as chunks 1, 2, 4, ...: every count 0..k
+                take = min(chunk, k)
+                sums = (sums | sums << m * take) & mask
+                k -= take
+                chunk *= 2
+        if sums << (1 + l) & sizes:
+            open_lengths.add(l)
+    return all(
+        _pair_spans_all(G, (point, orb[0]))
+        for orb in suborbits
+        if orb[0] != point and len(orb) in open_lengths
+    )
 
 
 def elements(G: PermGroup) -> list[Permutation]:

@@ -434,12 +434,16 @@ def _fresh_j1() -> PermGroup:
 
 
 def test_is_primitive_probes_once_per_suborbit(monkeypatch):
+    # one probe per non-trivial suborbit that could lie in a proper block:
+    # 1 + 132 = 266/2, while 1 + 11, 1 + 12 or 1 + 110 plus any sum of the
+    # other lengths hits no divisor of 266 up to 133. It probed all four
+    # suborbits, of sizes 11, 12, 110 and 132, before the lengths filtered
     G = _fresh_j1()
     probes = _spy(monkeypatch, "_pair_spans_all")
     assert is_primitive(G)
     stab = point_stabilizer(G, 0)
     probed = sorted(len(orbit(stab, pair[1])[0]) for _, pair in probes)
-    assert probed == [11, 12, 110, 132]  # one probe per non-trivial suborbit
+    assert probed == [132]
 
 
 def test_is_primitive_regular_group_needs_no_probe(monkeypatch):
@@ -455,6 +459,59 @@ def test_is_primitive_prime_degree_needs_no_probe(monkeypatch):
     assert is_primitive(dihedral(997))
     assert is_primitive(agl(1, 43))
     assert probes == []
+
+
+def _affine_23_squared_c3() -> PermGroup:
+    """23^2:C3 on GF(23)^2, the point (a, b) numbered 23a + b: the
+    translations by (1, 0) and (0, 1), and x -> Ax with A = [[0, -1], [1,
+    -1]], of order 3, whose characteristic polynomial x^2 + x + 1 is
+    irreducible over GF(23), since 3 does not divide 22. So the group is
+    primitive, and C3 fixes no non-zero vector: 176 suborbits of length 3."""
+    p = 23
+
+    def affine(f):
+        images = (f(a, b) for a in range(p) for b in range(p))
+        return Permutation([p * (x % p) + y % p for x, y in images])
+
+    maps = [lambda a, b: (a + 1, b), lambda a, b: (a, b + 1), lambda a, b: (-b, a - b)]
+    return PermGroup(p * p, [affine(f) for f in maps], label="23^2:C3")
+
+
+def test_suborbit_lengths_rule_out_every_probe_of_23_squared_c3(monkeypatch):
+    # a proper block through 0 would hold 1 + 3k points, k >= 1, and divide
+    # 529 = 23^2; the only proper divisor is 23, and 22 is no multiple of 3.
+    # It made 176 probes, one per non-trivial suborbit, before the lengths
+    # filtered
+    G = _affine_23_squared_c3()
+    probes = _spy(monkeypatch, "_pair_spans_all")
+    report = analyze(G)
+    assert probes == []
+    assert report.primitive and report.rank == 177
+    assert report.subdegrees == (1,) + (3,) * 176
+    assert order(G) == 529 * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_filtered_primitivity_agrees_with_probing_every_suborbit(data):
+    # transitive groups of degree up to 12, half of their generators
+    # permuting the blocks {x : x // d == i} of a divisor d of the degree,
+    # so that many are imprimitive
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+    def generator():
+        if data.draw(st.booleans()):
+            return Permutation(list(data.draw(st.permutations(range(n)))))
+        blocks = data.draw(st.permutations(range(n // d)))
+        inner = [data.draw(st.permutations(range(d))) for _ in range(n // d)]
+        return Permutation([blocks[x // d] * d + inner[x // d][x % d] for x in range(n)])
+
+    G = PermGroup(n, [generator() for _ in range(data.draw(st.integers(1, 3)))])
+    assume(is_transitive(G))
+    suborbits = orbits(point_stabilizer(G, 0))
+    probed = n > 1 and all(subdeg.groups._pair_spans_all(G, (0, orb[0])) for orb in suborbits[1:])
+    assert is_primitive(G) == probed
 
 
 def _probe_agrees(G: PermGroup, pair) -> bool:
@@ -534,21 +591,27 @@ def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
 
 
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
-    # one orbits walk on G, inside is_transitive, and one on the point
-    # stabilizer, which gives both the subdegrees and the probes
+    # two orbit walks: one on G, inside is_transitive, which stops after the
+    # first orbit, and one that `orbits` lists in full on the point
+    # stabilizer, which gives both the subdegrees and the probes. One probe:
+    # the suborbit lengths rule out three of the four (it was 4, one per
+    # non-trivial suborbit, before they filtered; see
+    # test_is_primitive_probes_once_per_suborbit)
     G = _fresh_j1()
-    names = ("is_transitive", "point_stabilizer", "orbits", "_pair_spans_all")
+    names = ("is_transitive", "point_stabilizer", "_orbit_walk", "orbits", "_pair_spans_all")
     calls = {name: _spy(monkeypatch, name) for name in names}
     assert analyze(G).primitive
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {
         "is_transitive": 1,
         "point_stabilizer": 1,
-        "orbits": 2,
-        "_pair_spans_all": 4,  # one probe per non-trivial suborbit
+        "_orbit_walk": 2,
+        "orbits": 1,
+        "_pair_spans_all": 1,
     }
-    on_g, on_stab = (args[0] for args in calls["orbits"])
+    on_g, on_stab = (args[0] for args in calls["_orbit_walk"])
     assert on_g is G and on_stab.label == f"{G.label}.stab(0)"
+    assert calls["orbits"] == [(on_stab,)]
 
 
 def _count_sifts(monkeypatch) -> list:
@@ -607,8 +670,10 @@ def test_no_level_drops_a_tree_edge_or_a_memo(monkeypatch):
 
     def spy(self):
         check(self)
-        if self.orbit_gens != len(self.gens) and len(self.trans) > 1:
-            grown.append(self)  # a grow with memos to keep
+        if self.orbit_gens != len(self.gens) and (len(self.trans) > 1 or len(self.trans_inv) > 1):
+            # a grow with memos to keep; the random path's sifts read only
+            # inverses, which build no forward representative
+            grown.append(self)
         out = real(self)
         check(self)
         return out
@@ -632,13 +697,15 @@ def test_trivial_group_with_a_bound_out_of_reach_draws_nothing():
 
 def test_transversal_is_built_only_where_read():
     # built eagerly, the final levels would hold 317 entries beyond their
-    # base points and as many inverses. The draws read 64 of them, and the
+    # base points and as many inverses. The draws read 54 of them, and the
     # levels keep them as their orbits grow; they held 0 when each install
-    # rebuilt the orbits and emptied the memos
+    # rebuilt the orbits and emptied the memos, and 64 while each inverse
+    # was built by inverting its forward representative, which the walk
+    # memoized along the way although no sift reads it
     G = partition_action(9, 3)
     assert order(G) == 181440
     held = sum(len(lv.trans) + len(lv.trans_inv) - 2 for lv in G.bsgs.levels)
-    assert held == 64
+    assert held == 54
 
 
 def test_deep_schreier_tree_is_walked_without_recursion():
@@ -650,6 +717,11 @@ def test_deep_schreier_tree_is_walked_without_recursion():
     assert g2000(0) == 2000
     assert contains(G, g)
     assert contains(G, g2000)
+    # the sift reads the inverse at 2000, built along its path from the
+    # inverses alone: 2,000 memos beyond the base point, all inverses. It
+    # held 2,002 while each inverse inverted its forward representative,
+    # whose walk memoized the same path
+    assert [(len(lv.trans), len(lv.trans_inv)) for lv in G.bsgs.levels] == [(1, 2001)]
     assert not contains(G, Permutation([1, 0, *range(2, 2003)]))
     assert order(point_stabilizer(G, 2002)) == 1
 
@@ -692,6 +764,30 @@ def test_contains_matches_the_element_list(data):
     probes = [data.draw(st.sampled_from(elems)), on_support(support), on_support([*{*support, extra}])]
     for p in probes:
         assert contains(G, p) == (p in members)
+
+
+def test_is_transitive_stops_after_the_first_orbit(monkeypatch):
+    # one transposition on 100,000 points has 99,999 orbits; is_transitive
+    # reads the first and stops. It listed all of them, at 37 ms against
+    # 2.0 ms, while it counted the orbits that `orbits` lists
+    yielded = []
+    real = subdeg.groups._orbit_walk
+
+    def spy(G):
+        for orb in real(G):
+            yielded.append(orb)
+            yield orb
+
+    monkeypatch.setattr(subdeg.groups, "_orbit_walk", spy)
+    n = 100_000
+    assert not is_transitive(PermGroup(n, [Permutation([1, 0, *range(2, n)])]))
+    assert yielded == [(0, 1)]
+    yielded.clear()
+    assert is_transitive(cyclic(12))
+    assert yielded == [tuple(range(12))]
+    yielded.clear()
+    assert len(orbits(PermGroup(5, [Permutation([1, 0, 2, 4, 3])]))) == 3
+    assert len(yielded) == 3
 
 
 def test_base_prefix_keeps_the_first_of_each_point():
@@ -745,6 +841,25 @@ def test_rescans_skip_schreier_generators_known_to_be_members(monkeypatch):
     sifts = _count_sifts(monkeypatch)
     assert order(G) == factorial(40)
     assert len(sifts) == 9323
+
+
+def test_rescans_resume_where_the_scan_stopped(monkeypatch):
+    # a work bound on the multiplications that form Schreier generators,
+    # sift them and build representatives: the same 9,323 sifts on
+    # bound-free S40 take 93,393 image products. There were 767,579 while
+    # each rescan re-formed every earlier Schreier generator of its level
+    # only to find it a tree edge, the identity or a known member
+    products = []
+    real = subdeg.groups._mul
+
+    def spy(x, y):
+        products.append(None)
+        return real(x, y)
+
+    G = PermGroup(40, [Permutation([1, 0, *range(2, 40)]), Permutation([*range(1, 40), 0])])
+    monkeypatch.setattr(subdeg.groups, "_mul", spy)
+    assert order(G) == factorial(40)
+    assert len(products) == 93393
 
 
 def chain_digest(G: PermGroup) -> str:
@@ -836,13 +951,29 @@ def test_random_chain_does_not_depend_on_the_hash_seed():
 
 class _FullScanBsgs(Bsgs):
     """The reference chain: every level forms Schreier generators from all
-    of its generators, whatever level each residue was found at."""
+    of its generators, whatever level each residue was found at, and a
+    rescan after an install starts again at its first pair and sifts every
+    Schreier generator it forms, whether seen before or not."""
 
     def _install(self, g, origin=-1):
         i = super()._install(g)
         for lv in self.levels[: i + 1]:
             lv.scan = len(lv.gens)
         return i
+
+    def _close(self, from_level):
+        i = min(from_level, len(self.levels) - 1)
+        while i >= 0:
+            lv = self.levels[i]
+            pairs = [(g, a) for g in lv.gens[: lv.scan] for a in lv.orbit()]
+            for g, a in pairs:
+                sg = compose(compose(lv.rep(a), g), lv.rep(g(a), inv=True))
+                residue = self._sift(sg._img, i + 1)
+                if residue is not None:
+                    i = self._install(Permutation(list(residue)), i)
+                    break
+            else:
+                i -= 1
 
 
 def _full_scan_copy(G: PermGroup) -> PermGroup:
