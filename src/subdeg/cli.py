@@ -3,7 +3,9 @@
 Subcommands: analyze (one group file), construct (the built-in families),
 verify-corpus (sweep a directory and/or the built-in corpus), mu, and
 factorizations. Exit codes: 0 all checks pass, 1 an asserted property is
-violated, 2 usage or IO error.
+violated, 2 usage or IO error, or out of memory: a MemoryError anywhere in a
+command prints `error: out of memory` to stderr, since it says nothing about
+the group's properties.
 """
 from __future__ import annotations
 
@@ -226,6 +228,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: an IO error. On devnull, fd 1 takes the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     return code
 

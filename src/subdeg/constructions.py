@@ -4,7 +4,10 @@ enough finite-field arithmetic to build PSL(2,q) and AGL(d,p).
 Every constructor is pure: identical parameters give identical generator
 lists, down to the field modulus and primitive element. Orders are checked
 against the closed-form formulas in the test suite; each constructor also
-hands its formula to Schreier-Sims as an upper bound on the order.
+hands its formula to Schreier-Sims as an upper bound on the order. The
+generator images a constructor computes are stored as they are (perm._store),
+not checked again by Permutation; the test suite checks that every built-in
+generator is a bijection of its degree.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from math import factorial, gcd
 from . import groups
 from .groups import CapExceeded, PermGroup
 from .numtheory import is_prime, prime_factors
-from .perm import Permutation
+from .perm import Permutation, _store, _wrap
 
 __all__ = [
     "FiniteField",
@@ -228,7 +231,7 @@ class ProjectiveLine:
             for lnum, lden in zip(F._affine_logs(a, c), F._affine_logs(b, d))
         ]
         images.append(self.infinity if b == 0 else F.mul(a, F.inv(b)))
-        return Permutation(images)
+        return _wrap(_store(images))
 
 
 def _bounded(G: PermGroup, bound: int) -> PermGroup:
@@ -244,13 +247,13 @@ def alternating(n: int) -> PermGroup:
         raise ValueError(f"alternating needs n >= 3, got {n}")
     if n > groups.DEGREE_CAP:
         raise CapExceeded("degree", n, groups.DEGREE_CAP)
-    gens = [Permutation([1, 2, 0, *range(3, n)])]
+    gens = [_wrap(_store([1, 2, 0, *range(3, n)]))]
     if n >= 4:
         if n % 2 == 1:
             cyc = [*range(1, n), 0]  # full n-cycle, even for odd n
         else:
             cyc = [0, *range(2, n), 1]  # (n-1)-cycle on 1..n-1, fixing 0
-        gens.append(Permutation(cyc))
+        gens.append(_wrap(_store(cyc)))
     return _bounded(PermGroup(n, gens, label=f"alt({n})"), alternating_order(n))
 
 
@@ -258,7 +261,7 @@ def symmetric(n: int) -> PermGroup:
     if n < 2:
         raise ValueError(f"symmetric needs n >= 2, got {n}")
     gens = [] if n == 2 else list(alternating(n).generators)  # which checks the degree cap
-    gens.append(Permutation([1, 0, *range(2, n)]))
+    gens.append(_wrap(_store([1, 0, *range(2, n)])))
     return _bounded(PermGroup(n, gens, label=f"sym({n})"), factorial(n))
 
 
@@ -290,7 +293,7 @@ def ksubsets_action(n: int, k: int) -> PermGroup:
         raise CapExceeded("k-subset degree", degree, groups.DEGREE_CAP)
     labels = list(combinations(range(n), k))
     index = {lab: i for i, lab in enumerate(labels)}
-    gens = [Permutation(_subset_images(g.image_seq(), labels, index)) for g in alternating(n).generators]
+    gens = [_wrap(_store(_subset_images(g.image_seq(), labels, index))) for g in alternating(n).generators]
     return _bounded(PermGroup(degree, gens, label=f"ksubsets({n},{k})"), alternating_order(n))
 
 
@@ -331,7 +334,7 @@ def partition_action(n: int, k: int) -> PermGroup:
     gens = []
     for g in alternating(n).generators:
         moved = _subset_images(g.image_seq(), blocks, index)
-        gens.append(Permutation([label_index[frozenset(map(moved.__getitem__, lab))] for lab in labels]))
+        gens.append(_wrap(_store([label_index[frozenset(map(moved.__getitem__, lab))] for lab in labels])))
     name = f"partitions({n},{k})"
     return _bounded(PermGroup(degree, gens, label=name), alternating_order(n))
 
@@ -367,7 +370,7 @@ def agl(d: int, p: int) -> PermGroup:
     def shift(axis: int, new_digits) -> Permutation:
         """v with coordinate `axis` replaced by new_digits[v]."""
         w = weights[axis]
-        return Permutation([v + w * (c - old) for v, c, old in zip(points, new_digits, digits[axis])])
+        return _wrap(_store([v + w * (c - old) for v, c, old in zip(points, new_digits, digits[axis])]))
 
     gens = [shift(a, [(c + 1) % p for c in digits[a]]) for a in range(d)]
     for i in range(d):
@@ -405,7 +408,7 @@ def dihedral(n: int) -> PermGroup:
     if n < 3:
         raise ValueError(f"dihedral needs n >= 3, got {n}")
     (rot,) = cyclic(n).generators  # which checks the degree cap
-    refl = Permutation([-x % n for x in range(n)])
+    refl = _wrap(_store([-x % n for x in range(n)]))
     return _bounded(PermGroup(n, [rot, refl], label=f"dihedral({n})"), 2 * n)
 
 
@@ -414,7 +417,7 @@ def cyclic(n: int) -> PermGroup:
         raise ValueError(f"cyclic needs n >= 2, got {n}")
     if n > groups.DEGREE_CAP:
         raise CapExceeded("degree", n, groups.DEGREE_CAP)
-    rot = Permutation([*range(1, n), 0])
+    rot = _wrap(_store([*range(1, n), 0]))
     return _bounded(PermGroup(n, [rot], label=f"cyclic({n})"), n)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import groups
 from .groups import PermGroup, _is_primitive_at, is_transitive, orbits, order, point_stabilizer
 from .numtheory import is_prime
-from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
+from .perm import CycleParseError, Permutation, _store, _wrap, format_cycles, parse_cycles
 
 __all__ = [
     "GroupFileError",
@@ -56,14 +56,16 @@ def _generator_from_entry(entry, degree: int, idx: int, path) -> Permutation:
                 path,
                 f"generator {idx + 1}: image list has length {len(entry)}, expected {degree}",
             )
-        if not all(_is_int(x) and 1 <= x <= degree for x in entry):
+        # one pass of C-level checks per rule, so the images are stored
+        # without Permutation checking them again
+        if not (all(issubclass(t, int) and t is not bool for t in set(map(type, entry)))
+                and 1 <= min(entry) and max(entry) <= degree):
             raise _fail(
                 path, f"generator {idx + 1}: image entries must be integers in 1..{degree}"
             )
-        try:
-            return Permutation([x - 1 for x in entry])
-        except ValueError as e:
-            raise _fail(path, f"generator {idx + 1}: {e}") from e
+        if len(set(entry)) != degree:
+            raise _fail(path, f"generator {idx + 1}: images do not form a bijection")
+        return _wrap(_store(list(map((-1).__add__, entry))))
     raise _fail(path, f"generator {idx + 1}: expected a cycle string or an image list")
 
 

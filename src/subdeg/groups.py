@@ -8,7 +8,8 @@ its random elements from a fixed seed; every other group gets the
 deterministic Schreier-Sims, with no randomization. Either way a level
 grows its basic orbit in place when it gains generators, and keeps its
 Schreier tree and transversal memos. The chain memoizes and multiplies
-stored images (see perm), and wraps in a Permutation only the residues
+stored images through the one kernel for its degree (perm._kernel), reads
+each generator's images once, and wraps in a Permutation only the residues
 it installs or returns and the representatives it hands out.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .numtheory import is_prime
-from .perm import Permutation, _identity, _identity_raw, _inv, _is_id, _mul, _raw, _wrap, compose, inverse
+from .perm import Permutation, _identity, _identity_raw, _inv, _kernel, _wrap, compose, inverse
 
 __all__ = [
     "PermGroup",
@@ -111,32 +112,39 @@ class _Level:
     """One level of the stabilizer chain: a base point, the strong
     generators fixing the earlier base points, in install order, the basic
     orbit with its Schreier vector, and the transversal, whose elements and
-    their inverses are built only when read (see `_rep`). The transversal
-    memos hold stored images, which the chain multiplies directly; only
-    `rep` wraps one in a Permutation, for readers outside the chain. New
-    generators grow the orbit in place, keeping the tree and the memos
-    (`orbit`), in both the random and the deterministic run. `Bsgs._close`
-    forms Schreier generators from `gens[:scan]`, which ends at the last
-    generator that came from above; by Schreier's lemma the later ones,
-    residues found at this level or deeper, add nothing (see
-    `Bsgs._install`). `inverses` maps id(g) to the image of g's inverse for
-    each generator whose inverse a walk has read; the chain's levels share
-    one such dict, so a generator is inverted once per chain."""
+    their inverses are built only when read (see `_rep`). The level
+    multiplies stored images through its chain's kernel `k` (perm._Kernel),
+    and keeps each generator's image sequence and table in `seqs` and
+    `tables`, beside `gens`, read once per chain when `Bsgs._install` adds
+    it. The forward memos hold images and the inverse memos tables, the
+    form `then` takes on its right; only `rep` wraps one in a Permutation,
+    as an image, for readers outside the chain. New generators grow the
+    orbit in place, keeping the tree and the memos (`orbit`), in both the
+    random and the deterministic run. `Bsgs._close` forms Schreier
+    generators from `gens[:scan]`, which ends at the last generator that
+    came from above; by Schreier's lemma the later ones, residues found at
+    this level or deeper, add nothing (see `Bsgs._install`). `inverses`
+    maps id(g) to the table of g's inverse for each generator whose inverse
+    a walk has read; the chain's levels share one such dict, so a generator
+    is inverted once per chain."""
 
     __slots__ = (
-        "point", "gens", "scan", "orbit_list", "schreier", "orbit_gens", "trans", "trans_inv",
-        "inverses",
+        "point", "gens", "seqs", "tables", "scan", "orbit_list", "schreier", "orbit_gens",
+        "trans", "trans_inv", "k", "inverses",
     )
 
-    def __init__(self, point: int, degree: int, inverses: dict):
+    def __init__(self, point: int, degree: int, k, inverses: dict):
         self.point = point
         self.gens: list[Permutation] = []
+        self.seqs: list = []  # gens[i].image_seq()
+        self.tables: list = []  # k.table of gens[i]'s image
         self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_list, self.schreier = [point], {point: (-1, point)}
         self.orbit_gens = 0  # len(gens) when orbit_list and schreier were last grown
         e = _identity(degree)
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
-        self.trans_inv = {point: e}  # orbit point -> image of its inverse, filled by _rep
+        self.trans_inv = {point: k.table(e)}  # orbit point -> table of its inverse, filled by _rep
+        self.k = k
         self.inverses = inverses
 
     def orbit(self) -> list[int]:
@@ -145,55 +153,60 @@ class _Level:
         already), new points every generator, in list order. No tree edge
         changes, so the memos stay valid. The one walk that builds a Schreier
         tree; `_orbit_walk` is the walk without one."""
-        gens, k = self.gens, self.orbit_gens
-        if k != len(gens):
+        seqs, grown = self.seqs, self.orbit_gens
+        if grown != len(seqs):
             orb, vec = self.orbit_list, self.schreier
-            images = [(gi, gens[gi].image_seq()) for gi in range(k, len(gens))]
+            images = list(enumerate(seqs))[grown:]
             old = len(orb)
             for i, a in enumerate(orb):
-                if i == old and k:  # the first new point; read every generator's images
-                    images = [(gi, g.image_seq()) for gi, g in enumerate(gens)]
+                if i == old and grown:  # the first new point tries every generator
+                    images = list(enumerate(seqs))
                 for gi, img in images:
                     b = img[a]
                     if b not in vec:
                         vec[b] = (gi, a)
                         orb.append(b)
-            self.orbit_gens = len(gens)
+            self.orbit_gens = len(seqs)
         return self.orbit_list
 
     def rep(self, b: int, inv: bool = False) -> Permutation:
         """The transversal element carrying the base point to the orbit point
-        b, or its inverse. The orbit must be current (see `orbit`)."""
-        return _wrap(self._rep(b, inv))
+        b, or its inverse. The orbit must be current (see `orbit`). An
+        inverse's table is cut to the image, so no table leaves the chain."""
+        return _wrap(self._rep(b, inv)[: len(self.trans[self.point])])
 
     def _rep(self, b: int, inv: bool = False):
-        """The stored image of rep(b, inv). The first read walks the Schreier
-        vector, without recursion, up to a point already built and memoizes
-        every point on the path, in the memo it reads: u_c = u_p g for the
-        edge from p to c by the generator g, and u_c^-1 = g^-1 u_p^-1, so
-        an inverse is built from its parent's inverse, never by inverting
-        u_c, and reading it builds no forward representative."""
+        """rep(b, inv) as the chain keeps it: the image of the element, or
+        the table of the inverse (perm._Kernel). The first read walks the
+        Schreier vector, without recursion, up to a point already built and
+        memoizes every point on the path, in the memo it reads: u_c =
+        then(u_p, g) for the edge from p to c by the generator g, and u_c^-1
+        = then(g^-1, u_p^-1) on tables, so an inverse is built from its
+        parent's inverse, never by inverting u_c, and reading it builds no
+        forward representative."""
         trans = self.trans_inv if inv else self.trans
         u = trans.get(b)
         if u is not None:
             return u
-        vec, gens = self.schreier, self.gens
+        vec = self.schreier
         path = []
         while b not in trans:
             path.append(b)
             b = vec[b][1]
         u = trans[b]
+        then = self.k.then
         if inv:
-            inverses = self.inverses
+            gens, inverses = self.gens, self.inverses
             for c in reversed(path):
                 g = gens[vec[c][0]]
                 g_inv = inverses.get(id(g))
                 if g_inv is None:
-                    g_inv = inverses[id(g)] = _inv(g._img)
-                u = trans[c] = _mul(g_inv, u)
+                    g_inv = inverses[id(g)] = self.k.table(_inv(g._img))
+                u = trans[c] = then(g_inv, u)
         else:
+            tables = self.tables
             for c in reversed(path):
-                u = trans[c] = _mul(u, gens[vec[c][0]]._img)
+                u = trans[c] = then(u, tables[vec[c][0]])
         return u
 
 
@@ -202,16 +215,18 @@ class Bsgs:
     grown by `_install` and completed by `_close`, or by random residues
     up to a proven order (see schreier_sims). Each
     level holds its own generators, basic orbit and Schreier vector; its
-    transversal elements are built on demand."""
+    transversal elements are built on demand. The chain binds the kernel
+    for its degree once (perm._kernel) and shares it with its levels."""
 
     def __init__(self, degree: int, base_prefix=()):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._k = _kernel(degree)
         self._inverses: dict = {}  # shared by the levels; see _Level
         for pt in dict.fromkeys(base_prefix):
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
-            self.levels.append(_Level(pt, degree, self._inverses))
+            self.levels.append(_Level(pt, degree, self._k, self._inverses))
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -238,17 +253,19 @@ class Bsgs:
         level l <= origin, and by Schreier's lemma Schreier generators from
         any generating set of a level's group generate the next one; so g
         extends `scan` only at the levels l > origin, where it came from
-        above."""
-        i = None
-        for l, lv in enumerate(self.levels):
-            if g(lv.point) != lv.point:
-                i = l
-                break
+        above. g's image sequence and table are read here, once per chain,
+        and every level it joins shares them."""
+        seq = g.image_seq()
+        i = next((l for l, lv in enumerate(self.levels) if seq[lv.point] != lv.point), None)
         if i is None:
-            self.levels.append(_Level(g.min_moved(), self.degree, self._inverses))
+            first_moved = next(x for x, y in enumerate(seq) if x != y)
+            self.levels.append(_Level(first_moved, self.degree, self._k, self._inverses))
             i = len(self.levels) - 1
+        table = self._k.table(g._img)
         for l, lv in enumerate(self.levels[: i + 1]):
             lv.gens.append(g)
+            lv.seqs.append(seq)
+            lv.tables.append(table)
             if l > origin:
                 lv.scan = len(lv.gens)
         return i
@@ -260,20 +277,23 @@ class Bsgs:
         return None if residue is None else _wrap(residue)
 
     def _sift(self, x, start: int):
-        """`sift` on the stored image x: the residue's image, or None. Every
+        """`sift` on the stored image x: the residue's image, or None. A
+        step reads the point with the kernel's `at` and multiplies by an
+        inverse's table with `then`, so x stays an image. Every
         level it visits is current, so none is refreshed: a `_Level` starts
         with its one-point orbit and Schreier vector; `_close` grows a level
         when it starts scanning it, sifts only into deeper levels, grown
         since their last new generator, and leaves every level current; and
         `_random_residues` grows every level after every install."""
+        then, at = self._k.then, self._k.at
         for lv in self.levels[start:]:
-            delta = int(x[lv.point])
+            delta = at(x, lv.point)
             if delta == lv.point:
                 continue
             if delta not in lv.schreier:
                 return x
-            x = _mul(x, lv._rep(delta, True))
-        return None if _is_id(x) else x
+            x = then(x, lv._rep(delta, True))
+        return None if self._k.raw(x) == _identity_raw(self.degree) else x
 
     def _close(self, from_level: int) -> None:
         """Re-establish the chain invariant from `from_level` upwards.
@@ -282,10 +302,12 @@ class Bsgs:
         deeper level is closed when level i is scanned, so if that prefix
         yields no residue, level i is closed too and the skipped Schreier
         generators would have sifted to the identity. The residues, and
-        their order, are those of a scan over every generator. Schreier
-        generators are formed and sifted as stored images, whose bytes are
-        read once, for both the identity test and the record below; only a
-        residue to install becomes a Permutation.
+        their order, are those of a scan over every generator. A Schreier
+        generator is formed by the kernel's `then` from a representative's
+        image, the generator's table and an inverse's table, and sifted as
+        an image, whose bytes `raw` reads once, for both the identity test
+        and the record below; only a residue to install becomes a
+        Permutation.
 
         A Schreier generator that sifts to the identity from level i + 1 is
         recorded, by its level and full image bytes, and not sifted again
@@ -303,6 +325,7 @@ class Bsgs:
         is sifted, in the same order, so the residues, and their order, are
         unchanged."""
         i = min(from_level, len(self.levels) - 1)
+        then, raw = self._k.then, self._k.raw
         known = set()  # (level, image bytes) of each Schreier generator that sifted trivially
         taken: dict[int, list[int]] = {}  # level -> orbit points taken per generator of gens[:scan]
         identity = _identity_raw(self.degree)
@@ -316,18 +339,17 @@ class Bsgs:
             for gi in range(lv.scan):
                 if done[gi] == len(orb):
                     continue
-                g = lv.gens[gi]
-                img, x = g.image_seq(), g._img
+                img, t = lv.seqs[gi], lv.tables[gi]
                 for pos in range(done[gi], len(orb)):
                     a = orb[pos]
                     b = img[a]
                     if vec.get(b) == (gi, a):
                         continue  # tree edge, Schreier generator is trivial
-                    sg = _mul(_mul(rep(a), x), rep(b, True))
-                    raw = _raw(sg)
-                    if raw == identity:
+                    sg = then(then(rep(a), t), rep(b, True))
+                    sg_raw = raw(sg)
+                    if sg_raw == identity:
                         continue
-                    key = (i, raw)
+                    key = (i, sg_raw)
                     if key in known:
                         continue
                     residue = self._sift(sg, i + 1)
@@ -445,8 +467,9 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
     index, predecessor), the point to (-1, point); grown as `_Level.orbit`."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    lv = _Level(point, G.degree, {})
+    lv = _Level(point, G.degree, _kernel(G.degree), {})
     lv.gens.extend(G.generators)
+    lv.seqs.extend(g.image_seq() for g in G.generators)  # no tables: no representative is read
     return tuple(lv.orbit()), lv.schreier
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .groups import CapExceeded, PermGroup, elements, order
 from .numtheory import maximum_cliques, prime_factors as distinct_prime_factors
-from .perm import Permutation, _inv, _mul, _raw
+from .perm import Permutation, _inv, _kernel, _raw
 
 __all__ = [
     "SUBGROUP_CAP",
@@ -219,8 +219,9 @@ def _build_lattice(G: PermGroup, cap: int) -> SubgroupLattice:
     # calls an itemgetter, which would return a bare int for one index
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[ident_idx] = tuple(range(n))
+    then, table, raw, _ = _kernel(degree)
     for g, p in zip(gen_idx, G.generators):
-        rows[g] = tuple([index_of[_raw(_mul(p._img, e._img))] for e in elems])
+        rows[g] = tuple([index_of[raw(then(p._img, table(e._img)))] for e in elems])
     times = [(g, itemgetter(*rows[g])) for g in gen_idx]
     reached = [ident_idx, *gen_idx]
     for x in reached:

@@ -1,7 +1,9 @@
 """Permutations as image sequences, with cycle-notation parsing and formatting.
 
 Images are bytes up to degree 255 and a read-only int64 numpy array above,
-so numpy is imported only for the larger degrees. Points are 0-based
+so numpy is imported only for the larger degrees. Code that multiplies many
+images, such as the stabilizer chain, does so through the kernel for their
+degree (`_kernel`), which never tests the form. Points are 0-based
 internally. Cycle notation, the external format, is 1-based. Composition
 reads left to right: compose(a, b) applies a first, so
 compose(a, b)(x) == b(a(x)).
@@ -11,7 +13,8 @@ from __future__ import annotations
 import re
 from functools import cache
 from math import lcm
-from operator import index
+from operator import getitem, index
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Permutation",
@@ -78,7 +81,7 @@ class Permutation:
         return int(img[point])
 
     def is_identity(self) -> bool:
-        return _is_id(self._img)
+        return _raw(self._img) == _identity_raw(len(self._img))
 
     def order(self) -> int:
         return order_of(self)
@@ -163,19 +166,6 @@ def _identity_raw(degree: int) -> bytes:
 _PAD = tuple(bytes(range(n, 256)) for n in range(256))
 
 
-# Stored images, for code that multiplies many of them, such as the
-# stabilizer chain in groups: these take and return bytes or int64 arrays,
-# so that only this module tells the two apart, and build no Permutation.
-# An array they return may be writable; _wrap freezes it.
-
-
-def _mul(x, y):
-    """x followed by y: the image of compose."""
-    if isinstance(x, bytes):
-        return x.translate(y + _PAD[len(y)])
-    return y[x]
-
-
 def _inv(x):
     """The image of the inverse."""
     n = len(x)
@@ -186,8 +176,30 @@ def _inv(x):
     return inv
 
 
-def _is_id(x) -> bool:
-    return _raw(x) == _identity_raw(len(x))
+class _Kernel(NamedTuple):
+    """Products of stored images for code that multiplies many of them, such
+    as the stabilizer chain in groups: one kernel per image form, so a call
+    dispatches on nothing and builds no Permutation. A permutation enters
+    `then` on the right as its table: a byte image followed by _PAD[n], which
+    `bytes.translate` reads as is, or an int64 array, its own table. The
+    product of two tables is again a table; an image followed by a table is
+    an image. An array these return may be writable; _wrap freezes it."""
+
+    then: Callable  # then(x, t): x followed by the permutation whose table is t
+    table: Callable  # table(y): the table of the image y
+    raw: Callable  # raw(x): x as bytes, for equality and hashing
+    at: Callable  # at(x, p): the image of the point p, an int
+
+
+@cache
+def _kernel(degree: int) -> _Kernel:
+    """The kernel for images of this degree."""
+    if degree < 256:
+        pad = _PAD[degree]
+        return _Kernel(bytes.translate, lambda y: y + pad, bytes, getitem)
+    import numpy as np
+
+    return _Kernel(lambda x, t: t[x], lambda y: y, np.ndarray.tobytes, np.ndarray.item)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -195,7 +207,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     x, y = a._img, b._img
     if len(x) != len(y):
         raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
-    return _wrap(_mul(x, y))
+    return _wrap(x.translate(y + _PAD[len(y)]) if isinstance(x, bytes) else y[x])
 
 
 def inverse(p: Permutation) -> Permutation:

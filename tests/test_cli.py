@@ -257,6 +257,18 @@ def test_closed_stdout_is_an_io_error(argv, a5_file):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_out_of_memory_is_exit_2(a5_file, monkeypatch, capsys):
+    # exit 1 means a violated property, which a failed allocation is not
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(corpus, "analyze", exhausted)
+    assert main(["analyze", str(a5_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 class TestMu:
     def test_a5(self, a5_file, capsys):
         rc = main(["mu", str(a5_file)])

@@ -404,6 +404,14 @@ class TestDeterminism:
                 h.update(repr(list(g.image_seq())).encode())
         assert h.hexdigest() == digest
 
+    def test_every_builtin_generator_is_a_bijection_of_its_degree(self):
+        # constructors store the images they compute unchecked (perm._store)
+        for name, (fam, params) in builtin_entries():
+            G = FAMILY_BUILDERS[fam](*params)
+            for g in G.generators:
+                assert g.degree == G.degree, name
+                assert sorted(g.image_seq()) == list(range(G.degree)), name
+
 
 PINNED_PARTITIONS = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5), (12, 4)]
 PINNED_AGL = [(1, 2), (1, 3), (1, 101), (2, 11), (3, 5), (5, 3), (6, 2), (10, 2), (1, 9973), (4, 7)]

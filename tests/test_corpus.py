@@ -14,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subdeg.groups
 from subdeg import corpus
@@ -38,6 +39,7 @@ from subdeg.corpus import (
 from subdeg.analysis import subdegrees
 from subdeg.groups import PermGroup, coset_action, minimal_block_system, order
 from subdeg.lattice import all_subgroups_small, check_mu_bound, coprime_factorizations
+from subdeg.perm import Permutation
 
 from conftest import make_group
 
@@ -231,6 +233,35 @@ class TestLoadGroup:
             p = write_json(tmp_path / f"b{i}.json", {"name": "b", "degree": 3, "generators": [images]})
             with pytest.raises(GroupFileError, match=r"generator 1: image entries must be integers"):
                 load_group(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_image_list_checks_match_the_permutation_rules(self, data):
+        # the loader checks an image list once and stores it unchecked; its
+        # verdict and message are those of the entry-by-entry check followed
+        # by Permutation, on both sides of degree 255
+        n = data.draw(st.sampled_from([1, 2, 3, 5, 255, 256, 300]))
+        entry = list(data.draw(st.permutations(range(1, n + 1))))
+        odd = st.one_of(
+            st.integers(-1, n + 2), st.booleans(), st.floats(allow_nan=False), st.none(), st.text(max_size=2)
+        )
+        for _ in range(data.draw(st.integers(0, 2))):
+            entry[data.draw(st.integers(0, n - 1))] = data.draw(odd)
+        try:
+            got = corpus._generator_from_entry(entry, n, 0, "p.json")
+        except GroupFileError as e:
+            got = str(e)
+        if not all(type(x) is int and 1 <= x <= n for x in entry):
+            want = f"p.json: generator 1: image entries must be integers in 1..{n}"
+        else:
+            try:
+                want = Permutation([x - 1 for x in entry])
+            except ValueError as e:
+                want = f"p.json: generator 1: {e}"
+        assert got == want
+        if isinstance(got, Permutation):  # in the stored form, and read-only
+            assert type(got._img) is type(want._img)
+            assert not got.images.flags.writeable
 
     def test_expected_order_must_be_an_integer(self):
         # int() would take each string below as 60; only ASCII digits are decimal

@@ -848,18 +848,43 @@ def test_rescans_resume_where_the_scan_stopped(monkeypatch):
     # sift them and build representatives: the same 9,323 sifts on
     # bound-free S40 take 93,393 image products. There were 767,579 while
     # each rescan re-formed every earlier Schreier generator of its level
-    # only to find it a tree edge, the identity or a known member
+    # only to find it a tree edge, the identity or a known member. The
+    # products were counted on `groups._mul` until the chain multiplied
+    # through its kernel's `then`, one call for each of the same products
     products = []
-    real = subdeg.groups._mul
+    real = subdeg.groups._kernel
 
-    def spy(x, y):
-        products.append(None)
-        return real(x, y)
+    def spy(degree):
+        k = real(degree)
+
+        def then(x, t):
+            products.append(None)
+            return k.then(x, t)
+
+        return k._replace(then=then)
 
     G = PermGroup(40, [Permutation([1, 0, *range(2, 40)]), Permutation([*range(1, 40), 0])])
-    monkeypatch.setattr(subdeg.groups, "_mul", spy)
+    monkeypatch.setattr(subdeg.groups, "_kernel", spy)
     assert order(G) == factorial(40)
     assert len(products) == 93393
+
+
+def test_chain_reads_each_generator_image_sequence_once(monkeypatch):
+    # above degree 255 image_seq() is a numpy tolist. The chain reads it once
+    # per generator, when it installs one, and every level the generator
+    # joins shares the list; each level read it again at every orbit growth
+    # and at every scan of its Schreier generators
+    G = _fresh_j1()
+    reads = []
+    real = Permutation.image_seq
+
+    def spy(self):
+        reads.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Permutation, "image_seq", spy)
+    assert order(G) == 175560
+    assert sorted(map(id, reads)) == sorted(map(id, G.bsgs.strong_generators))
 
 
 def chain_digest(G: PermGroup) -> str:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from subdeg.perm import (
     CycleParseError,
     Permutation,
+    _kernel,
+    _raw,
     compose,
     format_cycles,
     inverse,
@@ -362,3 +364,25 @@ def test_every_input_form_gives_one_value(n):
     assert all(m == made[0] for m in made)
     assert len({hash(m) for m in made}) == 1
     assert len(set(made)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_pairs(), st.data())
+def test_kernel_matches_the_permutation_operations(pair, data):
+    # the stabilizer chain's kernel against compose, _raw and __call__, on
+    # both sides of 255; then(x, table(y)) is an image of degree n, and a
+    # table multiplied by a table is again a table
+    a, b = pair
+    n = len(a)
+    p, q = Permutation(a), Permutation(b)
+    k = _kernel(n)
+    assert _kernel(n) is k
+    x, y = p._img, q._img
+    xy = k.then(x, k.table(y))
+    assert len(xy) == n
+    assert Permutation(list(xy)) == compose(p, q)
+    assert k.raw(xy) == _raw(compose(p, q)._img)
+    assert k.raw(x) == _raw(x)
+    point = data.draw(st.integers(0, n - 1))
+    assert k.at(x, point) == p(point) and type(k.at(x, point)) is int
+    assert k.raw(k.then(k.table(x), k.table(y))) == k.raw(k.table(xy))
