@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import groups
-from .groups import PermGroup, _is_primitive_at, is_transitive, orbits, order, point_stabilizer
+from .groups import PermGroup, _is_primitive_at, orbits, order, point_stabilizer
 from .numtheory import is_prime
 from .perm import CycleParseError, Permutation, _store, _wrap, format_cycles, parse_cycles
 
@@ -197,17 +197,21 @@ REPORT_FIELDS = CoprimeReport._fields
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
     """Full verification record for one group at one base point. Never
     raises on mathematical grounds; intransitive groups get a report with
-    the analysis fields null and a note in skipped_checks. The stabilizer
-    of point and its orbits are computed once and give both the subdegrees
-    and the primitivity verdict. A point outside 0..degree-1 is a
-    ValueError for every group."""
+    the analysis fields null and a note in skipped_checks. Transitivity is
+    read off the chain that `order` builds: its level 0 holds the orbit of
+    its base point under G, and a group with no level is trivial, so G is
+    transitive when that orbit, or the one point, is every point. The
+    stabilizer of point and its orbits are computed once and give both the
+    subdegrees and the primitivity verdict. A point outside 0..degree-1 is
+    a ValueError for every group."""
     from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
 
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     label = name or G.label or "group"
     n = order(G)
-    if not is_transitive(G):
+    levels = G.bsgs.levels
+    if (len(levels[0].orbit()) if levels else 1) != G.degree:
         return CoprimeReport(
             name=label,
             degree=G.degree,

@@ -126,15 +126,18 @@ class _Level:
     this level or deeper, add nothing (see `Bsgs._install`). `inverses`
     maps id(g) to the table of g's inverse for each generator whose inverse
     a walk has read; the chain's levels share one such dict, so a generator
-    is inverted once per chain."""
+    is inverted once per chain. `full` is degree - depth, the most points
+    the basic orbit can hold: each generator at depth i fixes the i base
+    points above it."""
 
     __slots__ = (
         "point", "gens", "seqs", "tables", "scan", "orbit_list", "schreier", "orbit_gens",
-        "trans", "trans_inv", "k", "inverses",
+        "trans", "trans_inv", "k", "inverses", "full",
     )
 
-    def __init__(self, point: int, degree: int, k, inverses: dict):
+    def __init__(self, point: int, degree: int, depth: int, k, inverses: dict):
         self.point = point
+        self.full = degree - depth
         self.gens: list[Permutation] = []
         self.seqs: list = []  # gens[i].image_seq()
         self.tables: list = []  # k.table of gens[i]'s image
@@ -151,10 +154,11 @@ class _Level:
         """The basic orbit, grown in place: old points try only the generators
         added since the last call (the others took them into the orbit
         already), new points every generator, in list order. No tree edge
-        changes, so the memos stay valid. The one walk that builds a Schreier
-        tree; `_orbit_walk` is the walk without one."""
+        changes, so the memos stay valid. An orbit that holds `full` points
+        can gain none, so it is not walked again. The one walk that builds a
+        Schreier tree; `_orbit_walk` is the walk without one."""
         seqs, grown = self.seqs, self.orbit_gens
-        if grown != len(seqs):
+        if grown != len(seqs) and len(self.orbit_list) < self.full:
             orb, vec = self.orbit_list, self.schreier
             images = list(enumerate(seqs))[grown:]
             old = len(orb)
@@ -166,7 +170,7 @@ class _Level:
                     if b not in vec:
                         vec[b] = (gi, a)
                         orb.append(b)
-            self.orbit_gens = len(seqs)
+        self.orbit_gens = len(seqs)
         return self.orbit_list
 
     def rep(self, b: int, inv: bool = False) -> Permutation:
@@ -226,7 +230,7 @@ class Bsgs:
         for pt in dict.fromkeys(base_prefix):
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
-            self.levels.append(_Level(pt, degree, self._k, self._inverses))
+            self.levels.append(_Level(pt, degree, len(self.levels), self._k, self._inverses))
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -259,8 +263,8 @@ class Bsgs:
         i = next((l for l, lv in enumerate(self.levels) if seq[lv.point] != lv.point), None)
         if i is None:
             first_moved = next(x for x, y in enumerate(seq) if x != y)
-            self.levels.append(_Level(first_moved, self.degree, self._k, self._inverses))
-            i = len(self.levels) - 1
+            i = len(self.levels)
+            self.levels.append(_Level(first_moved, self.degree, i, self._k, self._inverses))
         table = self._k.table(g._img)
         for l, lv in enumerate(self.levels[: i + 1]):
             lv.gens.append(g)
@@ -467,7 +471,7 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
     index, predecessor), the point to (-1, point); grown as `_Level.orbit`."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    lv = _Level(point, G.degree, _kernel(G.degree), {})
+    lv = _Level(point, G.degree, 0, _kernel(G.degree), {})
     lv.gens.extend(G.generators)
     lv.seqs.extend(g.image_seq() for g in G.generators)  # no tables: no representative is read
     return tuple(lv.orbit()), lv.schreier

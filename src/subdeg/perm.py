@@ -256,16 +256,66 @@ def _expected(text: str, m: re.Match, what: str) -> CycleParseError:
     return _error(text, m.start(1), f"expected {what}, found {found}")
 
 
+# the whole grammar of `parse_cycles`, as _TOKEN reads it: "()" alone, or
+# cycles of ASCII integers, with Unicode whitespace between tokens
+_CYCLES = re.compile(r"\s*(?:\(\s*\)\s*|(?:\(\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*\)\s*)*)")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation into a permutation of the given degree.
 
     Grammar: optional whitespace between tokens; each cycle is
     "(" int ("," int)* ")". The empty string and "()" denote the identity.
     Repeated points and points outside 1..degree are errors.
+
+    One regex match checks the whole text against the grammar, and
+    `_read_cycles` reads the points. Text that fails either goes to the
+    token scanner (`_first_error`), whose only job is to find the first
+    error, with its line and column.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    images = list(range(degree))
+    images = _read_cycles(text, degree) if _CYCLES.fullmatch(text) else None
+    if images is None:
+        raise _first_error(text, degree)
+    return _wrap(_store(images))
+
+
+def _read_cycles(text: str, degree: int) -> list[int] | None:
+    """The 0-based images of text that matches the grammar, or None when a
+    point is out of range or repeated. `split` and `int` read the points,
+    and `min`, `max` and `set` check them. A digit run longer than the
+    degree's digits is read without its leading zeros, and one still longer
+    is out of range, which int() need not convert."""
+    body = "".join(text.split())  # str.split's whitespace is the grammar's \s
+    if body in ("", "()"):
+        return list(range(degree))
+    inner = body[1:-1]
+    digits = inner.replace(")(", ",").split(",")
+    width = len(str(degree))
+    if max(map(len, digits)) > width:
+        digits = [s.lstrip("0") or "0" for s in digits]
+        if max(map(len, digits)) > width:
+            return None
+    points = list(map(int, digits))
+    if min(points) < 1 or max(points) > degree or len(set(points)) != len(points):
+        return None
+    # each point goes to the next, and each cycle's last to its first
+    succ = points[1:] + points[:1]
+    end = 0
+    for c in inner.split(")("):
+        start, end = end, end + c.count(",") + 1
+        succ[end - 1] = points[start]
+    images = list(range(-1, degree))  # indexed by 1-based point, 0-based images
+    for a, b in zip(points, succ):
+        images[a] = b - 1
+    del images[0]
+    return images
+
+
+def _first_error(text: str, degree: int) -> CycleParseError:
+    """The first error in text that `parse_cycles` rejects, found by reading
+    it one token at a time."""
     used: set[int] = set()
     width = len(str(degree))
     tokens = _TOKEN.finditer(text)
@@ -273,36 +323,32 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     first_cycle = True
     while m[1]:
         if m[1] != "(":
-            raise _expected(text, m, "'('")
+            return _expected(text, m, "'('")
         m = next(tokens)
         if first_cycle and m[1] == ")":
             # "()" spells the identity, only as the sole cycle
             m = next(tokens)
             if m[1]:
-                raise _error(text, m.start(1), "unexpected input after '()'")
-            break
+                return _error(text, m.start(1), "unexpected input after '()'")
+            break  # "()" alone, which the grammar accepts
         first_cycle = False
-        cyc: list[int] = []
         while True:
             if not (m[1].isascii() and m[1].isdigit()):
-                raise _expected(text, m, "an integer")
+                return _expected(text, m, "an integer")
             digits = m[1].lstrip("0") or "0"
             # int() refuses very long digit runs, and one longer than the
             # degree's is out of range anyway
             val = int(digits) if len(digits) <= width else degree + 1
             if val < 1 or val > degree:
-                raise _error(text, m.end(1), f"point {digits} outside 1..{degree}")
-            if val - 1 in used:
-                raise _error(text, m.end(1), f"repeated point {val}")
-            used.add(val - 1)
-            cyc.append(val - 1)
+                return _error(text, m.end(1), f"point {digits} outside 1..{degree}")
+            if val in used:
+                return _error(text, m.end(1), f"repeated point {val}")
+            used.add(val)
             m = next(tokens)
             if m[1] != ",":
                 break
             m = next(tokens)
         if m[1] != ")":
-            raise _expected(text, m, "')'")
-        for i, pt in enumerate(cyc):
-            images[pt] = cyc[(i + 1) % len(cyc)]
+            return _expected(text, m, "')'")
         m = next(tokens)
-    return _wrap(_store(images))
+    raise AssertionError(f"the grammar rejected {text!r}, but the scanner found no error")

@@ -7,9 +7,11 @@ refinement. They are slow and only used on small groups.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from subdeg.perm import Permutation, compose, inverse, parse_cycles
+from subdeg.perm import CycleParseError, Permutation, compose, inverse, parse_cycles
 from subdeg.groups import PermGroup, order
 
 
@@ -116,3 +118,63 @@ def direct_sum(G: PermGroup, H: PermGroup, label=None) -> PermGroup:
     gens = [embed(g, n, 0) for g in G.generators]
     gens += [embed(h, n, G.degree) for h in H.generators]
     return PermGroup(n, gens, label=label)
+
+
+# one token: optional whitespace, then an ASCII integer, any other single
+# character, or the end of the text (an empty token)
+_TOKEN = re.compile(r"\s*([0-9]+|.|\Z)", re.S)
+
+
+def scan_cycles(text: str, degree: int) -> tuple[int, ...]:
+    """The 0-based images that 1-based cycle notation gives, read one token
+    at a time, or a CycleParseError at the first error, with its line and
+    column: the token scanner that parse_cycles used before it matched the
+    whole grammar at once, kept as its oracle."""
+
+    def error(pos: int, message: str) -> CycleParseError:
+        line = text.count("\n", 0, pos) + 1
+        col = pos - text.rfind("\n", 0, pos)
+        return CycleParseError(f"line {line} column {col}: {message}")
+
+    def expected(m: re.Match, what: str) -> CycleParseError:
+        found = repr(m[1][0]) if m[1] else "end of input"
+        return error(m.start(1), f"expected {what}, found {found}")
+
+    images = list(range(degree))
+    used: set[int] = set()
+    width = len(str(degree))
+    tokens = _TOKEN.finditer(text)
+    m = next(tokens)
+    first_cycle = True
+    while m[1]:
+        if m[1] != "(":
+            raise expected(m, "'('")
+        m = next(tokens)
+        if first_cycle and m[1] == ")":
+            m = next(tokens)
+            if m[1]:
+                raise error(m.start(1), "unexpected input after '()'")
+            break
+        first_cycle = False
+        cyc: list[int] = []
+        while True:
+            if not (m[1].isascii() and m[1].isdigit()):
+                raise expected(m, "an integer")
+            digits = m[1].lstrip("0") or "0"
+            val = int(digits) if len(digits) <= width else degree + 1
+            if val < 1 or val > degree:
+                raise error(m.end(1), f"point {digits} outside 1..{degree}")
+            if val - 1 in used:
+                raise error(m.end(1), f"repeated point {val}")
+            used.add(val - 1)
+            cyc.append(val - 1)
+            m = next(tokens)
+            if m[1] != ",":
+                break
+            m = next(tokens)
+        if m[1] != ")":
+            raise expected(m, "')'")
+        for i, pt in enumerate(cyc):
+            images[pt] = cyc[(i + 1) % len(cyc)]
+        m = next(tokens)
+    return tuple(images)

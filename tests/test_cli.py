@@ -344,3 +344,11 @@ class TestParser:
             main([command, "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert re.search(r"subgroup enumeration \(default (\d+)\)", help_text)[1] == str(caps[0])
+
+
+@pytest.mark.parametrize("command", ["mu", "factorizations"])
+def test_lattice_command_on_a_bad_file_is_exit_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")

@@ -528,3 +528,12 @@ class TestOrderBound:
     def test_point_stabilizer_carries_no_bound(self):
         G = alternating(6)
         assert point_stabilizer(G, 0)._order_bound is None
+
+
+def test_argument_errors():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        FiniteField(4).inv(0)
+    with pytest.raises(ValueError, match="symmetric needs n >= 2, got 1"):
+        symmetric(1)
+    with pytest.raises(ValueError, match="1 is not prime"):
+        agl(1, 1)

@@ -591,11 +591,13 @@ def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
 
 
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
-    # two orbit walks: one on G, inside is_transitive, which stops after the
-    # first orbit, and one that `orbits` lists in full on the point
-    # stabilizer, which gives both the subdegrees and the probes. One probe:
-    # the suborbit lengths rule out three of the four (it was 4, one per
-    # non-trivial suborbit, before they filtered; see
+    # one orbit walk, which `orbits` lists in full on the point stabilizer
+    # and which gives both the subdegrees and the probes. There were two
+    # while analyze called is_transitive, whose walk on G repeated the
+    # orbit that `order` had already built as the chain's level 0; analyze
+    # now reads transitivity off that level. One probe: the suborbit
+    # lengths rule out three of the four (it was 4, one per non-trivial
+    # suborbit, before they filtered; see
     # test_is_primitive_probes_once_per_suborbit)
     G = _fresh_j1()
     names = ("is_transitive", "point_stabilizer", "_orbit_walk", "orbits", "_pair_spans_all")
@@ -603,15 +605,48 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
     assert analyze(G).primitive
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {
-        "is_transitive": 1,
+        "is_transitive": 0,
         "point_stabilizer": 1,
-        "_orbit_walk": 2,
+        "_orbit_walk": 1,
         "orbits": 1,
         "_pair_spans_all": 1,
     }
-    on_g, on_stab = (args[0] for args in calls["_orbit_walk"])
-    assert on_g is G and on_stab.label == f"{G.label}.stab(0)"
+    (on_stab,) = (args[0] for args in calls["_orbit_walk"])
+    assert on_stab.label == f"{G.label}.stab(0)"
     assert calls["orbits"] == [(on_stab,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_analyze_reads_transitivity_off_the_chain(data):
+    # analyze reads transitivity off level 0 of the chain that `order`
+    # builds, or off the degree when there is no level; is_transitive still
+    # walks the orbit of 0. Generators moving drawn subsets leave fixed points
+    n = data.draw(st.integers(1, 9))
+    gens = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        support = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        img = list(range(n))
+        for x, y in zip(support, data.draw(st.permutations(support))):
+            img[x] = y
+        gens.append(Permutation(img))
+    G = PermGroup(n, gens)
+    point = data.draw(st.integers(0, n - 1))
+    assert analyze(G, point).transitive == is_transitive(G)
+
+
+def test_analyze_transitivity_on_edge_cases():
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "intransitive.json")
+    cases = [
+        (PermGroup(1, []), True),  # no level, and the one point is every point
+        (PermGroup(3, []), False),  # no level, three points
+        (make_group(4, "(1,2)"), False),  # fixed points
+        (make_group(5, "(1,2,3,4,5)"), True),
+        (load_group(golden), False),  # C2 x C3 on 2 + 3 points
+    ]
+    for G, want in cases:
+        assert is_transitive(G) == want
+        assert analyze(G).transitive == want
 
 
 def _count_sifts(monkeypatch) -> list:
@@ -953,6 +988,115 @@ def test_chain_matches_the_pinned_digest(name):
     assert chain_digest(CHAIN_GROUPS[name]()) == CHAIN_DIGESTS[name]
 
 
+def _walk_every_time(self):
+    """_Level.orbit as it was before a full orbit was skipped: each growth
+    walks the orbit again, whether or not it already holds every point its
+    level can reach."""
+    seqs, grown = self.seqs, self.orbit_gens
+    if grown != len(seqs):
+        orb, vec = self.orbit_list, self.schreier
+        images = list(enumerate(seqs))[grown:]
+        old = len(orb)
+        for i, a in enumerate(orb):
+            if i == old and grown:
+                images = list(enumerate(seqs))
+            for gi, img in images:
+                b = img[a]
+                if b not in vec:
+                    vec[b] = (gi, a)
+                    orb.append(b)
+        self.orbit_gens = len(seqs)
+    return self.orbit_list
+
+
+def _bound_free_s40() -> PermGroup:
+    return PermGroup(40, [Permutation([1, 0, *range(2, 40)]), Permutation([*range(1, 40), 0])])
+
+
+def _builtin_groups() -> dict:
+    return {name: (lambda f=family, p=params: subdeg.corpus.FAMILY_BUILDERS[f](*p))
+            for name, (family, params) in subdeg.corpus.builtin_entries()}
+
+
+def _chain_record(G: PermGroup, sifts: list) -> tuple:
+    """The digest, every level's orbit and Schreier vector in insertion
+    order, and the sifts it took to build G's chain."""
+    sifts.clear()
+    digest = chain_digest(G)
+    levels = [(list(lv.orbit_list), list(lv.schreier.items())) for lv in G.bsgs.levels]
+    return digest, levels, len(sifts)
+
+
+def test_skipping_full_orbits_changes_no_chain(monkeypatch):
+    # a full orbit gains no point and no tree edge from a walk, so skipping
+    # it leaves every chain as it was: the digests, the Schreier vectors in
+    # the order they grew, and the sifts (183 on J1, 9,323 on bound-free S40)
+    sifts = _count_sifts(monkeypatch)
+    groups = {
+        "j1": _fresh_j1,
+        "S40 bound-free": _bound_free_s40,
+        "ksubsets(10,3) bound-free": _bound_free_ksubsets,
+        **_builtin_groups(),
+    }
+    skipped = {name: _chain_record(build(), sifts) for name, build in groups.items()}
+    monkeypatch.setattr(subdeg.groups._Level, "orbit", _walk_every_time)
+    walked = {name: _chain_record(build(), sifts) for name, build in groups.items()}
+    assert skipped == walked
+    assert skipped["j1"][0] == CHAIN_DIGESTS["j1"] and skipped["j1"][2] == 183
+    assert skipped["S40 bound-free"][2] == 9323
+    bound_free = skipped["ksubsets(10,3) bound-free"]
+    assert bound_free[0] == CHAIN_DIGESTS["ksubsets(10,3) bound-free"] and bound_free[2] == 198
+
+
+class _CountedImages:
+    """A generator's image sequence that counts the points read from it."""
+
+    def __init__(self, seq, reads: list):
+        self.seq, self.reads = seq, reads
+
+    def __getitem__(self, a):
+        self.reads[0] += 1
+        return self.seq[a]
+
+
+def _orbit_visits(monkeypatch, orbit, builds) -> tuple[int, int, int]:
+    """Run `orbit` as _Level.orbit while every group in builds gets its
+    chain: the point visits it makes in all, the growths that start on a
+    full orbit, and the visits those make."""
+    totals = [0, 0, 0]
+
+    def spy(self):
+        seqs = self.seqs
+        on_full = self.orbit_gens != len(seqs) and len(self.orbit_list) == self.full
+        reads = [0]
+        self.seqs = [_CountedImages(seq, reads) for seq in seqs]
+        try:
+            return orbit(self)
+        finally:
+            self.seqs = seqs
+            totals[0] += reads[0]
+            if on_full:
+                totals[1] += 1
+                totals[2] += reads[0]
+
+    monkeypatch.setattr(subdeg.groups._Level, "orbit", spy)
+    for build in builds:
+        order(build())
+    return tuple(totals)
+
+
+def test_a_full_level_is_not_walked_again(monkeypatch):
+    # a level at depth i holds at most degree - i points, since its
+    # generators fix the i base points above it; once its orbit holds them,
+    # a growth reads no point. On J1 and the built-in corpus the chains
+    # grow full orbits 240 times, and walking them again read 10,277 of the
+    # 21,719 points visited
+    real = subdeg.groups._Level.orbit
+    builds = [CHAIN_GROUPS["j1"], *_builtin_groups().values()]
+    assert _orbit_visits(monkeypatch, _walk_every_time, builds) == (21719, 240, 10277)
+    assert _orbit_visits(monkeypatch, real, builds) == (11442, 240, 0)
+
+
 def test_random_chain_does_not_depend_on_the_hash_seed():
     # the draws come from a fixed seed, never from set or hash order
     code = (
@@ -1137,3 +1281,29 @@ def test_canonical_coset_rep_is_the_least_base_image_element(data, n):
     base = H.bsgs.base
     least = min(tuple(compose(x, g)(b) for b in base) for x in elements(H))
     assert tuple(rep(g)(b) for b in base) == least
+
+
+def test_argument_errors_and_dunders():
+    # branches no other test reaches, found by tools/linecov.py
+    G = a5()
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        PermGroup(0, [])
+    with pytest.raises(TypeError, match="Permutation instances"):
+        PermGroup(3, [(1, 0, 2)])
+    assert G.order() == 60
+    assert parse_cycles("(1,2,3)", 5) in G and parse_cycles("(1,2)", 5) not in G
+    assert repr(G) == "<a5 degree=5 gens=2>" and repr(PermGroup(2, [])) == "<PermGroup degree=2 gens=0>"
+    with pytest.raises(ValueError, match="point 5 out of range for degree 5"):
+        orbit(G, 5)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        is_subgroup(s4(), G)
+    with pytest.raises(ValueError, match="degree mismatch between group and subgroup"):
+        coset_action(G, s4())
+
+
+def test_elements_skip_a_level_whose_orbit_is_its_base_point():
+    # a base prefix may name a point every generator fixes
+    G = make_group(5, "(1,2,3)")
+    chain = schreier_sims(G, base_prefix=(4,))
+    assert [len(lv.orbit()) for lv in chain.levels] == [1, 3]
+    assert sorted(map(format_cycles, chain.elements())) == ["()", "(1,2,3)", "(1,3,2)"]

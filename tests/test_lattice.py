@@ -612,3 +612,8 @@ class TestFactorizations:
         for f in coprime_factorizations(G):
             prods = {compose(a, b) for a in f.a.element_set for b in f.b.element_set}
             assert len(prods) == order(G)
+
+
+def test_lattice_repr_names_its_group():
+    lat = all_subgroups_small(make_group(3, "(1,2,3)"))
+    assert repr(lat).startswith("SubgroupLattice(degree=3, group_order=3, subgroups=")

@@ -19,6 +19,8 @@ from subdeg.perm import (
     parse_cycles,
 )
 
+from conftest import scan_cycles
+
 
 def perm(images):
     return Permutation(images)
@@ -233,6 +235,76 @@ def test_parse_reads_digit_runs_of_any_length():
         parse_cycles("(1,00101)", 100)
 
 
+# whitespace the grammar skips, Unicode included, and tokens it refuses
+_SPACES = ["", " ", "  ", "\x1c", "\n", "\t", "\u2003"]
+_STRAYS = ["(", ")", ",", "()", "x", "-", "+", "\x00", "\u00b2", "\u0663", "\u200b"]
+
+
+@st.composite
+def cycle_texts(draw):
+    """(text, degree): cycles of points, sometimes a repeated or
+    out-of-range one, spelled with leading zeros or as digit runs up to
+    5,000 long, with "()" alone, before or after them, and stray, missing or
+    extra tokens, joined by drawn whitespace."""
+    n = draw(st.integers(1, 300))
+    points = draw(st.lists(st.integers(1, n), unique=True, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from([0, n + 1, 10 * n, *points[:2]]))
+        points.insert(draw(st.integers(0, len(points))), bad)
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(len(points) - 1, 1)), max_size=3))))
+    cycles = [points[i:j] for i, j in zip([0, *cuts], [*cuts, len(points)]) if points[i:j]]
+
+    def spell(v: int) -> str:
+        style = draw(st.integers(0, 29))
+        if style == 0:
+            return "0" * draw(st.integers(1, 5000)) + str(v)
+        if style == 1:
+            return str(v) + "9" * draw(st.integers(1, 5000))
+        if style == 2:
+            return "0" * draw(st.integers(1, 3)) + str(v)
+        return str(v)
+
+    tokens = []
+    for cyc in cycles:
+        tokens.append("(")
+        for i, v in enumerate(cyc):
+            tokens += [","] * (i > 0) + [spell(v)]
+        tokens.append(")")
+    where = draw(st.integers(0, 7))  # mostly no "()"; else it first, last, or both
+    tokens = ["(", ")"] * (where in (5, 7)) + tokens + ["(", ")"] * (where in (6, 7))
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        op = draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(tokens)))
+        if op == 0:
+            tokens.insert(at, draw(st.sampled_from(_STRAYS)))
+        elif tokens:
+            at = min(at, len(tokens) - 1)
+            if op == 1:
+                del tokens[at]
+            else:
+                tokens.insert(at, tokens[at])
+    spaces = draw(st.lists(st.sampled_from(_SPACES), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(sp + tok for sp, tok in zip(spaces, tokens)) + spaces[-1]
+    return text, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(cycle_texts())
+def test_parse_matches_the_token_scanner(case):
+    # the grammar match must accept exactly what the scanner accepts, with
+    # the same images, and hand everything else to the scanner, whose first
+    # error is the message
+    text, n = case
+    try:
+        want = scan_cycles(text, n)
+    except CycleParseError as e:
+        with pytest.raises(CycleParseError) as exc:
+            parse_cycles(text, n)
+        assert str(exc.value) == str(e)
+    else:
+        assert tuple(parse_cycles(text, n).image_seq()) == want
+
+
 def test_format_canonical_form():
     # cycles sorted by smallest moved point, rotated to lead with it
     p = parse_cycles("(5,4)(3,1,2)", 6)
@@ -386,3 +458,11 @@ def test_kernel_matches_the_permutation_operations(pair, data):
     point = data.draw(st.integers(0, n - 1))
     assert k.at(x, point) == p(point) and type(k.at(x, point)) is int
     assert k.raw(k.then(k.table(x), k.table(y))) == k.raw(k.table(xy))
+
+
+def test_argument_errors_and_foreign_equality():
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        Permutation.identity(0)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        parse_cycles("()", 0)
+    assert Permutation.identity(3) != (0, 1, 2)

@@ -182,3 +182,7 @@ def test_only_the_subgroup_cap_is_a_parameter():
                 continue
             found += [f"{name}.{param}" for param in inspect.signature(obj).parameters if "cap" in param]
     assert found == ["all_subgroups_small.cap"]
+
+
+def test_dir_lists_the_public_names_before_they_load():
+    assert set(PUBLIC) <= set(dir(subdeg))
