@@ -69,20 +69,19 @@ class CoprimeClique(NamedTuple):
 
 
 def subdegrees(G: PermGroup, point: int = 0) -> SuborbitProfile:
-    """Suborbit profile at a point: the orbit lengths of its stabilizer.
-    Errors on intransitive groups."""
+    """Suborbit profile at a point: the orbit lengths of its stabilizer,
+    each with its smallest point as representative. Errors on intransitive
+    groups. Transitivity is read off G's chain when G holds one; a group
+    without one is not given it before its orbit walk answers (see
+    `is_transitive`)."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     if not is_transitive(G):
         raise ValueError("subdegrees need a transitive group")
-    return _suborbit_profile(G.degree, point, orbits(point_stabilizer(G, point)))
-
-
-def _suborbit_profile(degree: int, point: int, suborbits) -> SuborbitProfile:
-    """subdegrees from the orbits of the stabilizer of point."""
+    suborbits = orbits(point_stabilizer(G, point))
     pairs = sorted(((orb[0], len(orb)) for orb in suborbits), key=lambda t: (t[1], t[0]))
-    assert sum(length for _, length in pairs) == degree
-    return SuborbitProfile(degree=degree, base_point=point, suborbits=tuple(pairs))
+    assert sum(length for _, length in pairs) == G.degree
+    return SuborbitProfile(degree=G.degree, base_point=point, suborbits=tuple(pairs))
 
 
 def max_coprime_set(profile: SuborbitProfile) -> CoprimeClique:

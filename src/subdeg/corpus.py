@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import groups
-from .groups import PermGroup, _is_primitive_at, orbits, order, point_stabilizer
+from .groups import PermGroup, _is_primitive_at, is_transitive, order
 from .numtheory import is_prime
 from .perm import CycleParseError, Permutation, _store, _wrap, format_cycles, parse_cycles
 
@@ -197,21 +197,17 @@ REPORT_FIELDS = CoprimeReport._fields
 def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeReport:
     """Full verification record for one group at one base point. Never
     raises on mathematical grounds; intransitive groups get a report with
-    the analysis fields null and a note in skipped_checks. Transitivity is
-    read off the chain that `order` builds: its level 0 holds the orbit of
-    its base point under G, and a group with no level is trivial, so G is
-    transitive when that orbit, or the one point, is every point. The
-    stabilizer of point and its orbits are computed once and give both the
-    subdegrees and the primitivity verdict. A point outside 0..degree-1 is
-    a ValueError for every group."""
-    from .analysis import _suborbit_profile, max_coprime_set, neumann_check, weiss_check
+    the analysis fields null and a note in skipped_checks. `order` builds
+    the chain, so `is_transitive` reads it and walks no orbit. One
+    `subdegrees` profile gives both the subdegrees and the primitivity
+    verdict. A point outside 0..degree-1 is a ValueError for every group."""
+    from .analysis import max_coprime_set, neumann_check, subdegrees, weiss_check
 
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     label = name or G.label or "group"
     n = order(G)
-    levels = G.bsgs.levels
-    if (len(levels[0].orbit()) if levels else 1) != G.degree:
+    if not is_transitive(G):
         return CoprimeReport(
             name=label,
             degree=G.degree,
@@ -220,9 +216,8 @@ def analyze(G: PermGroup, point: int = 0, name: str | None = None) -> CoprimeRep
             primitive=False,
             skipped_checks=("subdegree analysis: group is not transitive",),
         )
-    suborbits = orbits(point_stabilizer(G, point))
-    primitive = _is_primitive_at(G, point, suborbits)
-    profile = _suborbit_profile(G.degree, point, suborbits)
+    profile = subdegrees(G, point)
+    primitive = _is_primitive_at(G, point, profile.suborbits)
     clique = max_coprime_set(profile)
     prime_cyclic = is_prime(G.degree) and n == G.degree
     if primitive and not prime_cyclic:

@@ -114,33 +114,32 @@ class _Level:
     orbit with its Schreier vector, and the transversal, whose elements and
     their inverses are built only when read (see `_rep`). The level
     multiplies stored images through its chain's kernel `k` (perm._Kernel),
-    and keeps each generator's image sequence and table in `seqs` and
-    `tables`, beside `gens`, read once per chain when `Bsgs._install` adds
-    it. The forward memos hold images and the inverse memos tables, the
-    form `then` takes on its right; only `rep` wraps one in a Permutation,
-    as an image, for readers outside the chain. New generators grow the
-    orbit in place, keeping the tree and the memos (`orbit`), in both the
-    random and the deterministic run. `Bsgs._close` forms Schreier
-    generators from `gens[:scan]`, which ends at the last generator that
-    came from above; by Schreier's lemma the later ones, residues found at
-    this level or deeper, add nothing (see `Bsgs._install`). `inverses`
-    maps id(g) to the table of g's inverse for each generator whose inverse
-    a walk has read; the chain's levels share one such dict, so a generator
-    is inverted once per chain. `full` is degree - depth, the most points
-    the basic orbit can hold: each generator at depth i fixes the i base
-    points above it."""
+    and keeps each generator's image sequence, table and inverse's table in
+    `seqs`, `tables` and `inv_tables`, beside `gens`, built once per chain
+    when `Bsgs._install` adds it. The forward memos hold images and the
+    inverse memos tables, the form `then` takes on its right; only `rep`
+    wraps one in a Permutation, as an image, for readers outside the chain.
+    New generators grow the orbit in place, keeping the tree and the memos
+    (`orbit`), in both the random and the deterministic run. `Bsgs._close`
+    forms Schreier generators from `gens[:scan]`, which ends at the last
+    generator that came from above; by Schreier's lemma the later ones,
+    residues found at this level or deeper, add nothing (see
+    `Bsgs._install`). `full` is degree - depth, the most points the basic
+    orbit can hold: each generator at depth i fixes the i base points above
+    it."""
 
     __slots__ = (
-        "point", "gens", "seqs", "tables", "scan", "orbit_list", "schreier", "orbit_gens",
-        "trans", "trans_inv", "k", "inverses", "full",
+        "point", "gens", "seqs", "tables", "inv_tables", "scan", "orbit_list", "schreier",
+        "orbit_gens", "trans", "trans_inv", "k", "full",
     )
 
-    def __init__(self, point: int, degree: int, depth: int, k, inverses: dict):
+    def __init__(self, point: int, degree: int, depth: int, k):
         self.point = point
         self.full = degree - depth
         self.gens: list[Permutation] = []
         self.seqs: list = []  # gens[i].image_seq()
         self.tables: list = []  # k.table of gens[i]'s image
+        self.inv_tables: list = []  # k.table of gens[i]'s inverse's image
         self.scan = 0  # Schreier generators come from gens[:scan]
         self.orbit_list, self.schreier = [point], {point: (-1, point)}
         self.orbit_gens = 0  # len(gens) when orbit_list and schreier were last grown
@@ -148,7 +147,6 @@ class _Level:
         self.trans = {point: e}  # orbit point -> image of its coset representative, filled by _rep
         self.trans_inv = {point: k.table(e)}  # orbit point -> table of its inverse, filled by _rep
         self.k = k
-        self.inverses = inverses
 
     def orbit(self) -> list[int]:
         """The basic orbit, grown in place: old points try only the generators
@@ -186,8 +184,8 @@ class _Level:
         memoizes every point on the path, in the memo it reads: u_c =
         then(u_p, g) for the edge from p to c by the generator g, and u_c^-1
         = then(g^-1, u_p^-1) on tables, so an inverse is built from its
-        parent's inverse, never by inverting u_c, and reading it builds no
-        forward representative."""
+        parent's inverse and g's kept inverse (`inv_tables`), never by
+        inverting u_c, and reading it builds no forward representative."""
         trans = self.trans_inv if inv else self.trans
         u = trans.get(b)
         if u is not None:
@@ -200,13 +198,9 @@ class _Level:
         u = trans[b]
         then = self.k.then
         if inv:
-            gens, inverses = self.gens, self.inverses
+            inv_tables = self.inv_tables
             for c in reversed(path):
-                g = gens[vec[c][0]]
-                g_inv = inverses.get(id(g))
-                if g_inv is None:
-                    g_inv = inverses[id(g)] = self.k.table(_inv(g._img))
-                u = trans[c] = then(g_inv, u)
+                u = trans[c] = then(inv_tables[vec[c][0]], u)
         else:
             tables = self.tables
             for c in reversed(path):
@@ -226,11 +220,10 @@ class Bsgs:
         self.degree = degree
         self.levels: list[_Level] = []
         self._k = _kernel(degree)
-        self._inverses: dict = {}  # shared by the levels; see _Level
         for pt in dict.fromkeys(base_prefix):
             if not 0 <= pt < degree:
                 raise ValueError(f"base point {pt} out of range")
-            self.levels.append(_Level(pt, degree, len(self.levels), self._k, self._inverses))
+            self.levels.append(_Level(pt, degree, len(self.levels), self._k))
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -257,19 +250,20 @@ class Bsgs:
         level l <= origin, and by Schreier's lemma Schreier generators from
         any generating set of a level's group generate the next one; so g
         extends `scan` only at the levels l > origin, where it came from
-        above. g's image sequence and table are read here, once per chain,
-        and every level it joins shares them."""
+        above. g's image sequence, its table and its inverse's table are
+        built here, once per chain, and every level it joins shares them."""
         seq = g.image_seq()
         i = next((l for l, lv in enumerate(self.levels) if seq[lv.point] != lv.point), None)
         if i is None:
             first_moved = next(x for x, y in enumerate(seq) if x != y)
             i = len(self.levels)
-            self.levels.append(_Level(first_moved, self.degree, i, self._k, self._inverses))
-        table = self._k.table(g._img)
+            self.levels.append(_Level(first_moved, self.degree, i, self._k))
+        table, inv_table = self._k.table(g._img), self._k.table(_inv(g._img))
         for l, lv in enumerate(self.levels[: i + 1]):
             lv.gens.append(g)
             lv.seqs.append(seq)
             lv.tables.append(table)
+            lv.inv_tables.append(inv_table)
             if l > origin:
                 lv.scan = len(lv.gens)
         return i
@@ -471,7 +465,7 @@ def orbit(G: PermGroup, point: int) -> tuple[tuple[int, ...], dict[int, tuple[in
     index, predecessor), the point to (-1, point); grown as `_Level.orbit`."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    lv = _Level(point, G.degree, 0, _kernel(G.degree), {})
+    lv = _Level(point, G.degree, 0, _kernel(G.degree))
     lv.gens.extend(G.generators)
     lv.seqs.extend(g.image_seq() for g in G.generators)  # no tables: no representative is read
     return tuple(lv.orbit()), lv.schreier
@@ -522,7 +516,13 @@ def is_subgroup(H: PermGroup, G: PermGroup) -> bool:
 
 
 def is_transitive(G: PermGroup) -> bool:
-    """One orbit: the walk stops after the orbit of 0."""
+    """One orbit. A group that holds its chain reads it: level 0 holds the
+    orbit of its base point under G, and a chain with no level is the
+    trivial group's, transitive only on one point. Any other group is not
+    given a chain for this; its walk stops after the orbit of 0."""
+    if G._bsgs is not None:
+        levels = G._bsgs.levels
+        return (len(levels[0].orbit()) if levels else 1) == G.degree
     return len(next(_orbit_walk(G))) == G.degree
 
 
@@ -694,16 +694,18 @@ def is_primitive(G: PermGroup) -> bool:
     `_is_primitive_at`). The suborbits at any point serve; these are at 0.
     A block's size divides the degree, so a prime degree needs no probe, and
     a regular group (trivial stabilizer) of composite degree is
-    imprimitive."""
+    imprimitive. A group without a chain is not given one to answer
+    "intransitive" (see `is_transitive`)."""
     if not is_transitive(G):
         return False
-    return _is_primitive_at(G, 0, orbits(point_stabilizer(G, 0)))
+    return _is_primitive_at(G, 0, [(orb[0], len(orb)) for orb in orbits(point_stabilizer(G, 0))])
 
 
 def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
     """is_primitive for a transitive G, given the orbits of the stabilizer of
-    point: one unchecked probe per suborbit other than (point,) that could
-    lie in a proper block.
+    point as (representative, length) pairs, as `SuborbitProfile` lists
+    them: one unchecked probe per suborbit other than the point's own that
+    could lie in a proper block.
 
     A block B containing point is fixed by its stabilizer, since Bg meets B
     at point for every g in it; so B is {point} together with whole
@@ -716,7 +718,7 @@ def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
     n = G.degree
     if is_prime(n):
         return True
-    lengths = Counter(len(orb) for orb in suborbits if orb[0] != point)
+    lengths = Counter(length for rep, length in suborbits if rep != point)
     if set(lengths) <= {1}:
         return False
     half = n // 2
@@ -736,9 +738,9 @@ def _is_primitive_at(G: PermGroup, point: int, suborbits) -> bool:
         if sums << (1 + l) & sizes:
             open_lengths.add(l)
     return all(
-        _pair_spans_all(G, (point, orb[0]))
-        for orb in suborbits
-        if orb[0] != point and len(orb) in open_lengths
+        _pair_spans_all(G, (point, rep))
+        for rep, length in suborbits
+        if rep != point and length in open_lengths
     )
 
 

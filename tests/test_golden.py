@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from subdeg import corpus
+from subdeg import analysis
 from subdeg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,8 +103,8 @@ VIOLATION = [
 
 
 def _split_110(real):
-    """corpus.orbits with J1's suborbit of length 110 cut into its first 5
-    points and the other 105."""
+    """analysis.orbits, which `subdegrees` reads, with J1's suborbit of
+    length 110 cut into its first 5 points and the other 105."""
 
     def split(G):
         out = []
@@ -119,7 +119,7 @@ def _split_110(real):
 def test_violation_is_reported(name, args, monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(ROOT)
     shutil.copy(ROOT / J1, tmp_path)
-    monkeypatch.setattr(corpus, "orbits", _split_110(corpus.orbits))
+    monkeypatch.setattr(analysis, "orbits", _split_110(analysis.orbits))
     rc = main([a.format(dir=tmp_path) for a in args])
     out = capsys.readouterr().out
     assert rc == 1

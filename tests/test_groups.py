@@ -593,11 +593,12 @@ def test_stabilizer_bound_builds_chains_for_g_and_n_only(monkeypatch):
 def test_analyze_makes_one_suborbit_pass(monkeypatch):
     # one orbit walk, which `orbits` lists in full on the point stabilizer
     # and which gives both the subdegrees and the probes. There were two
-    # while analyze called is_transitive, whose walk on G repeated the
-    # orbit that `order` had already built as the chain's level 0; analyze
-    # now reads transitivity off that level. One probe: the suborbit
-    # lengths rule out three of the four (it was 4, one per non-trivial
-    # suborbit, before they filtered; see
+    # while is_transitive walked G's orbit, which `order` had already built
+    # as the chain's level 0. is_transitive is called twice, by analyze and
+    # by the subdegrees it reads its profile from, and each call reads that
+    # level and walks nothing (it was 0 calls while analyze read the level
+    # inline). One probe: the suborbit lengths rule out three of the four
+    # (it was 4, one per non-trivial suborbit, before they filtered; see
     # test_is_primitive_probes_once_per_suborbit)
     G = _fresh_j1()
     names = ("is_transitive", "point_stabilizer", "_orbit_walk", "orbits", "_pair_spans_all")
@@ -605,7 +606,7 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
     assert analyze(G).primitive
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {
-        "is_transitive": 0,
+        "is_transitive": 2,
         "point_stabilizer": 1,
         "_orbit_walk": 1,
         "orbits": 1,
@@ -619,9 +620,10 @@ def test_analyze_makes_one_suborbit_pass(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_analyze_reads_transitivity_off_the_chain(data):
-    # analyze reads transitivity off level 0 of the chain that `order`
-    # builds, or off the degree when there is no level; is_transitive still
-    # walks the orbit of 0. Generators moving drawn subsets leave fixed points
+    # analyze's is_transitive reads level 0 of the chain that `order`
+    # builds, or the degree when there is no level; the oracle is a fresh
+    # copy of the group, which has no chain, so its is_transitive walks the
+    # orbit of 0. Generators moving drawn subsets leave fixed points
     n = data.draw(st.integers(1, 9))
     gens = []
     for _ in range(data.draw(st.integers(0, 3))):
@@ -632,7 +634,11 @@ def test_analyze_reads_transitivity_off_the_chain(data):
         gens.append(Permutation(img))
     G = PermGroup(n, gens)
     point = data.draw(st.integers(0, n - 1))
-    assert analyze(G, point).transitive == is_transitive(G)
+    fresh = PermGroup(n, gens)
+    walked = is_transitive(fresh)
+    assert fresh._bsgs is None
+    assert analyze(G, point).transitive == walked
+    assert G._bsgs is not None and is_transitive(G) == walked
 
 
 def test_analyze_transitivity_on_edge_cases():
@@ -645,8 +651,45 @@ def test_analyze_transitivity_on_edge_cases():
         (load_group(golden), False),  # C2 x C3 on 2 + 3 points
     ]
     for G, want in cases:
-        assert is_transitive(G) == want
+        assert is_transitive(PermGroup(G.degree, G.generators)) == want  # walks
         assert analyze(G).transitive == want
+        assert is_transitive(G) == want  # reads the chain analyze built
+
+
+def test_a_cached_chain_answers_transitivity(monkeypatch):
+    # with G's chain cached, is_primitive and subdegrees each walk only the
+    # point stabilizer's orbits; each also walked G's orbit, which the
+    # chain's level 0 already holds, while is_transitive always walked
+    G = _fresh_j1()
+    order(G)
+    walks = _spy(monkeypatch, "_orbit_walk")
+    assert is_primitive(G)
+    assert [args[0].label for args in walks] == [f"{G.label}.stab(0)"]
+    walks.clear()
+    assert subdegrees(G).subdegrees == (1, 11, 12, 110, 132)
+    assert [args[0].label for args in walks] == [f"{G.label}.stab(0)"]
+
+
+def test_each_strong_generator_is_inverted_once(monkeypatch):
+    # Bsgs._install builds each generator's inverse table beside its table,
+    # and every level it joins shares it; no walk inverts a generator again
+    G = _fresh_j1()
+    inversions = []
+    real = subdeg.groups._inv
+
+    def spy(x):
+        inversions.append(x)
+        return real(x)
+
+    monkeypatch.setattr(subdeg.groups, "_inv", spy)
+    assert order(G) == 175560
+    strong = G.bsgs.strong_generators
+    assert len(inversions) == len(strong) == 6
+    assert [x.tobytes() for x in inversions] == [g._img.tobytes() for g in strong]
+    for lv in G.bsgs.levels:
+        assert len(lv.inv_tables) == len(lv.gens)
+        for g, t in zip(lv.gens, lv.inv_tables):
+            assert compose(g, subdeg.perm._wrap(t[: G.degree])).is_identity()
 
 
 def _count_sifts(monkeypatch) -> list:
@@ -804,7 +847,10 @@ def test_contains_matches_the_element_list(data):
 def test_is_transitive_stops_after_the_first_orbit(monkeypatch):
     # one transposition on 100,000 points has 99,999 orbits; is_transitive
     # reads the first and stops. It listed all of them, at 37 ms against
-    # 2.0 ms, while it counted the orbits that `orbits` lists
+    # 2.0 ms, while it counted the orbits that `orbits` lists. is_primitive
+    # answers off the same walk: a chain, which would read transitivity
+    # off its level 0, is not built first (on S40 with one fixed point the
+    # walk takes under 0.1 ms CPU, the chain about 0.1 s)
     yielded = []
     real = subdeg.groups._orbit_walk
 
@@ -815,8 +861,12 @@ def test_is_transitive_stops_after_the_first_orbit(monkeypatch):
 
     monkeypatch.setattr(subdeg.groups, "_orbit_walk", spy)
     n = 100_000
-    assert not is_transitive(PermGroup(n, [Permutation([1, 0, *range(2, n)])]))
+    G = PermGroup(n, [Permutation([1, 0, *range(2, n)])])
+    assert not is_transitive(G)
     assert yielded == [(0, 1)]
+    yielded.clear()
+    assert not is_primitive(G)
+    assert yielded == [(0, 1)] and G._bsgs is None
     yielded.clear()
     assert is_transitive(cyclic(12))
     assert yielded == [tuple(range(12))]

@@ -48,6 +48,21 @@ CASES = {
     "construct alt 600 --analyze": (None, ["construct", "alt", "600", "--analyze"]),
     # the largest field psl2 accepts
     "construct psl2 1024 --analyze": (None, ["construct", "psl2", "1024", "--analyze"]),
+    # each other family at its largest accepted parameters: degree at most
+    # DEGREE_CAP (100,000), or AGL_DEGREE_CAP (10,000) for agl
+    **{
+        f"construct {' '.join(params)} --analyze": (None, ["construct", *params, "--analyze"])
+        for params in (
+            ("cyclic", "100000"),
+            ("dihedral", "100000"),
+            ("alt", "100000"),  # exit 2, out of memory
+            ("sym", "100000"),  # exit 2, out of memory
+            ("ksubsets", "447", "2"),  # degree 99,681; exit 2, out of memory
+            ("partitions", "20", "10"),  # degree 92,378
+            ("agl", "1", "9973"),  # the largest prime below 10,000
+            ("agl", "13", "2"),  # degree 8,192
+        )
+    },
     # no expected_order, so the deterministic chain
     "bound-free S100 file": (
         {"name": "s100", "degree": 100, "generators": ["(1,2)", _cycle(range(1, 101))]},
